@@ -13,18 +13,17 @@ even for instances where some other feasible point does at least as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import Array, EuclideanBall, EuclideanSpace, EntropySimplex, ProxGeometry, as_vector
+from .geometry import Array, EuclideanBall, EuclideanSpace, EntropySimplex, ProxGeometry
 from .problems import (
     AbsAffinePlusOracle,
     AffineOracle,
     MaxOracle,
     Oracle,
-    OracleBank,
     ProblemInstance,
     QuadraticOracle,
     SqrtQuadraticOracle,
@@ -330,25 +329,6 @@ class GridSpec:
     geometry: ProxGeometry | None = None
 
 
-def _batch_values(oracle: Oracle, points: Array) -> Array:
-    """Oracle values over rows of ``points``; closed forms where possible."""
-    if isinstance(oracle, AffineOracle):
-        return points @ oracle.a + oracle.b
-    if isinstance(oracle, QuadraticOracle):
-        av = points @ oracle.A
-        return 0.5 * np.einsum("pi,pi->p", av, points) - points @ oracle.b + oracle.alpha
-    if isinstance(oracle, SqrtQuadraticOracle):
-        qv = points @ oracle.Q
-        form = np.einsum("pi,pi->p", qv, points)
-        return np.sqrt(oracle.scale * np.maximum(form, 0.0))
-    if isinstance(oracle, AbsAffinePlusOracle):
-        return oracle.scale * np.abs(points @ oracle.a) + oracle.shift
-    if isinstance(oracle, MaxOracle):
-        stacked = np.stack([_batch_values(c, points) for c in oracle.children])
-        return stacked.max(axis=0)
-    return np.array([oracle.value(p) for p in points])
-
-
 def brute_force_optimum(instance: ProblemInstance, grid: GridSpec) -> tuple[Array, float]:
     """Exhaustive grid search over a box intersected with the feasible set.
 
@@ -388,11 +368,11 @@ def brute_force_optimum(instance: ProblemInstance, grid: GridSpec) -> tuple[Arra
 
     feasible = np.ones(len(points), dtype=bool)
     for constraint in instance.constraints:
-        feasible &= _batch_values(constraint, points) <= 0.0
+        feasible &= constraint.values(points) <= 0.0
     points = points[feasible]
     if len(points) == 0:
         raise ValueError("no feasible grid point in the search box")
 
-    values = _batch_values(instance.objective, points)
+    values = instance.objective.values(points)
     best = int(np.argmin(values))
     return points[best].copy(), float(values[best])

@@ -34,13 +34,13 @@ from .benchmarks import (
     default_geometry,
     verify_example,
 )
-from .geometry import (
-    EntropySimplex,
-    EuclideanBall,
-    EuclideanSpace,
-    ProxGeometry,
+from .geometry import ProxGeometry
+from .probfile import (
+    ProblemFileError,
+    load_problem,
+    parse_problem,
+    problem_to_mapping,
 )
-from .probfile import ProblemFileError, load_problem
 from .problems import EvaluationError, ProblemInstance
 from .solver import Policy, Regime, RunConfig, SolverReport, StopReason, run
 
@@ -133,47 +133,29 @@ class _Target:
     geometry: ProxGeometry
 
 
-def _rebuild_geometry(geometry: ProxGeometry, x0, theta0: float,
-                      dimension: int) -> ProxGeometry:
-    if isinstance(geometry, EuclideanBall):
-        return EuclideanBall(geometry.center, geometry.radius, theta0,
-                             anchor=x0)
-    if isinstance(geometry, EntropySimplex):
-        return EntropySimplex(dimension, theta0)
-    return EuclideanSpace(x0, theta0)
-
-
 def _resolve_target(args: argparse.Namespace) -> _Target:
+    overrides = {name: getattr(args, name) for name in ("theta0", "epsilon")
+                 if getattr(args, name) is not None}
     if args.example is not None:
         example = build_example(args.example)
-        label = str(args.example)
-        geometry: ProxGeometry = default_geometry(example)
-        x0 = example.settings.x0
-        theta0 = example.settings.theta0
-        epsilon = example.settings.epsilon
-        instance = example.instance
-    else:
-        document = load_problem(args.problem_file)
-        label = Path(args.problem_file).stem
-        geometry = document.geometry
-        x0 = document.x0
-        theta0 = document.theta0
-        epsilon = document.epsilon
-        instance = document.instance
+        example = dataclasses.replace(
+            example, settings=dataclasses.replace(example.settings, **overrides))
+        return _Target(label=str(args.example), example=example,
+                       geometry=default_geometry(example))
 
-    if args.theta0 is not None:
-        theta0 = args.theta0
-        geometry = _rebuild_geometry(geometry, x0, theta0, instance.dimension)
-    if args.epsilon is not None:
-        epsilon = args.epsilon
-
+    document = load_problem(args.problem_file)
+    if overrides:
+        # Re-parse so the file's geometry is rebuilt with the overrides.
+        document = parse_problem({**problem_to_mapping(document), **overrides})
     example = BenchmarkExample(
-        example_id=args.example if args.example is not None else 0,
-        instance=instance,
-        settings=ExperimentSettings(x0=x0, theta0=theta0, epsilon=epsilon),
+        example_id=0,
+        instance=document.instance,
+        settings=ExperimentSettings(x0=document.x0, theta0=document.theta0,
+                                    epsilon=document.epsilon),
         applicable_regimes=frozenset(),
     )
-    return _Target(label=label, example=example, geometry=geometry)
+    return _Target(label=Path(args.problem_file).stem, example=example,
+                   geometry=document.geometry)
 
 
 def _config_mapping(config: RunConfig) -> dict[str, Any]:
@@ -379,8 +361,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         policy=Policy(args.policy),
         max_iterations=args.max_iter,
         # The nonstandard certificate is a minimum over recorded
-        # productive iterates; without history it cannot be checked.
-        record_history=regime is Regime.NONSTANDARD,
+        # productive iterates against the known optimum; without both it
+        # is not checked.
+        record_history=(regime is Regime.NONSTANDARD
+                        and example.instance.known_optimum is not None),
     )
     report = run(example.instance, target.geometry, config)
     result = verify_example(report, example, target.geometry)

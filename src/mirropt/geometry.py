@@ -117,8 +117,11 @@ class EuclideanSpace(ProxGeometry):
         return x - h * p
 
 
-class EuclideanBall(ProxGeometry):
+class EuclideanBall(EuclideanSpace):
     """Euclidean ball geometry: mirror steps project radially onto the ball.
+
+    The prox function, norms and divergence are those of
+    :class:`EuclideanSpace`.
 
     Parameters
     ----------
@@ -149,18 +152,8 @@ class EuclideanBall(ProxGeometry):
         d = x - self.center
         return math.sqrt(float(d @ d)) <= self.radius * (1.0 + FEASIBILITY_TOL)
 
-    def distance_generating_value(self, x: Array) -> float:
-        d = x - self.anchor
-        return 0.5 * float(d @ d)
-
-    def dual_norm(self, p: Array) -> float:
-        return math.sqrt(float(p @ p))
-
-    def bregman(self, x: Array, y: Array) -> float:
-        d = y - x
-        return 0.5 * float(d @ d)
-
     def mirror_step(self, x: Array, p: Array, h: float) -> Array:
+        # Step and projection inline: this runs once per solver step.
         z = x - h * p
         d = z - self.center
         nrm = math.sqrt(float(d @ d))

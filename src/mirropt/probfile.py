@@ -19,10 +19,11 @@ optional ``known_optimum`` and ``geometry``::
       "geometry": {"kind": "ball", "center": [0.0, 0.0], "radius": 2.0}
     }
 
-Oracle nodes use ``kind`` in {affine, quadratic, sqrt_quadratic,
-abs_affine_plus, max_of} with ``parameters`` named after the corresponding
-constructor arguments; ``lipschitz_value`` / ``lipschitz_gradient`` may be
-supplied and are otherwise derived where a closed form exists.  ``geometry``
+Oracle nodes name a ``kind`` from ``_ORACLES``, the one list of oracle
+kinds, with ``parameters`` named after the class's constructor arguments;
+the first parameter is required, the others take the constructor default.
+``lipschitz_value`` / ``lipschitz_gradient`` may be supplied (finite and
+nonnegative) and are otherwise derived where a closed form exists.  ``geometry``
 defaults to the unconstrained Euclidean space anchored at ``x0``; the
 ``simplex`` kind always starts from its uniform anchor.
 """
@@ -30,6 +31,7 @@ defaults to the unconstrained Euclidean space anchored at ``x0``; the
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -72,8 +74,17 @@ _REQUIRED_FIELDS = ("dimension", "objective", "constraints", "x0", "theta0",
                     "epsilon")
 _OPTIONAL_FIELDS = ("known_optimum", "geometry")
 
-_ORACLE_KINDS = ("affine", "quadratic", "sqrt_quadratic", "abs_affine_plus",
-                 "max_of")
+# Oracle kind -> (class, parameter names).  The names are both the
+# constructor arguments and the attributes written back out; a "children"
+# parameter holds a list of oracle nodes.
+_ORACLES: dict[str, tuple[type[Oracle], tuple[str, ...]]] = {
+    "affine": (AffineOracle, ("a", "b")),
+    "quadratic": (QuadraticOracle, ("A", "b", "alpha")),
+    "sqrt_quadratic": (SqrtQuadraticOracle, ("Q", "scale")),
+    "abs_affine_plus": (AbsAffinePlusOracle, ("a", "shift", "scale")),
+    "max_of": (MaxOracle, ("children",)),
+}
+_METADATA = ("lipschitz_value", "lipschitz_gradient")
 _GEOMETRY_KINDS = ("euclidean", "ball", "simplex")
 
 
@@ -111,51 +122,36 @@ def _number(value: Any, where: str) -> float:
     return float(value)
 
 
-def _oracle_from_node(node: Any, dimension: int, where: str) -> Oracle:
+def _oracle_from_node(node: Any, where: str) -> Oracle:
     if not isinstance(node, Mapping):
         _fail(f"{where}: expected an object with 'kind' and 'parameters'")
-    _check_keys(node, ("kind", "parameters", "lipschitz_value",
-                       "lipschitz_gradient"), where)
+    _check_keys(node, ("kind", "parameters") + _METADATA, where)
     kind = _get(node, "kind", where)
-    if kind not in _ORACLE_KINDS:
+    if not isinstance(kind, str) or kind not in _ORACLES:
         _fail(f"{where}: unknown oracle kind {kind!r} "
-              f"(expected one of {', '.join(_ORACLE_KINDS)})")
+              f"(expected one of {', '.join(_ORACLES)})")
+    cls, names = _ORACLES[kind]
     params = node.get("parameters", {})
     if not isinstance(params, Mapping):
         _fail(f"{where}: 'parameters' must be an object")
-    meta = {}
-    for key in ("lipschitz_value", "lipschitz_gradient"):
-        if node.get(key) is not None:
-            meta[key] = _number(node[key], f"{where}.{key}")
-
-    try:
-        if kind == "affine":
-            _check_keys(params, ("a", "b"), where)
-            return AffineOracle(_get(params, "a", where),
-                                params.get("b", 0.0), **meta)
-        if kind == "quadratic":
-            _check_keys(params, ("A", "b", "alpha"), where)
-            return QuadraticOracle(_get(params, "A", where),
-                                   params.get("b"),
-                                   params.get("alpha", 0.0), **meta)
-        if kind == "sqrt_quadratic":
-            _check_keys(params, ("Q", "scale"), where)
-            return SqrtQuadraticOracle(_get(params, "Q", where),
-                                       params.get("scale", 1.0), **meta)
-        if kind == "abs_affine_plus":
-            _check_keys(params, ("a", "shift", "scale"), where)
-            return AbsAffinePlusOracle(_get(params, "a", where),
-                                       params.get("shift", 0.0),
-                                       params.get("scale", 1.0), **meta)
-        children = _get(params, "children", where)
-        _check_keys(params, ("children",), where)
+    _check_keys(params, names, where)
+    _get(params, names[0], where)  # the one parameter without a default
+    params = dict(params)
+    if "children" in params:
+        children = params["children"]
         if not isinstance(children, list) or not children:
             _fail(f"{where}: 'children' must be a non-empty list")
-        built = [_oracle_from_node(c, dimension, f"{where}.children[{i}]")
-                 for i, c in enumerate(children)]
-        return MaxOracle(built, **meta)
-    except ProblemFileError:
-        raise
+        params["children"] = [_oracle_from_node(c, f"{where}.children[{i}]")
+                              for i, c in enumerate(children)]
+    meta = {}
+    for key in _METADATA:
+        if node.get(key) is not None:
+            value = _number(node[key], f"{where}.{key}")
+            if not (math.isfinite(value) and value >= 0.0):
+                _fail(f"{where}.{key}: must be finite and nonnegative")
+            meta[key] = value
+    try:
+        return cls(**params, **meta)
     except (ValueError, TypeError) as exc:
         raise ProblemFileError(f"{where}: {exc}") from exc
 
@@ -215,12 +211,12 @@ def parse_problem(data: Mapping[str, Any]) -> ProblemDocument:
         _fail("problem.epsilon: must be finite and positive")
 
     objective = _oracle_from_node(_get(data, "objective", "problem"),
-                                  dimension, "objective")
+                                  "objective")
     raw_constraints = _get(data, "constraints", "problem")
     if not isinstance(raw_constraints, list) or not raw_constraints:
         _fail("problem.constraints: expected a non-empty list")
     constraints = [
-        _oracle_from_node(node, dimension, f"constraints[{m}]")
+        _oracle_from_node(node, f"constraints[{m}]")
         for m, node in enumerate(raw_constraints)
     ]
 
@@ -274,31 +270,25 @@ def load_problem(path: str | Path) -> ProblemDocument:
 
 
 def _oracle_to_node(oracle: Oracle) -> dict[str, Any]:
-    if isinstance(oracle, AffineOracle):
-        kind = "affine"
-        params: dict[str, Any] = {"a": oracle.a.tolist(), "b": oracle.b}
-    elif isinstance(oracle, QuadraticOracle):
-        kind = "quadratic"
-        params = {"A": oracle.A.tolist(), "b": oracle.b.tolist(),
-                  "alpha": oracle.alpha}
-    elif isinstance(oracle, SqrtQuadraticOracle):
-        kind = "sqrt_quadratic"
-        params = {"Q": oracle.Q.tolist(), "scale": oracle.scale}
-    elif isinstance(oracle, AbsAffinePlusOracle):
-        kind = "abs_affine_plus"
-        params = {"a": oracle.a.tolist(), "shift": oracle.shift,
-                  "scale": oracle.scale}
-    elif isinstance(oracle, MaxOracle):
-        kind = "max_of"
-        params = {"children": [_oracle_to_node(c) for c in oracle.children]}
+    for kind, (cls, names) in _ORACLES.items():
+        if isinstance(oracle, cls):
+            break
     else:
         raise ProblemFileError(
             f"cannot serialize oracle type {type(oracle).__name__}")
+    params: dict[str, Any] = {}
+    for name in names:
+        value = getattr(oracle, name)
+        if name == "children":
+            value = [_oracle_to_node(c) for c in value]
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        params[name] = value
     node: dict[str, Any] = {"kind": kind, "parameters": params}
-    if oracle.lipschitz_value is not None:
-        node["lipschitz_value"] = float(oracle.lipschitz_value)
-    if oracle.lipschitz_gradient is not None:
-        node["lipschitz_gradient"] = float(oracle.lipschitz_gradient)
+    for key in _METADATA:
+        value = getattr(oracle, key)
+        if value is not None:
+            node[key] = float(value)
     return node
 
 

@@ -70,6 +70,10 @@ class Oracle:
     def value(self, x: Array) -> float:
         raise NotImplementedError
 
+    def values(self, points: Array) -> Array:
+        """Values at each row of ``points``."""
+        return np.array([self.value(p) for p in points])
+
     def subgradient(self, x: Array) -> Array:
         raise NotImplementedError
 
@@ -95,6 +99,9 @@ class AffineOracle(Oracle):
 
     def value(self, x: Array) -> float:
         return float(self.a @ x) + self.b
+
+    def values(self, points: Array) -> Array:
+        return points @ self.a + self.b
 
     def subgradient(self, x: Array) -> Array:
         return self.a
@@ -125,6 +132,10 @@ class QuadraticOracle(Oracle):
     def value(self, x: Array) -> float:
         Ax = self.A @ x
         return 0.5 * float(x @ Ax) - float(self.b @ x) + self.alpha
+
+    def values(self, points: Array) -> Array:
+        form = np.einsum("pi,pi->p", points @ self.A, points)
+        return 0.5 * form - points @ self.b + self.alpha
 
     def subgradient(self, x: Array) -> Array:
         return self.A @ x - self.b
@@ -162,6 +173,10 @@ class SqrtQuadraticOracle(Oracle):
             return 0.0
         return math.sqrt(self.scale * form)
 
+    def values(self, points: Array) -> Array:
+        form = np.einsum("pi,pi->p", points @ self.Q, points)
+        return np.sqrt(self.scale * np.maximum(form, 0.0))
+
     def subgradient(self, x: Array) -> Array:
         return self.value_and_subgradient(x)[1]
 
@@ -198,6 +213,9 @@ class AbsAffinePlusOracle(Oracle):
 
     def value(self, x: Array) -> float:
         return self.scale * abs(float(self.a @ x)) + self.shift
+
+    def values(self, points: Array) -> Array:
+        return self.scale * np.abs(points @ self.a) + self.shift
 
     def subgradient(self, x: Array) -> Array:
         t = float(self.a @ x)
@@ -279,6 +297,9 @@ class MaxOracle(Oracle):
 
     def value(self, x: Array) -> float:
         return self._bank.max_entry(x)[0]
+
+    def values(self, points: Array) -> Array:
+        return np.stack([c.values(points) for c in self.children]).max(axis=0)
 
     def subgradient(self, x: Array) -> Array:
         _, idx = self._bank.max_entry(x)

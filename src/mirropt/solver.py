@@ -208,6 +208,9 @@ def _make_selector(
             for i in violated:
                 s = sub(int(i), x)
                 nrm = dual_norm(s)
+                if not math.isfinite(nrm):
+                    raise EvaluationError(
+                        "constraint produced a non-finite subgradient")
                 if nrm < best_norm:
                     best_norm = nrm
                     best_i = int(i)
@@ -249,6 +252,8 @@ def select_constraint(
     idx0, val, sub = sel
     if sub is None:
         sub = bank.subgradient(idx0, x)
+        if not np.all(np.isfinite(sub)):
+            raise EvaluationError("constraint produced a non-finite subgradient")
     return idx0 + 1, val, sub
 
 

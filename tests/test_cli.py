@@ -1,14 +1,18 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import csv
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
-from mirropt import Regime, iteration_bound
-from mirropt.cli import BENCH_COLUMNS, main
+from mirropt import Regime, build_example, iteration_bound
+from mirropt import cli
+from mirropt.cli import BENCH_COLUMNS, build_parser, main
 
 REPORT_FIELDS = {
     "total_steps", "productive_count", "nonproductive_count", "output_point",
@@ -54,6 +58,30 @@ def test_run_requires_exactly_one_source(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["run", "--example", "1", "--problem-file", "x.prob"])
     assert excinfo.value.code == 2
+
+
+def _documented_commands():
+    """Argument lists of the ``mirropt`` lines in the README's CLI block and
+    in the cli module docstring."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.splitlines() + cli.__doc__.splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.strip().startswith("mirropt ")]
+
+
+def test_documented_commands_use_exact_option_strings():
+    parser = build_parser()
+    subcommands = next(action for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    commands = _documented_commands()
+    assert len(commands) >= 8
+    for argv in commands:
+        parser.parse_args(argv)
+        options = subcommands.choices[argv[0]]._option_string_actions
+        flags = [token for token in argv if token.startswith("--")]
+        assert all(flag in options for flag in flags), argv
 
 
 def test_unknown_example_id_rejected(capsys):
@@ -155,6 +183,19 @@ def test_run_overrides_epsilon_and_theta0(disk_file, capsys):
     # M_f = sqrt(2) and M_g = 1 for the disk problem
     expected = iteration_bound(math.sqrt(2.0), 1.0, 1.5, 0.2, Regime.LIPSCHITZ)
     assert payload["a_priori_bound"] == expected == 226
+    # the override keeps the file's radius-2 ball
+    assert math.hypot(*payload["output_point"]) <= 2.0 * (1.0 + 1e-12)
+
+
+def test_run_example_overrides_theta0(capsys):
+    assert main(["run", "--example", "4", "--theta0", "1.0", "--max-iter", "10",
+                 "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    instance = build_example(4).instance
+    m_g = max(c.lipschitz_value for c in instance.constraints)
+    expected = iteration_bound(instance.objective.lipschitz_value, m_g, 1.0,
+                               0.05, Regime.LIPSCHITZ)
+    assert payload["a_priori_bound"] == expected
 
 
 def test_run_nonstandard_regime(disk_file, capsys):
@@ -228,6 +269,25 @@ def test_verify_nonstandard_certificate(disk_file, capsys):
     names = [c["name"] for c in payload["checks"]]
     assert "vf_certificate" in names
     assert "objective_gap" not in names
+
+
+def test_verify_without_known_optimum_records_no_history(
+        disk_file, tmp_path, monkeypatch, capsys):
+    mapping = json.loads(Path(disk_file).read_text(encoding="utf-8"))
+    del mapping["known_optimum"]
+    path = tmp_path / "no-optimum.prob"
+    path.write_text(json.dumps(mapping), encoding="utf-8")
+    configs = []
+    real_run = cli.run
+
+    def recording_run(instance, geometry, config):
+        configs.append(config)
+        return real_run(instance, geometry, config)
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    assert main(["verify", "--problem-file", str(path),
+                 "--regime", "nonstandard"]) == 0
+    assert [config.record_history for config in configs] == [False]
 
 
 def test_verify_built_in_example(capsys):

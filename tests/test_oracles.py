@@ -135,6 +135,34 @@ def test_max_oracle_auto_lipschitz_from_children():
     assert oracle.lipschitz_value == 5.0
 
 
+def _oracles_of_every_kind():
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((3, 3))
+    psd = m @ m.T + np.eye(3)
+    affine = AffineOracle(rng.standard_normal(3), rng.standard_normal())
+    quadratic = QuadraticOracle(psd, rng.standard_normal(3), rng.standard_normal())
+    sqrt_quadratic = SqrtQuadraticOracle(psd, scale=0.7)
+    abs_affine = AbsAffinePlusOracle(rng.standard_normal(3), shift=0.3, scale=2.0)
+    flat_max = MaxOracle([affine, quadratic, abs_affine])
+    nested_max = MaxOracle([flat_max, sqrt_quadratic,
+                            MaxOracle([AffineOracle([0.5, -1.0, 2.0], 1.0)])])
+    return {"affine": affine, "quadratic": quadratic,
+            "sqrt_quadratic": sqrt_quadratic, "abs_affine_plus": abs_affine,
+            "max_of": flat_max, "nested max_of": nested_max}
+
+
+@pytest.mark.parametrize("kind", list(_oracles_of_every_kind()))
+def test_batch_values_match_pointwise_values(kind):
+    oracle = _oracles_of_every_kind()[kind]
+    points = np.random.default_rng(5).uniform(-3.0, 3.0, (200, 3))
+    points[0] = 0.0  # the sqrt form and the absolute value at their kinks
+    looped = np.array([oracle.value(p) for p in points])
+    # Values are O(100) from three-term sums summed in another order, so
+    # float64 rounding stays many orders below this tolerance.
+    np.testing.assert_allclose(oracle.values(points), looped,
+                               rtol=1e-12, atol=1e-12)
+
+
 def test_oracle_bank_affine_fast_path_matches_loop():
     rng = np.random.default_rng(7)
     oracles = [AffineOracle(rng.standard_normal(6), rng.standard_normal()) for _ in range(5)]

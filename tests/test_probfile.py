@@ -146,6 +146,26 @@ def test_explicit_lipschitz_metadata_passthrough():
     assert document.instance.objective.lipschitz_value == 9.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -5.0])
+@pytest.mark.parametrize("field", ["lipschitz_value", "lipschitz_gradient"])
+def test_lipschitz_metadata_must_be_finite_and_nonnegative(field, bad):
+    mapping = disk_mapping()
+    mapping["constraints"][1][field] = bad
+    # json writes NaN and Infinity tokens and reads them back
+    mapping = json.loads(json.dumps(mapping))
+    with pytest.raises(ProblemFileError, match=rf"constraints\[1\]\.{field}"):
+        parse_problem(mapping)
+
+
+def test_zero_lipschitz_metadata_is_legal():
+    mapping = disk_mapping()
+    mapping["constraints"][0]["lipschitz_gradient"] = 0.0
+    mapping["objective"]["lipschitz_value"] = 0.0
+    document = parse_problem(mapping)
+    assert document.instance.constraints[0].lipschitz_gradient == 0.0
+    assert document.instance.objective.lipschitz_value == 0.0
+
+
 def test_affine_metadata_derived_when_omitted():
     document = parse_problem(disk_mapping())
     assert document.instance.objective.lipschitz_value == math.sqrt(2.0)

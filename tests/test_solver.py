@@ -45,6 +45,20 @@ class _NanOracle(Oracle):
         return np.zeros(self.dimension)
 
 
+class _BadSubgradientOracle(Oracle):
+    """Test double: violated everywhere, with a non-finite subgradient."""
+
+    def __init__(self, entry: float) -> None:
+        self.dimension = 2
+        self.entry = entry
+
+    def value(self, x):
+        return 1.0
+
+    def subgradient(self, x):
+        return np.array([self.entry, 0.0])
+
+
 def disk_problem():
     """Affine objective on a radius-2 ball, two affine constraints."""
     instance = ProblemInstance(
@@ -134,6 +148,21 @@ def test_select_constraint_nan_value_raises(policy):
     constraints = [_NanOracle()]
     with pytest.raises(EvaluationError):
         select_constraint(constraints, np.zeros(2), 0.05, policy)
+
+
+@pytest.mark.parametrize("bad", [_NanOracle(), _BadSubgradientOracle(math.inf),
+                                 _BadSubgradientOracle(math.nan)],
+                         ids=["nan-value", "inf-subgradient", "nan-subgradient"])
+@pytest.mark.parametrize("policy", list(Policy))
+def test_nonfinite_constraint_raises_in_select_and_run(policy, bad):
+    # the satisfied second constraint must never be picked in its place
+    constraints = [bad, _constant(-5.0)]
+    with pytest.raises(EvaluationError):
+        select_constraint(constraints, np.zeros(2), 0.05, policy)
+    instance = ProblemInstance(2, AffineOracle([1.0, 1.0]), constraints)
+    config = RunConfig(0.05, policy=policy, max_iterations=50)
+    with pytest.raises(EvaluationError):
+        run(instance, EuclideanSpace([0.0, 0.0], 1.0), config)
 
 
 # ------------------------------------------------------------------- config
