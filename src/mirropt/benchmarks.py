@@ -28,15 +28,7 @@ from .problems import (
     QuadraticOracle,
     SqrtQuadraticOracle,
 )
-from .solver import (
-    Policy,
-    Regime,
-    SolverReport,
-    StepKind,
-    StopReason,
-    iteration_bound,
-    vf_gap,
-)
+from .solver import Policy, Regime, SolverReport
 
 __all__ = [
     "DIMENSION",
@@ -125,16 +117,6 @@ REFERENCE_RESULTS: dict[tuple[int, Regime, Policy], ReferenceResult] = {
     (5, _N, _FV): ReferenceResult(66_095, seconds=79.0),
     (6, _N, _AGG): ReferenceResult(180_020, seconds=101.0),
     (6, _N, _FV): ReferenceResult(24_454, seconds=78.0),
-}
-
-# Regimes with a recorded completing reference run per example.
-_APPLICABLE = {
-    1: frozenset({_L}),
-    2: frozenset({_L, _N}),
-    3: frozenset({_N}),
-    4: frozenset({_L}),
-    5: frozenset({_N}),
-    6: frozenset({_N}),
 }
 
 _REFERENCE_VALUES = {1: 0.0, 2: 0.0, 3: 0.0, 4: 5.0, 5: 0.0, 6: 0.0}
@@ -226,7 +208,9 @@ def build_example(example_id: int) -> BenchmarkExample:
         example_id=example_id,
         instance=instance,
         settings=settings,
-        applicable_regimes=_APPLICABLE[example_id],
+        applicable_regimes=frozenset(
+            regime for (ref_id, regime, _), ref in REFERENCE_RESULTS.items()
+            if ref_id == example_id and ref.iterations is not None),
     )
 
 
@@ -262,11 +246,11 @@ def verify_example(report: SolverReport, example: BenchmarkExample,
     """Check a report's guarantees against an example's reference data.
 
     Asserts the objective gap (Lipschitz regime), the constraint residuals,
-    the productive-iterate certificate (nonstandard regime, needs recorded
-    history) and the a-priori iteration bound when estimable.  A report that
-    did not converge gets no guarantee checks; without a known optimum only
-    the reference-free checks run.  ``geometry`` defaults to the example's
-    Euclidean geometry and only affects the certificate's dual norm.
+    the productive-iterate certificate the run computed (nonstandard regime
+    with a known optimum, ``report.certificate``) and the a-priori iteration
+    bound when estimable.  A report that did not converge gets no guarantee
+    checks; without a known optimum only the reference-free checks run.
+    ``geometry`` is no longer read; it is kept for positional callers.
     """
     config = report.config
     eps = example.settings.epsilon
@@ -291,20 +275,10 @@ def verify_example(report: SolverReport, example: BenchmarkExample,
         "constraint_residuals", violation <= tol,
         f"max violation={violation:.3e} tol={tol:.3e}"))
 
-    if (reference is not None and config.regime is Regime.NONSTANDARD
-            and report.history is not None):
-        if geometry is None:
-            geometry = default_geometry(example)
-        objective = example.instance.objective
-        best = math.inf
-        for record in report.history:
-            if record.kind is StepKind.PRODUCTIVE and record.point is not None:
-                gap = vf_gap(record.point, reference[0], objective, geometry)
-                if gap < best:
-                    best = gap
+    if report.certificate is not None:
         checks.append(VerificationCheck(
-            "vf_certificate", best <= tol,
-            f"min productive gap={best:.3e} tol={tol:.3e}"))
+            "vf_certificate", report.certificate <= tol,
+            f"min productive gap={report.certificate:.3e} tol={tol:.3e}"))
 
     if report.a_priori_bound is not None:
         checks.append(VerificationCheck(

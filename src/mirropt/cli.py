@@ -298,11 +298,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if report.converged else 1
 
 
-def _verification_cell(report: SolverReport,
-                       example: BenchmarkExample,
-                       geometry: ProxGeometry) -> str:
+def _verification_cell(report: SolverReport, example: BenchmarkExample) -> str:
     try:
-        result = verify_example(report, example, geometry)
+        result = verify_example(report, example)
     except ValueError:
         return "error"
     if not result.criterion_met:
@@ -336,7 +334,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 failures += 1
                 continue
             rows.append(_run_row(str(example_id), report, example.instance))
-            verifications.append(_verification_cell(report, example, geometry))
+            verifications.append(_verification_cell(report, example))
 
     if args.format == "json":
         items = [dict(zip(BENCH_COLUMNS, row)) for row in rows]
@@ -354,20 +352,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     target = _resolve_target(args)
     example = target.example
-    regime = Regime(args.regime)
     config = RunConfig(
         epsilon=example.settings.epsilon,
-        regime=regime,
+        regime=Regime(args.regime),
         policy=Policy(args.policy),
         max_iterations=args.max_iter,
-        # The nonstandard certificate is a minimum over recorded
-        # productive iterates against the known optimum; without both it
-        # is not checked.
-        record_history=(regime is Regime.NONSTANDARD
-                        and example.instance.known_optimum is not None),
     )
     report = run(example.instance, target.geometry, config)
-    result = verify_example(report, example, target.geometry)
+    result = verify_example(report, example)
 
     check_rows = [("converged", result.criterion_met,
                    report.stop_reason.value)]

@@ -67,6 +67,18 @@ class Oracle:
     lipschitz_value: float | None = None
     lipschitz_gradient: float | None = None
 
+    def _set_metadata(self, lipschitz_value: float | None,
+                      lipschitz_gradient: float | None) -> None:
+        """Store caller-supplied metadata; constructors fill in derived
+        defaults afterwards, unchecked (eigvalsh may dip just below 0)."""
+        for name, bound in (("lipschitz_value", lipschitz_value),
+                            ("lipschitz_gradient", lipschitz_gradient)):
+            if bound is not None:
+                bound = float(bound)
+                if not (math.isfinite(bound) and bound >= 0.0):
+                    raise ValueError(f"{name} must be finite and nonnegative")
+            setattr(self, name, bound)
+
     def value(self, x: Array) -> float:
         raise NotImplementedError
 
@@ -91,11 +103,12 @@ class AffineOracle(Oracle):
         if not math.isfinite(self.b):
             raise ValueError("b must be finite")
         self.dimension = self.a.shape[0]
+        self._set_metadata(lipschitz_value, lipschitz_gradient)
         if lipschitz_value is None:
             # ||a|| is the exact global constant, not an estimate.
-            lipschitz_value = math.sqrt(float(self.a @ self.a))
-        self.lipschitz_value = lipschitz_value
-        self.lipschitz_gradient = 0.0 if lipschitz_gradient is None else lipschitz_gradient
+            self.lipschitz_value = math.sqrt(float(self.a @ self.a))
+        if lipschitz_gradient is None:
+            self.lipschitz_gradient = 0.0
 
     def value(self, x: Array) -> float:
         return float(self.a @ x) + self.b
@@ -124,10 +137,9 @@ class QuadraticOracle(Oracle):
         self.alpha = float(alpha)
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
-        self.lipschitz_value = lipschitz_value
+        self._set_metadata(lipschitz_value, lipschitz_gradient)
         if lipschitz_gradient is None:
-            lipschitz_gradient = float(np.linalg.eigvalsh(self.A)[-1])
-        self.lipschitz_gradient = lipschitz_gradient
+            self.lipschitz_gradient = float(np.linalg.eigvalsh(self.A)[-1])
 
     def value(self, x: Array) -> float:
         Ax = self.A @ x
@@ -161,11 +173,10 @@ class SqrtQuadraticOracle(Oracle):
         self.scale = float(scale)
         if not math.isfinite(self.scale) or self.scale <= 0.0:
             raise ValueError("scale must be finite and positive")
+        self._set_metadata(lipschitz_value, lipschitz_gradient)
         if lipschitz_value is None:
             # ||grad f|| <= sqrt(scale * lambda_max(Q)) everywhere.
-            lipschitz_value = math.sqrt(self.scale * float(np.linalg.eigvalsh(self.Q)[-1]))
-        self.lipschitz_value = lipschitz_value
-        self.lipschitz_gradient = lipschitz_gradient
+            self.lipschitz_value = math.sqrt(self.scale * float(np.linalg.eigvalsh(self.Q)[-1]))
 
     def value(self, x: Array) -> float:
         form = float(x @ (self.Q @ x))
@@ -206,10 +217,9 @@ class AbsAffinePlusOracle(Oracle):
             raise ValueError("shift must be finite")
         if not math.isfinite(self.scale) or self.scale < 0.0:
             raise ValueError("scale must be finite and nonnegative")
+        self._set_metadata(lipschitz_value, lipschitz_gradient)
         if lipschitz_value is None:
-            lipschitz_value = self.scale * math.sqrt(float(self.a @ self.a))
-        self.lipschitz_value = lipschitz_value
-        self.lipschitz_gradient = lipschitz_gradient
+            self.lipschitz_value = self.scale * math.sqrt(float(self.a @ self.a))
 
     def value(self, x: Array) -> float:
         return self.scale * abs(float(self.a @ x)) + self.shift
@@ -288,12 +298,11 @@ class MaxOracle(Oracle):
         self.children = list(children)
         self._bank = OracleBank(self.children)
         self.dimension = self._bank.dimension
+        self._set_metadata(lipschitz_value, lipschitz_gradient)
         if lipschitz_value is None:
             bounds = [c.lipschitz_value for c in self.children]
             if all(b is not None for b in bounds):
-                lipschitz_value = max(bounds)
-        self.lipschitz_value = lipschitz_value
-        self.lipschitz_gradient = lipschitz_gradient
+                self.lipschitz_value = max(bounds)
 
     def value(self, x: Array) -> float:
         return self._bank.max_entry(x)[0]
@@ -324,7 +333,8 @@ class ProblemInstance:
         Functional constraints g_m(x) <= 0, at least one.
     known_optimum : (array, float), optional
         A reference feasible point and its objective value, used by
-        verification reports; not consulted by the solver.
+        verification reports.  The solver reads only the point, for the
+        nonstandard regime's certificate; it never steers the iterates.
     """
 
     dimension: int

@@ -89,7 +89,8 @@ class RunConfig:
     max_iterations : int
         Safety cap; reaching it is reported, not raised.
     record_history : bool
-        Store one :class:`StepRecord` per step (including the iterate).
+        Store one :class:`StepRecord` per step (including the iterate), for
+        inspection only: no report field or verification check reads it.
     """
 
     epsilon: float
@@ -131,7 +132,12 @@ class StepRecord:
 
 @dataclass
 class SolverReport:
-    """Outcome of one solver run."""
+    """Outcome of one solver run.
+
+    ``certificate`` is min <s_k, x_k - x*> / ||s_k||_* over the productive
+    iterates (inf if none), against the known optimum point x*; None in the
+    Lipschitz regime or without a known optimum.
+    """
 
     total_steps: int
     productive_count: int
@@ -144,6 +150,7 @@ class SolverReport:
     wall_time: float
     config: RunConfig
     history: list[StepRecord] | None = None
+    certificate: float | None = None
 
     @property
     def converged(self) -> bool:
@@ -318,6 +325,9 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     weighted = np.zeros(problem.dimension)
     best_value = math.inf
     best_point: Array | None = None
+    reference = (problem.known_optimum[0]
+                 if not lipschitz and problem.known_optimum is not None else None)
+    certificate = math.inf
     history: list[StepRecord] | None = [] if config.record_history else None
     stop = StopReason.ITERATION_CAP
     steps = 0
@@ -337,17 +347,21 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
             if lipschitz:
                 h = eps / (norm * norm)
                 crit_sum += 1.0 / (norm * norm)
+                weight_sum += h
+                weighted += h * x
             else:
                 h = eps / norm
                 crit_sum += 1.0
+                if value < best_value:
+                    best_value = value
+                    best_point = x
+                if reference is not None:
+                    gap = float(grad @ (x - reference)) / norm
+                    if gap < certificate:
+                        certificate = gap
             if history is not None:
                 history.append(StepRecord(steps, StepKind.PRODUCTIVE, h, norm,
                                           None, value, x))
-            weight_sum += h
-            weighted += h * x
-            if value < best_value:
-                best_value = value
-                best_point = x
             x = mirror(x, grad, h)
             n_productive += 1
         else:
@@ -396,6 +410,7 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
         wall_time=time.perf_counter() - t0,
         config=config,
         history=history,
+        certificate=None if reference is None else certificate,
     )
 
 

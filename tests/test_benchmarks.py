@@ -156,13 +156,10 @@ def test_verify_example_nonstandard_certificate():
     report = run(
         example.instance,
         default_geometry(example),
-        RunConfig(
-            0.05,
-            regime=Regime.NONSTANDARD,
-            policy=Policy.FIRST_VIOLATED,
-            record_history=True,
-        ),
+        RunConfig(0.05, regime=Regime.NONSTANDARD, policy=Policy.FIRST_VIOLATED),
     )
+    # The certificate comes from the run itself; no history is recorded.
+    assert report.history is None
     result = verify_example(report, example)
     assert result.all_passed
     names = [check.name for check in result.checks]

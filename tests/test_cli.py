@@ -60,11 +60,13 @@ def test_run_requires_exactly_one_source(capsys):
     assert excinfo.value.code == 2
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _documented_commands():
     """Argument lists of the ``mirropt`` lines in the README's CLI block and
     in the cli module docstring."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
-        encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = block.splitlines() + cli.__doc__.splitlines()
     return [shlex.split(line)[1:] for line in lines
@@ -82,6 +84,17 @@ def test_documented_commands_use_exact_option_strings():
         options = subcommands.choices[argv[0]]._option_string_actions
         flags = [token for token in argv if token.startswith("--")]
         assert all(flag in options for flag in flags), argv
+
+
+def test_documented_commands_run(tmp_path, monkeypatch):
+    # The files the documented lines name get the README's problem file.
+    problem = README.read_text(encoding="utf-8").split("```json", 1)[1]
+    problem = problem.split("```", 1)[0]
+    for name in ("problem.json", "disk2d.prob"):
+        (tmp_path / name).write_text(problem, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for argv in _documented_commands():
+        assert main(argv + ["--max-iter", "200"]) in (0, 1), argv
 
 
 def test_unknown_example_id_rejected(capsys):
@@ -271,12 +284,16 @@ def test_verify_nonstandard_certificate(disk_file, capsys):
     assert "objective_gap" not in names
 
 
-def test_verify_without_known_optimum_records_no_history(
-        disk_file, tmp_path, monkeypatch, capsys):
-    mapping = json.loads(Path(disk_file).read_text(encoding="utf-8"))
-    del mapping["known_optimum"]
-    path = tmp_path / "no-optimum.prob"
-    path.write_text(json.dumps(mapping), encoding="utf-8")
+@pytest.mark.parametrize("known_optimum", [False, True],
+                         ids=["no-optimum", "known-optimum"])
+def test_verify_records_no_history(disk_file, tmp_path, monkeypatch, capsys,
+                                   known_optimum):
+    path = disk_file
+    if not known_optimum:
+        mapping = json.loads(Path(disk_file).read_text(encoding="utf-8"))
+        del mapping["known_optimum"]
+        path = tmp_path / "no-optimum.prob"
+        path.write_text(json.dumps(mapping), encoding="utf-8")
     configs = []
     real_run = cli.run
 

@@ -135,6 +135,26 @@ def test_max_oracle_auto_lipschitz_from_children():
     assert oracle.lipschitz_value == 5.0
 
 
+_CONSTRUCTORS = {
+    "affine": lambda **meta: AffineOracle([1.0, 2.0], **meta),
+    "quadratic": lambda **meta: QuadraticOracle(np.eye(2), **meta),
+    "sqrt_quadratic": lambda **meta: SqrtQuadraticOracle(np.eye(2), **meta),
+    "abs_affine_plus": lambda **meta: AbsAffinePlusOracle([1.0, 2.0], **meta),
+    "max_of": lambda **meta: MaxOracle([AffineOracle([1.0, 2.0])], **meta),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -5.0])
+@pytest.mark.parametrize("field", ["lipschitz_value", "lipschitz_gradient"])
+@pytest.mark.parametrize("kind", list(_CONSTRUCTORS))
+def test_lipschitz_metadata_must_be_finite_and_nonnegative(kind, field, bad):
+    # A NaN bound would reach the a-priori iteration bound, where max()
+    # over constraint bounds depends on where the NaN sits in the list.
+    with pytest.raises(ValueError, match=field):
+        _CONSTRUCTORS[kind](**{field: bad})
+    assert getattr(_CONSTRUCTORS[kind](**{field: 0.0}), field) == 0.0
+
+
 def _oracles_of_every_kind():
     rng = np.random.default_rng(11)
     m = rng.standard_normal((3, 3))

@@ -1,5 +1,6 @@
 """Unit tests for the adaptive mirror-descent engine."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -317,6 +318,40 @@ def test_history_disabled_by_default():
     instance, geometry = disk_problem()
     report = run(instance, geometry, RunConfig(0.1))
     assert report.history is None
+
+
+def alternating_problem_with_optimum():
+    """The alternating problem with its optimum (1, 0), value 1/2."""
+    instance, geometry = alternating_problem()
+    return dataclasses.replace(instance, known_optimum=([1.0, 0.0], 0.5)), geometry
+
+
+@pytest.mark.parametrize("policy", [Policy.AGGREGATE_MAX, Policy.FIRST_VIOLATED])
+@pytest.mark.parametrize("make", [disk_problem, alternating_problem_with_optimum])
+def test_certificate_equals_history_replay(make, policy):
+    instance, geometry = make()
+    config = RunConfig(0.05, regime=Regime.NONSTANDARD, policy=policy,
+                       record_history=True)
+    report = run(instance, geometry, config)
+    reference = instance.known_optimum[0]
+    replay = min(vf_gap(record.point, reference, instance.objective, geometry)
+                 for record in report.history
+                 if record.kind is StepKind.PRODUCTIVE)
+    assert report.certificate == replay
+
+
+def test_certificate_needs_nonstandard_regime_and_known_optimum():
+    instance, geometry = disk_problem()
+    nonstandard = RunConfig(0.1, regime=Regime.NONSTANDARD)
+    assert run(instance, geometry, RunConfig(0.1)).certificate is None
+    bare = dataclasses.replace(instance, known_optimum=None)
+    assert run(bare, geometry, nonstandard).certificate is None
+    # A reference but no productive step: the minimum over no iterates.
+    instance, geometry = alternating_problem_with_optimum()
+    capped = dataclasses.replace(nonstandard, max_iterations=1)
+    report = run(instance, geometry, capped)
+    assert report.productive_count == 0
+    assert report.certificate == math.inf
 
 
 def test_run_rejects_dimension_mismatch():
