@@ -64,17 +64,15 @@ class ExperimentSettings:
 
 @dataclass(frozen=True)
 class BenchmarkExample:
-    """One built-in benchmark: instance, settings and regime applicability.
+    """One benchmark problem: its instance and run settings.
 
-    ``applicable_regimes`` lists the regimes with a recorded completing
-    reference run; other regimes can still be run and merely have no
-    reference to compare against.
+    ``example_id`` is 1..6 for a built-in example (the key of its recorded
+    runs in ``REFERENCE_RESULTS``) and 0 for a problem loaded from a file.
     """
 
     example_id: int
     instance: ProblemInstance
     settings: ExperimentSettings
-    applicable_regimes: frozenset[Regime]
 
 
 @dataclass(frozen=True)
@@ -208,9 +206,6 @@ def build_example(example_id: int) -> BenchmarkExample:
         example_id=example_id,
         instance=instance,
         settings=settings,
-        applicable_regimes=frozenset(
-            regime for (ref_id, regime, _), ref in REFERENCE_RESULTS.items()
-            if ref_id == example_id and ref.iterations is not None),
     )
 
 

@@ -23,8 +23,11 @@ import dataclasses
 import io
 import json
 import sys
+from enum import Enum
 from pathlib import Path
 from typing import Any, Sequence
+
+import numpy as np
 
 from .benchmarks import (
     EXAMPLE_IDS,
@@ -152,47 +155,23 @@ def _resolve_target(args: argparse.Namespace) -> _Target:
         instance=document.instance,
         settings=ExperimentSettings(x0=document.x0, theta0=document.theta0,
                                     epsilon=document.epsilon),
-        applicable_regimes=frozenset(),
     )
     return _Target(label=Path(args.problem_file).stem, example=example,
                    geometry=document.geometry)
 
 
-def _config_mapping(config: RunConfig) -> dict[str, Any]:
-    return {
-        "epsilon": config.epsilon,
-        "regime": config.regime.value,
-        "policy": config.policy.value,
-        "max_iterations": config.max_iterations,
-        "record_history": config.record_history,
-    }
-
-
-def _report_mapping(report: SolverReport) -> dict[str, Any]:
-    history = None
-    if report.history is not None:
-        history = [{
-            "index": rec.index,
-            "kind": rec.kind.value,
-            "step_size": rec.step_size,
-            "grad_dual_norm": rec.grad_dual_norm,
-            "constraint_index": rec.constraint_index,
-            "objective_value": rec.objective_value,
-            "point": None if rec.point is None else rec.point.tolist(),
-        } for rec in report.history]
-    return {
-        "total_steps": report.total_steps,
-        "productive_count": report.productive_count,
-        "nonproductive_count": report.nonproductive_count,
-        "output_point": report.output_point.tolist(),
-        "output_objective": report.output_objective,
-        "output_max_violation": report.output_max_violation,
-        "stop_reason": report.stop_reason.value,
-        "a_priori_bound": report.a_priori_bound,
-        "wall_time": report.wall_time,
-        "config": _config_mapping(report.config),
-        "history": history,
-    }
+def _jsonable(obj: Any) -> Any:
+    """JSON-ready copy of a result: dataclasses by field, enums by value."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(item) for item in obj]
+    return obj
 
 
 def _iterations_cell(report: SolverReport) -> str:
@@ -288,7 +267,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     report = run(example.instance, target.geometry, config)
 
     if args.format == "json":
-        text = json.dumps(_report_mapping(report), indent=2) + "\n"
+        text = json.dumps(_jsonable(report), indent=2) + "\n"
     elif args.format == "csv":
         text = _csv_text(BENCH_COLUMNS,
                          [_run_row(target.label, report, example.instance)])
@@ -366,12 +345,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     check_rows += [(c.name, c.passed, c.detail) for c in result.checks]
 
     if args.format == "json":
-        payload = {
-            "criterion_met": result.criterion_met,
-            "checks": [{"name": c.name, "passed": c.passed,
-                        "detail": c.detail} for c in result.checks],
-            "all_passed": result.all_passed,
-        }
+        payload = {**_jsonable(result), "all_passed": result.all_passed}
         text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
         text = _csv_text(("check", "passed", "detail"),

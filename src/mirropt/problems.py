@@ -29,7 +29,6 @@ __all__ = [
     "MaxOracle",
     "OracleBank",
     "ProblemInstance",
-    "evaluate",
     "max_violation",
     "estimate_lipschitz",
 ]
@@ -373,23 +372,6 @@ class ProblemInstance:
 
     def constraint_bank(self) -> OracleBank:
         return self._bank
-
-
-def evaluate(oracle: Oracle, x) -> tuple[float, Array]:
-    """Evaluate an oracle, returning (value, subgradient).
-
-    Raises
-    ------
-    ValueError
-        On dimension mismatch.
-    EvaluationError
-        If the value or subgradient is non-finite.
-    """
-    x = as_vector(x, oracle.dimension, "x")
-    val, sub = oracle.value_and_subgradient(x)
-    if not math.isfinite(val) or not np.all(np.isfinite(sub)):
-        raise EvaluationError("oracle produced a non-finite result")
-    return val, sub
 
 
 def max_violation(problem, x) -> tuple[float, int]:

@@ -22,17 +22,12 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .geometry import Array, ProxGeometry, as_vector
-from .problems import (
-    EvaluationError,
-    Oracle,
-    OracleBank,
-    ProblemInstance,
-)
+from .problems import EvaluationError, Oracle, OracleBank, ProblemInstance
 
 __all__ = [
     "Regime",
@@ -42,7 +37,6 @@ __all__ = [
     "RunConfig",
     "StepRecord",
     "SolverReport",
-    "select_constraint",
     "run",
     "vf_gap",
     "iteration_bound",
@@ -135,8 +129,9 @@ class SolverReport:
     """Outcome of one solver run.
 
     ``certificate`` is min <s_k, x_k - x*> / ||s_k||_* over the productive
-    iterates (inf if none), against the known optimum point x*; None in the
-    Lipschitz regime or without a known optimum.
+    iterates and an exact solution the run stops at (gap 0), inf if none,
+    against the known optimum point x*; None in the Lipschitz regime or
+    without a known optimum.
     """
 
     total_steps: int
@@ -160,21 +155,18 @@ class SolverReport:
         )
 
 
-def _l2_norm(p: Array) -> float:
-    return math.sqrt(float(p @ p))
-
-
 def _make_selector(
     bank: OracleBank,
     epsilon: float,
     policy: Policy,
     dual_norm: Callable[[Array], float],
-) -> Callable[[Array], tuple[int, float, Array | None] | None]:
+) -> Callable[[Array], tuple[int, Array] | None]:
     """Build the per-iteration constraint scan for one policy.
 
     The returned callable maps an iterate to ``None`` (no constraint above
-    epsilon, step is productive) or ``(index0, value, subgradient|None)``.
+    epsilon, step is productive) or ``(index0, subgradient)``.
     """
+    sub = bank.subgradient
     if policy in (Policy.AGGREGATE_MAX, Policy.MAX_VIOLATION):
         max_entry = bank.max_entry
 
@@ -184,7 +176,7 @@ def _make_selector(
                 raise EvaluationError("constraint produced a non-finite value")
             if val <= epsilon:
                 return None
-            return idx, val, None
+            return idx, sub(idx, x)
 
     elif policy is Policy.FIRST_VIOLATED:
         values = bank.values
@@ -193,14 +185,13 @@ def _make_selector(
             vals = values(x).tolist()
             for i, v in enumerate(vals):
                 if v > epsilon:
-                    return i, v, None
+                    return i, sub(i, x)
                 if not v <= epsilon:  # NaN falls through both comparisons
                     raise EvaluationError("constraint produced a non-finite value")
             return None
 
     elif policy is Policy.MIN_DUAL_NORM:
         values = bank.values
-        sub = bank.subgradient
 
         def select(x: Array):
             vals = values(x)
@@ -222,46 +213,12 @@ def _make_selector(
                     best_norm = nrm
                     best_i = int(i)
                     best_sub = s
-            return best_i, float(vals[best_i]), best_sub
+            return best_i, best_sub
 
     else:  # pragma: no cover - exhaustive over Policy
         raise ValueError(f"unknown policy {policy!r}")
 
     return select
-
-
-def select_constraint(
-    problem: ProblemInstance | Sequence[Oracle],
-    x,
-    epsilon: float,
-    policy: Policy,
-    structure: ProxGeometry | None = None,
-) -> tuple[int, float, Array] | None:
-    """Pick the constraint a non-productive step would descend on.
-
-    Returns ``None`` when no constraint exceeds epsilon, otherwise a
-    ``(index, value, subgradient)`` triple with a 1-based index.  The
-    geometry is only consulted by ``Policy.MIN_DUAL_NORM`` (l2 dual norm
-    when omitted).
-    """
-    if isinstance(problem, ProblemInstance):
-        bank = problem.constraint_bank()
-    else:
-        bank = OracleBank(problem)
-    x = as_vector(x, bank.dimension, "x")
-    epsilon = float(epsilon)
-    if not math.isfinite(epsilon) or epsilon <= 0.0:
-        raise ValueError("epsilon must be finite and positive")
-    dual = structure.dual_norm if structure is not None else _l2_norm
-    sel = _make_selector(bank, epsilon, Policy(policy), dual)(x)
-    if sel is None:
-        return None
-    idx0, val, sub = sel
-    if sub is None:
-        sub = bank.subgradient(idx0, x)
-        if not np.all(np.isfinite(sub)):
-            raise EvaluationError("constraint produced a non-finite subgradient")
-    return idx0 + 1, val, sub
 
 
 def _metadata_bound(problem: ProblemInstance, theta0: float, epsilon: float,
@@ -310,7 +267,6 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     dual = prox.dual_norm
     isfinite = math.isfinite
     select = _make_selector(bank, eps, config.policy, dual)
-    subgradient_of = bank.subgradient
 
     # Both regimes stop once this running sum reaches 2 * theta0^2 / eps^2:
     # productive steps contribute 1/||s||^2 (Lipschitz) or 1 (nonstandard),
@@ -342,6 +298,8 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
                 raise EvaluationError("objective produced a non-finite result")
             if norm == 0.0:
                 # Exact solution: feasible within eps and no descent exists.
+                # Its gap is 0, as vf_gap has it for a zero subgradient.
+                certificate = min(certificate, 0.0)
                 stop = StopReason.ZERO_OBJECTIVE_GRADIENT
                 break
             if lipschitz:
@@ -365,9 +323,7 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
             x = mirror(x, grad, h)
             n_productive += 1
         else:
-            idx0, value, grad = sel
-            if grad is None:
-                grad = subgradient_of(idx0, x)
+            idx0, grad = sel
             norm = dual(grad)
             if not isfinite(norm):
                 raise EvaluationError("constraint produced a non-finite subgradient")

@@ -1,6 +1,8 @@
 """Unit tests for the built-in benchmark family and verification helpers."""
 
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,7 +104,8 @@ def test_objectives_globally_minimal_at_zero_where_claimed():
             assert instance.objective.value(x) >= reference - 1e-12
 
 
-def test_applicable_regimes():
+def test_regimes_with_completed_reference():
+    # regimes with a recorded run that met the criterion, per example
     expected = {
         1: {Regime.LIPSCHITZ},
         2: {Regime.LIPSCHITZ, Regime.NONSTANDARD},
@@ -112,7 +115,9 @@ def test_applicable_regimes():
         6: {Regime.NONSTANDARD},
     }
     for example_id in EXAMPLE_IDS:
-        assert build_example(example_id).applicable_regimes == expected[example_id]
+        completed = {regime for (ref_id, regime, _), ref in REFERENCE_RESULTS.items()
+                     if ref_id == example_id and ref.iterations is not None}
+        assert completed == expected[example_id]
 
 
 def test_reference_results_table_complete():
@@ -275,3 +280,27 @@ def test_brute_force_validates_grid():
         brute_force_optimum(instance, GridSpec(-1.0, 1.0, 0.0))
     with pytest.raises(ValueError):
         brute_force_optimum(instance, GridSpec(1.0, -1.0, 0.5))
+
+
+# ---------------------------------------------------------- benchmark harness
+
+
+def test_benchmark_workloads_drive_the_library(tmp_path, monkeypatch):
+    # perfbench/ builds, runs and checks its cells through the library's
+    # public API; this keeps those entry points working without the harness
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+
+    cell = workloads.reference_cell(4, Regime.LIPSCHITZ, Policy.FIRST_VIOLATED,
+                                    True, 0)
+    report = workloads.run_cell(cell, 0)
+    assert len(report.history) == report.total_steps
+    assert workloads.check_cell(cell, report, 0)
+
+    workloads.write_synth_problems(0, tmp_path)
+    for index, (kind, policy) in enumerate(workloads.SYNTH_CELLS):
+        cell = workloads.synth_cell(kind, policy, tmp_path, index)
+        assert cell.instance.dimension == workloads.SYNTH_DIMENSION
+        assert cell.instance.n_constraints == workloads.SYNTH_CONSTRAINTS
+        assert cell.config.policy is policy
+        assert cell.geometry.dimension == workloads.SYNTH_DIMENSION

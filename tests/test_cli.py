@@ -17,7 +17,7 @@ from mirropt.cli import BENCH_COLUMNS, build_parser, main
 REPORT_FIELDS = {
     "total_steps", "productive_count", "nonproductive_count", "output_point",
     "output_objective", "output_max_violation", "stop_reason",
-    "a_priori_bound", "wall_time", "config", "history",
+    "a_priori_bound", "wall_time", "config", "history", "certificate",
 }
 
 
@@ -132,6 +132,7 @@ def test_run_json_report_fields(disk_file, capsys):
     assert set(payload) == REPORT_FIELDS
     assert payload["stop_reason"] == "criterion-met"
     assert payload["history"] is None
+    assert payload["certificate"] is None  # Lipschitz regime
     assert payload["config"]["epsilon"] == 0.1
     assert payload["config"]["regime"] == "lipschitz"
     # the solver honors the declared accuracy against the known optimum
@@ -218,6 +219,9 @@ def test_run_nonstandard_regime(disk_file, capsys):
     assert payload["config"]["regime"] == "nonstandard"
     assert payload["config"]["policy"] == "aggregate-max"
     assert payload["output_max_violation"] <= 0.1 + 1e-9
+    # the file's known optimum gives the run a certificate
+    assert math.isfinite(payload["certificate"])
+    assert payload["certificate"] <= 0.1 + 1e-9
 
 
 # -------------------------------------------------------------------- bench

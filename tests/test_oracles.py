@@ -9,14 +9,12 @@ from mirropt import (
     AbsAffinePlusOracle,
     AffineOracle,
     EntropySimplex,
-    EvaluationError,
     MaxOracle,
     OracleBank,
     ProblemInstance,
     QuadraticOracle,
     SqrtQuadraticOracle,
     estimate_lipschitz,
-    evaluate,
     max_violation,
 )
 from mirropt.benchmarks import build_example
@@ -30,7 +28,7 @@ def test_affine_value_and_subgradient():
     # coefficient row (1, 20, 30, ..., 100) sums to 541 at the all-ones point
     a = np.array([1.0] + [10.0 * j for j in range(2, 11)])
     oracle = AffineOracle(a)
-    val, sub = evaluate(oracle, np.ones(10))
+    val, sub = oracle.value_and_subgradient(np.ones(10))
     assert val == 541.0
     assert np.array_equal(sub, a)
 
@@ -50,7 +48,7 @@ def test_quadratic_value_and_gradient():
     A = np.array([[2.0, 0.0], [0.0, 4.0]])
     oracle = QuadraticOracle(A, b=[1.0, 0.0], alpha=0.5)
     x = np.array([1.0, -1.0])
-    val, sub = evaluate(oracle, x)
+    val, sub = oracle.value_and_subgradient(x)
     assert val == 0.5 * (2.0 + 4.0) - 1.0 + 0.5
     assert np.array_equal(sub, np.array([1.0, -4.0]))
 
@@ -75,14 +73,13 @@ def test_quadratic_rejects_bad_matrices(matrix):
 
 def test_sqrt_quadratic_value():
     oracle = SqrtQuadraticOracle(np.diag([2.0, 0.5]), scale=2.0)
-    assert evaluate(oracle, np.array([1.0, 1.0]))[0] == pytest.approx(
-        math.sqrt(5.0), rel=1e-15
-    )
+    val, _ = oracle.value_and_subgradient(np.array([1.0, 1.0]))
+    assert val == pytest.approx(math.sqrt(5.0), rel=1e-15)
 
 
 def test_sqrt_quadratic_zero_form_returns_zero_pair():
     oracle = SqrtQuadraticOracle(np.eye(3))
-    val, sub = evaluate(oracle, np.zeros(3))
+    val, sub = oracle.value_and_subgradient(np.zeros(3))
     assert val == 0.0
     assert np.array_equal(sub, np.zeros(3))
 
@@ -94,17 +91,17 @@ def test_sqrt_quadratic_auto_lipschitz():
 
 def test_abs_affine_plus_branches():
     oracle = AbsAffinePlusOracle([2.0, 0.0], shift=1.0, scale=3.0)
-    val, sub = evaluate(oracle, np.array([1.0, 1.0]))
+    val, sub = oracle.value_and_subgradient(np.array([1.0, 1.0]))
     assert val == 7.0
     assert np.array_equal(sub, np.array([6.0, 0.0]))
-    val, sub = evaluate(oracle, np.array([-1.0, 0.0]))
+    val, sub = oracle.value_and_subgradient(np.array([-1.0, 0.0]))
     assert val == 7.0
     assert np.array_equal(sub, np.array([-6.0, 0.0]))
 
 
 def test_abs_affine_plus_kink_subgradient_is_zero():
     oracle = AbsAffinePlusOracle([2.0, 0.0], shift=1.0, scale=3.0)
-    val, sub = evaluate(oracle, np.array([0.0, 5.0]))
+    val, sub = oracle.value_and_subgradient(np.array([0.0, 5.0]))
     assert val == 1.0
     assert np.array_equal(sub, np.zeros(2))
 
@@ -118,14 +115,14 @@ def test_max_oracle_tie_breaks_to_first_child():
     first = AffineOracle([1.0, 0.0])
     second = AffineOracle([0.0, 1.0])
     oracle = MaxOracle([first, second])
-    val, sub = evaluate(oracle, np.array([0.5, 0.5]))
+    val, sub = oracle.value_and_subgradient(np.array([0.5, 0.5]))
     assert val == 0.5
     assert np.array_equal(sub, first.a)
 
 
 def test_max_oracle_tracks_largest_child():
     oracle = MaxOracle([AffineOracle([1.0, 0.0]), AffineOracle([0.0, 1.0])])
-    val, sub = evaluate(oracle, np.array([0.1, 2.0]))
+    val, sub = oracle.value_and_subgradient(np.array([0.1, 2.0]))
     assert val == 2.0
     assert np.array_equal(sub, np.array([0.0, 1.0]))
 
@@ -232,18 +229,6 @@ def test_max_violation_benchmark_row_ten_dominates():
     value, index = max_violation(instance, np.ones(10))
     assert value == float(expected)
     assert index == 10
-
-
-def test_evaluate_dimension_mismatch():
-    with pytest.raises(ValueError):
-        evaluate(AffineOracle([1.0, 2.0]), np.zeros(3))
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_evaluate_nonfinite_value_raises():
-    oracle = AffineOracle([1e308])
-    with pytest.raises(EvaluationError):
-        evaluate(oracle, np.array([1e308]))
 
 
 def test_problem_instance_validation():

@@ -9,9 +9,11 @@ import pytest
 from mirropt import (
     AbsAffinePlusOracle,
     AffineOracle,
+    BenchmarkExample,
     EuclideanBall,
     EuclideanSpace,
     EvaluationError,
+    ExperimentSettings,
     Oracle,
     Policy,
     ProblemInstance,
@@ -24,7 +26,7 @@ from mirropt import (
     iteration_bound,
     max_violation,
     run,
-    select_constraint,
+    verify_example,
     vf_gap,
 )
 
@@ -90,76 +92,72 @@ def alternating_problem():
 # ---------------------------------------------------------------- selection
 
 
-def test_select_constraint_none_when_within_tolerance():
-    constraints = [_constant(0.01), _constant(0.02)]
-    assert select_constraint(constraints, np.zeros(2), 0.05, Policy.FIRST_VIOLATED) is None
-    assert select_constraint(constraints, np.zeros(2), 0.05, Policy.AGGREGATE_MAX) is None
+def _first_step(constraints, policy):
+    """Record of a one-step run from the origin, and the point it reached."""
+    instance = ProblemInstance(2, AffineOracle([1.0, 1.0]), constraints)
+    config = RunConfig(0.05, policy=policy, max_iterations=1,
+                       record_history=True)
+    report = run(instance, EuclideanSpace([0.0, 0.0], 1.0), config)
+    return report.history[0], report.output_point
 
 
-def test_select_constraint_first_violated_takes_lowest_index():
-    constraints = [_constant(0.06), _constant(7.0)]
-    idx, val, sub = select_constraint(
-        constraints, np.zeros(2), 0.05, Policy.FIRST_VIOLATED
-    )
-    assert (idx, val) == (1, 0.06)
-    assert np.array_equal(sub, np.zeros(2))
-
-
-def test_select_constraint_aggregate_max_takes_argmax():
-    constraints = [_constant(0.06), _constant(7.0)]
-    idx, val, _ = select_constraint(
-        constraints, np.zeros(2), 0.05, Policy.AGGREGATE_MAX
-    )
-    assert (idx, val) == (2, 7.0)
-
-
-def test_select_constraint_max_violation_matches_aggregate_choice():
-    constraints = [_constant(0.06), _constant(7.0)]
-    idx, val, _ = select_constraint(
-        constraints, np.zeros(2), 0.05, Policy.MAX_VIOLATION
-    )
-    assert (idx, val) == (2, 7.0)
-
-
-def test_select_constraint_min_dual_norm_prefers_flattest():
-    # both violated; the second has the smaller subgradient norm
-    constraints = [AffineOracle([3.0, 0.0], 1.0), AffineOracle([1.0, 0.0], 1.0)]
-    idx, val, sub = select_constraint(
-        constraints, np.zeros(2), 0.05, Policy.MIN_DUAL_NORM
-    )
-    assert idx == 2
-    assert val == 1.0
-    assert np.array_equal(sub, np.array([1.0, 0.0]))
-
-
-def test_select_constraint_min_dual_norm_tie_takes_lowest_index():
-    constraints = [AffineOracle([1.0, 0.0], 1.0), AffineOracle([0.0, 1.0], 1.0)]
-    idx, _, _ = select_constraint(constraints, np.zeros(2), 0.05, Policy.MIN_DUAL_NORM)
-    assert idx == 1
-
-
-def test_select_constraint_boundary_value_is_not_violated():
-    # g(x) = epsilon exactly does not trigger a non-productive step
-    constraints = [_constant(0.05)]
-    assert select_constraint(constraints, np.zeros(2), 0.05, Policy.FIRST_VIOLATED) is None
+def _affine_pair(first: float, second: float) -> list[AffineOracle]:
+    """Two constraints with values ``first``, ``second`` at the origin."""
+    return [AffineOracle([1.0, 0.0], first), AffineOracle([0.0, 1.0], second)]
 
 
 @pytest.mark.parametrize("policy", list(Policy))
-def test_select_constraint_nan_value_raises(policy):
-    constraints = [_NanOracle()]
-    with pytest.raises(EvaluationError):
-        select_constraint(constraints, np.zeros(2), 0.05, policy)
+def test_within_tolerance_step_is_productive(policy):
+    record, _ = _first_step(_affine_pair(0.01, 0.02), policy)
+    assert record.kind is StepKind.PRODUCTIVE
+    assert record.constraint_index is None
+
+
+def test_first_violated_takes_lowest_index():
+    record, point = _first_step(_affine_pair(0.06, 7.0), Policy.FIRST_VIOLATED)
+    assert record.kind is StepKind.NONPRODUCTIVE
+    assert record.constraint_index == 1
+    assert record.grad_dual_norm == 1.0
+    # the step descends along the first constraint's subgradient
+    assert np.array_equal(point, np.array([-0.05, 0.0]))
+
+
+@pytest.mark.parametrize("policy", [Policy.AGGREGATE_MAX, Policy.MAX_VIOLATION])
+def test_max_policies_take_argmax(policy):
+    record, point = _first_step(_affine_pair(0.06, 7.0), policy)
+    assert record.kind is StepKind.NONPRODUCTIVE
+    assert record.constraint_index == 2
+    assert np.array_equal(point, np.array([0.0, -0.05]))
+
+
+def test_min_dual_norm_prefers_flattest():
+    # both violated; the second has the smaller subgradient norm
+    constraints = [AffineOracle([3.0, 0.0], 1.0), AffineOracle([1.0, 0.0], 1.0)]
+    record, point = _first_step(constraints, Policy.MIN_DUAL_NORM)
+    assert record.constraint_index == 2
+    assert record.grad_dual_norm == 1.0
+    assert np.array_equal(point, np.array([-0.05, 0.0]))
+
+
+def test_min_dual_norm_tie_takes_lowest_index():
+    record, _ = _first_step(_affine_pair(1.0, 1.0), Policy.MIN_DUAL_NORM)
+    assert record.constraint_index == 1
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_boundary_value_is_not_violated(policy):
+    # g(x) = epsilon exactly does not trigger a non-productive step
+    record, _ = _first_step([AffineOracle([1.0, 0.0], 0.05)], policy)
+    assert record.kind is StepKind.PRODUCTIVE
 
 
 @pytest.mark.parametrize("bad", [_NanOracle(), _BadSubgradientOracle(math.inf),
                                  _BadSubgradientOracle(math.nan)],
                          ids=["nan-value", "inf-subgradient", "nan-subgradient"])
 @pytest.mark.parametrize("policy", list(Policy))
-def test_nonfinite_constraint_raises_in_select_and_run(policy, bad):
+def test_nonfinite_constraint_raises_in_run(policy, bad):
     # the satisfied second constraint must never be picked in its place
     constraints = [bad, _constant(-5.0)]
-    with pytest.raises(EvaluationError):
-        select_constraint(constraints, np.zeros(2), 0.05, policy)
     instance = ProblemInstance(2, AffineOracle([1.0, 1.0]), constraints)
     config = RunConfig(0.05, policy=policy, max_iterations=50)
     with pytest.raises(EvaluationError):
@@ -202,6 +200,23 @@ def test_zero_objective_gradient_stops_without_counting_step():
     assert report.productive_count == 0
     assert np.array_equal(report.output_point, np.zeros(1))
     assert report.output_objective == 0.0
+
+
+def test_exact_solution_has_zero_certificate_and_verifies():
+    # the start is the known optimum: the run stops before any counted
+    # productive step, and the stopping point's gap is 0 (vf_gap's
+    # convention for a zero subgradient)
+    instance = ProblemInstance(1, QuadraticOracle([[1.0]]),
+                               [AffineOracle([1.0], -1.0)],
+                               known_optimum=([0.0], 0.0))
+    geometry = EuclideanSpace([0.0], 1.0)
+    report = run(instance, geometry, RunConfig(0.05, regime=Regime.NONSTANDARD))
+    assert report.stop_reason is StopReason.ZERO_OBJECTIVE_GRADIENT
+    assert report.total_steps == 0
+    assert report.certificate == 0.0
+    example = BenchmarkExample(0, instance,
+                               ExperimentSettings(np.zeros(1), 1.0, 0.05))
+    assert verify_example(report, example).all_passed
 
 
 def test_infeasible_constraint_detected_immediately():
