@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="override the problem's target accuracy")
             p.add_argument("--theta0", type=float, default=None,
                            help="override the prox radius")
-        p.add_argument("--max-iter", type=int, default=10_000_000,
+        p.add_argument("--max-iter", type=int, default=RunConfig.max_iterations,
                        help="iteration cap (default 10^7)")
         p.add_argument("--format", choices=("text", "json", "csv"),
                        default="text")
@@ -150,18 +150,16 @@ def _resolve_target(args: argparse.Namespace) -> _Target:
     if overrides:
         # Re-parse so the file's geometry is rebuilt with the overrides.
         document = parse_problem({**problem_to_mapping(document), **overrides})
-    example = BenchmarkExample(
-        example_id=0,
-        instance=document.instance,
-        settings=ExperimentSettings(x0=document.x0, theta0=document.theta0,
-                                    epsilon=document.epsilon),
-    )
+    geometry = document.geometry
+    settings = ExperimentSettings(geometry.anchor, geometry.theta0, document.epsilon)
+    example = BenchmarkExample(0, document.instance, settings)
     return _Target(label=Path(args.problem_file).stem, example=example,
-                   geometry=document.geometry)
+                   geometry=geometry)
 
 
 def _jsonable(obj: Any) -> Any:
-    """JSON-ready copy of a result: dataclasses by field, enums by value."""
+    """JSON-ready copy of a result: dataclasses by field, enums by value,
+    non-finite floats as null (RFC 8259 has no NaN or Infinity)."""
     if dataclasses.is_dataclass(obj):
         return {f.name: _jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
@@ -171,6 +169,8 @@ def _jsonable(obj: Any) -> Any:
         return obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [_jsonable(item) for item in obj]
+    if isinstance(obj, float) and not np.isfinite(obj):
+        return None
     return obj
 
 
@@ -267,7 +267,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     report = run(example.instance, target.geometry, config)
 
     if args.format == "json":
-        text = json.dumps(_jsonable(report), indent=2) + "\n"
+        text = json.dumps(_jsonable(report), indent=2, allow_nan=False) + "\n"
     elif args.format == "csv":
         text = _csv_text(BENCH_COLUMNS,
                          [_run_row(target.label, report, example.instance)])
@@ -317,7 +317,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         items = [dict(zip(BENCH_COLUMNS, row)) for row in rows]
-        text = json.dumps(items, indent=2) + "\n"
+        text = json.dumps(items, indent=2, allow_nan=False) + "\n"
     elif args.format == "csv":
         text = _csv_text(BENCH_COLUMNS, rows)
     else:
@@ -346,7 +346,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         payload = {**_jsonable(result), "all_passed": result.all_passed}
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     elif args.format == "csv":
         text = _csv_text(("check", "passed", "detail"),
                          [[name, str(passed).lower(), detail]

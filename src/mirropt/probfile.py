@@ -25,7 +25,8 @@ the first parameter is required, the others take the constructor default.
 ``lipschitz_value`` / ``lipschitz_gradient`` may be supplied (finite and
 nonnegative) and are otherwise derived where a closed form exists.  ``geometry``
 defaults to the unconstrained Euclidean space anchored at ``x0``; the
-``simplex`` kind always starts from its uniform anchor.
+``simplex`` kind starts from its uniform anchor, which a written file gives as
+``x0``.
 """
 
 from __future__ import annotations
@@ -90,11 +91,9 @@ _GEOMETRY_KINDS = ("euclidean", "ball", "simplex")
 
 @dataclass(frozen=True)
 class ProblemDocument:
-    """A parsed problem file, ready to hand to the solver."""
+    """A parsed problem file; ``geometry`` holds its start point and theta0."""
 
     instance: ProblemInstance
-    x0: Array
-    theta0: float
     epsilon: float
     geometry: ProxGeometry
 
@@ -247,8 +246,8 @@ def parse_problem(data: Mapping[str, Any]) -> ProblemDocument:
     except (ValueError, TypeError) as exc:
         raise ProblemFileError(f"problem: {exc}") from exc
 
-    return ProblemDocument(instance=instance, x0=x0, theta0=float(theta0),
-                           epsilon=float(epsilon), geometry=geometry)
+    return ProblemDocument(instance=instance, epsilon=float(epsilon),
+                           geometry=geometry)
 
 
 def load_problem(path: str | Path) -> ProblemDocument:
@@ -306,19 +305,19 @@ def _geometry_to_node(geometry: ProxGeometry) -> dict[str, Any] | None:
 
 def problem_to_mapping(document: ProblemDocument) -> dict[str, Any]:
     """The JSON-ready mapping for a document (inverse of parse_problem)."""
-    instance = document.instance
+    instance, geometry = document.instance, document.geometry
     data: dict[str, Any] = {
         "dimension": instance.dimension,
         "objective": _oracle_to_node(instance.objective),
         "constraints": [_oracle_to_node(c) for c in instance.constraints],
-        "x0": document.x0.tolist(),
-        "theta0": document.theta0,
+        "x0": geometry.anchor.tolist(),
+        "theta0": geometry.theta0,
         "epsilon": document.epsilon,
     }
     if instance.known_optimum is not None:
         point, value = instance.known_optimum
         data["known_optimum"] = {"point": point.tolist(), "value": value}
-    node = _geometry_to_node(document.geometry)
+    node = _geometry_to_node(geometry)
     if node is not None:
         data["geometry"] = node
     return data

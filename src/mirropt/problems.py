@@ -1,12 +1,13 @@
 """Convex functional oracles and constrained problem instances.
 
-An oracle reports a function value and one subgradient at a query point.
-Five closed-form kinds cover the solver's needs: affine functions, convex
-quadratics, square roots of quadratic forms, scaled absolute values of
-affine forms, and pointwise maxima of other oracles.  Optional Lipschitz
-metadata (a bound on subgradient dual norms, a gradient Lipschitz constant)
-rides along for reporting and a-priori iteration bounds; the solver never
-uses it to pick step sizes.
+An oracle reports a function value and one subgradient at a query point,
+a rule each kind writes once, in ``value_and_subgradient``.  Five closed-form
+kinds cover the solver's needs: affine functions, convex quadratics, square
+roots of quadratic forms, scaled absolute values of affine forms, and
+pointwise maxima of other oracles.  Optional Lipschitz metadata (a bound on
+subgradient dual norms, a gradient Lipschitz constant), finite and
+nonnegative or None, rides along for reporting and a-priori iteration
+bounds; the solver never uses it to pick step sizes.
 """
 
 from __future__ import annotations
@@ -59,8 +60,18 @@ def _check_symmetric_psd(mat, name: str) -> Array:
     return _read_only(mat)
 
 
+def _derived(bound: float) -> float | None:
+    """A derived bound, kept finite and nonnegative: below 0 (rounding) gives
+    0.0, overflow gives None (unknown)."""
+    return max(bound, 0.0) if math.isfinite(bound) else None
+
+
 class Oracle:
-    """Base class: value and subgradient of a convex function on R^n."""
+    """Base class: value and subgradient of a convex function on R^n.
+
+    A subclass writes ``value_and_subgradient``; ``value`` and ``subgradient``
+    are its parts.  ``values`` (rows of points) is worth a batched override.
+    """
 
     dimension: int
     lipschitz_value: float | None = None
@@ -68,8 +79,7 @@ class Oracle:
 
     def _set_metadata(self, lipschitz_value: float | None,
                       lipschitz_gradient: float | None) -> None:
-        """Store caller-supplied metadata; constructors fill in derived
-        defaults afterwards, unchecked (eigvalsh may dip just below 0)."""
+        """Check and store supplied metadata; derived defaults go through _derived."""
         for name, bound in (("lipschitz_value", lipschitz_value),
                             ("lipschitz_gradient", lipschitz_gradient)):
             if bound is not None:
@@ -78,18 +88,18 @@ class Oracle:
                     raise ValueError(f"{name} must be finite and nonnegative")
             setattr(self, name, bound)
 
-    def value(self, x: Array) -> float:
+    def value_and_subgradient(self, x: Array) -> tuple[float, Array]:
         raise NotImplementedError
+
+    def value(self, x: Array) -> float:
+        return self.value_and_subgradient(x)[0]
+
+    def subgradient(self, x: Array) -> Array:
+        return self.value_and_subgradient(x)[1]
 
     def values(self, points: Array) -> Array:
         """Values at each row of ``points``."""
         return np.array([self.value(p) for p in points])
-
-    def subgradient(self, x: Array) -> Array:
-        raise NotImplementedError
-
-    def value_and_subgradient(self, x: Array) -> tuple[float, Array]:
-        return self.value(x), self.subgradient(x)
 
 
 class AffineOracle(Oracle):
@@ -105,21 +115,19 @@ class AffineOracle(Oracle):
         self._set_metadata(lipschitz_value, lipschitz_gradient)
         if lipschitz_value is None:
             # ||a|| is the exact global constant, not an estimate.
-            self.lipschitz_value = math.sqrt(float(self.a @ self.a))
+            self.lipschitz_value = _derived(math.sqrt(float(self.a @ self.a)))
         if lipschitz_gradient is None:
             self.lipschitz_gradient = 0.0
 
-    def value(self, x: Array) -> float:
-        return float(self.a @ x) + self.b
+    def value_and_subgradient(self, x: Array) -> tuple[float, Array]:
+        return float(self.a @ x) + self.b, self.a
 
     def values(self, points: Array) -> Array:
         return points @ self.a + self.b
 
+    # Kept: every non-productive step fetches it; deriving adds a dot product.
     def subgradient(self, x: Array) -> Array:
         return self.a
-
-    def value_and_subgradient(self, x: Array) -> tuple[float, Array]:
-        return float(self.a @ x) + self.b, self.a
 
 
 class QuadraticOracle(Oracle):
@@ -138,23 +146,20 @@ class QuadraticOracle(Oracle):
             raise ValueError("alpha must be finite")
         self._set_metadata(lipschitz_value, lipschitz_gradient)
         if lipschitz_gradient is None:
-            self.lipschitz_gradient = float(np.linalg.eigvalsh(self.A)[-1])
-
-    def value(self, x: Array) -> float:
-        Ax = self.A @ x
-        return 0.5 * float(x @ Ax) - float(self.b @ x) + self.alpha
-
-    def values(self, points: Array) -> Array:
-        form = np.einsum("pi,pi->p", points @ self.A, points)
-        return 0.5 * form - points @ self.b + self.alpha
-
-    def subgradient(self, x: Array) -> Array:
-        return self.A @ x - self.b
+            self.lipschitz_gradient = _derived(float(np.linalg.eigvalsh(self.A)[-1]))
 
     def value_and_subgradient(self, x: Array) -> tuple[float, Array]:
         Ax = self.A @ x
         val = 0.5 * float(x @ Ax) - float(self.b @ x) + self.alpha
         return val, Ax - self.b
+
+    def values(self, points: Array) -> Array:
+        form = np.einsum("pi,pi->p", points @ self.A, points)
+        return 0.5 * form - points @ self.b + self.alpha
+
+    # Kept: a max of quadratics takes every child's value, one subgradient.
+    def value(self, x: Array) -> float:
+        return 0.5 * float(x @ (self.A @ x)) - float(self.b @ x) + self.alpha
 
 
 class SqrtQuadraticOracle(Oracle):
@@ -175,20 +180,8 @@ class SqrtQuadraticOracle(Oracle):
         self._set_metadata(lipschitz_value, lipschitz_gradient)
         if lipschitz_value is None:
             # ||grad f|| <= sqrt(scale * lambda_max(Q)) everywhere.
-            self.lipschitz_value = math.sqrt(self.scale * float(np.linalg.eigvalsh(self.Q)[-1]))
-
-    def value(self, x: Array) -> float:
-        form = float(x @ (self.Q @ x))
-        if form <= 0.0:
-            return 0.0
-        return math.sqrt(self.scale * form)
-
-    def values(self, points: Array) -> Array:
-        form = np.einsum("pi,pi->p", points @ self.Q, points)
-        return np.sqrt(self.scale * np.maximum(form, 0.0))
-
-    def subgradient(self, x: Array) -> Array:
-        return self.value_and_subgradient(x)[1]
+            top = max(float(np.linalg.eigvalsh(self.Q)[-1]), 0.0)
+            self.lipschitz_value = _derived(math.sqrt(self.scale * top))
 
     def value_and_subgradient(self, x: Array) -> tuple[float, Array]:
         Qx = self.Q @ x
@@ -197,6 +190,10 @@ class SqrtQuadraticOracle(Oracle):
             return 0.0, np.zeros(self.dimension)
         val = math.sqrt(self.scale * form)
         return val, (self.scale / val) * Qx
+
+    def values(self, points: Array) -> Array:
+        form = np.einsum("pi,pi->p", points @ self.Q, points)
+        return np.sqrt(self.scale * np.maximum(form, 0.0))
 
 
 class AbsAffinePlusOracle(Oracle):
@@ -218,21 +215,7 @@ class AbsAffinePlusOracle(Oracle):
             raise ValueError("scale must be finite and nonnegative")
         self._set_metadata(lipschitz_value, lipschitz_gradient)
         if lipschitz_value is None:
-            self.lipschitz_value = self.scale * math.sqrt(float(self.a @ self.a))
-
-    def value(self, x: Array) -> float:
-        return self.scale * abs(float(self.a @ x)) + self.shift
-
-    def values(self, points: Array) -> Array:
-        return self.scale * np.abs(points @ self.a) + self.shift
-
-    def subgradient(self, x: Array) -> Array:
-        t = float(self.a @ x)
-        if t > 0.0:
-            return self.scale * self.a
-        if t < 0.0:
-            return -self.scale * self.a
-        return np.zeros(self.dimension)
+            self.lipschitz_value = _derived(self.scale * math.sqrt(float(self.a @ self.a)))
 
     def value_and_subgradient(self, x: Array) -> tuple[float, Array]:
         t = float(self.a @ x)
@@ -241,6 +224,9 @@ class AbsAffinePlusOracle(Oracle):
         if t < 0.0:
             return -self.scale * t + self.shift, -self.scale * self.a
         return self.shift, np.zeros(self.dimension)
+
+    def values(self, points: Array) -> Array:
+        return self.scale * np.abs(points @ self.a) + self.shift
 
 
 class OracleBank:
@@ -261,7 +247,6 @@ class OracleBank:
         if len(dims) != 1:
             raise ValueError("oracle family members disagree on dimension")
         self.dimension = dims.pop()
-        self.size = len(self.oracles)
         if all(type(o) is AffineOracle for o in self.oracles):
             self._matrix = np.vstack([o.a for o in self.oracles])
             self._offsets = np.array([o.b for o in self.oracles])
@@ -303,19 +288,12 @@ class MaxOracle(Oracle):
             if all(b is not None for b in bounds):
                 self.lipschitz_value = max(bounds)
 
-    def value(self, x: Array) -> float:
-        return self._bank.max_entry(x)[0]
-
-    def values(self, points: Array) -> Array:
-        return np.stack([c.values(points) for c in self.children]).max(axis=0)
-
-    def subgradient(self, x: Array) -> Array:
-        _, idx = self._bank.max_entry(x)
-        return self._bank.subgradient(idx, x)
-
     def value_and_subgradient(self, x: Array) -> tuple[float, Array]:
         val, idx = self._bank.max_entry(x)
         return val, self._bank.subgradient(idx, x)
+
+    def values(self, points: Array) -> Array:
+        return np.stack([c.values(points) for c in self.children]).max(axis=0)
 
 
 @dataclass

@@ -44,6 +44,13 @@ def disk_file(tmp_path):
     return str(path)
 
 
+def _strict_json(text):
+    """Parse a report as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(token):
+        raise ValueError(f"not RFC 8259 JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def _csv_rows(text):
     return list(csv.reader(io.StringIO(text)))
 
@@ -128,7 +135,7 @@ def test_run_problem_file_text(disk_file, capsys):
 
 def test_run_json_report_fields(disk_file, capsys):
     assert main(["run", "--problem-file", disk_file, "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _strict_json(capsys.readouterr().out)
     assert set(payload) == REPORT_FIELDS
     assert payload["stop_reason"] == "criterion-met"
     assert payload["history"] is None
@@ -144,7 +151,7 @@ def test_run_json_report_fields(disk_file, capsys):
 def test_run_json_history(disk_file, capsys):
     assert main(["run", "--problem-file", disk_file, "--format", "json",
                  "--history"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _strict_json(capsys.readouterr().out)
     history = payload["history"]
     assert len(history) == payload["total_steps"]
     assert {rec["kind"] for rec in history} <= {"productive", "nonproductive"}
@@ -174,15 +181,15 @@ def test_run_output_file(disk_file, tmp_path, capsys):
     assert main(["run", "--problem-file", disk_file, "--format", "json",
                  "--output", str(out_path)]) == 0
     assert capsys.readouterr().out == ""
-    payload = json.loads(out_path.read_text(encoding="utf-8"))
+    payload = _strict_json(out_path.read_text(encoding="utf-8"))
     assert set(payload) == REPORT_FIELDS
 
 
 def test_run_deterministic_apart_from_wall_time(disk_file, capsys):
     main(["run", "--problem-file", disk_file, "--format", "json"])
-    first = json.loads(capsys.readouterr().out)
+    first = _strict_json(capsys.readouterr().out)
     main(["run", "--problem-file", disk_file, "--format", "json"])
-    second = json.loads(capsys.readouterr().out)
+    second = _strict_json(capsys.readouterr().out)
     first.pop("wall_time")
     second.pop("wall_time")
     assert first == second
@@ -191,7 +198,7 @@ def test_run_deterministic_apart_from_wall_time(disk_file, capsys):
 def test_run_overrides_epsilon_and_theta0(disk_file, capsys):
     assert main(["run", "--problem-file", disk_file, "--format", "json",
                  "--epsilon", "0.2", "--theta0", "1.5"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _strict_json(capsys.readouterr().out)
     assert payload["config"]["epsilon"] == 0.2
     # the overridden theta0 and epsilon must reach the reported bound;
     # M_f = sqrt(2) and M_g = 1 for the disk problem
@@ -204,7 +211,7 @@ def test_run_overrides_epsilon_and_theta0(disk_file, capsys):
 def test_run_example_overrides_theta0(capsys):
     assert main(["run", "--example", "4", "--theta0", "1.0", "--max-iter", "10",
                  "--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
+    payload = _strict_json(capsys.readouterr().out)
     instance = build_example(4).instance
     m_g = max(c.lipschitz_value for c in instance.constraints)
     expected = iteration_bound(instance.objective.lipschitz_value, m_g, 1.0,
@@ -215,13 +222,24 @@ def test_run_example_overrides_theta0(capsys):
 def test_run_nonstandard_regime(disk_file, capsys):
     assert main(["run", "--problem-file", disk_file, "--format", "json",
                  "--regime", "nonstandard", "--policy", "aggregate-max"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _strict_json(capsys.readouterr().out)
     assert payload["config"]["regime"] == "nonstandard"
     assert payload["config"]["policy"] == "aggregate-max"
     assert payload["output_max_violation"] <= 0.1 + 1e-9
     # the file's known optimum gives the run a certificate
     assert math.isfinite(payload["certificate"])
     assert payload["certificate"] <= 0.1 + 1e-9
+
+
+def test_run_json_without_productive_step_is_strict_json(capsys):
+    # A nonstandard run with a known optimum but no productive step has no
+    # finite certificate; the report says null, not the token Infinity.
+    assert main(["run", "--example", "6", "--regime", "nonstandard",
+                 "--policy", "min-dual-norm", "--max-iter", "300",
+                 "--format", "json"]) == 1
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["productive_count"] == 0
+    assert payload["certificate"] is None
 
 
 # -------------------------------------------------------------------- bench
@@ -261,7 +279,7 @@ def test_bench_empty_example_list(capsys):
 def test_bench_json_items(capsys):
     assert main(["bench", "--examples", "4", "--max-iter", "5000",
                  "--format", "json"]) == 0
-    items = json.loads(capsys.readouterr().out)
+    items = _strict_json(capsys.readouterr().out)
     assert len(items) == 4
     assert all(set(item) == set(BENCH_COLUMNS) for item in items)
     assert all(item["example"] == "4" for item in items)
@@ -281,7 +299,7 @@ def test_verify_lipschitz_passes(disk_file, capsys):
 def test_verify_nonstandard_certificate(disk_file, capsys):
     assert main(["verify", "--problem-file", disk_file,
                  "--regime", "nonstandard", "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = _strict_json(capsys.readouterr().out)
     assert payload["all_passed"] is True
     names = [c["name"] for c in payload["checks"]]
     assert "vf_certificate" in names

@@ -152,6 +152,19 @@ def test_lipschitz_metadata_must_be_finite_and_nonnegative(kind, field, bad):
     assert getattr(_CONSTRUCTORS[kind](**{field: 0.0}), field) == 0.0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("oracle, field, expected", [
+    # eigvalsh of this PSD-within-tolerance matrix dips below 0 by rounding
+    (lambda: SqrtQuadraticOracle([[-1e-17]]), "lipschitz_value", 0.0),
+    (lambda: QuadraticOracle([[-1e-17]]), "lipschitz_gradient", 0.0),
+    # ||a||^2 overflows, so the bound is unknown rather than inf
+    (lambda: AffineOracle([1e200, 1e200]), "lipschitz_value", None),
+], ids=["sqrt-negative-eigenvalue", "quadratic-negative-eigenvalue",
+        "affine-overflow"])
+def test_derived_metadata_is_finite_and_nonnegative(oracle, field, expected):
+    assert getattr(oracle(), field) == expected
+
+
 def _oracles_of_every_kind():
     rng = np.random.default_rng(11)
     m = rng.standard_normal((3, 3))
@@ -178,6 +191,12 @@ def test_batch_values_match_pointwise_values(kind):
     # float64 rounding stays many orders below this tolerance.
     np.testing.assert_allclose(oracle.values(points), looped,
                                rtol=1e-12, atol=1e-12)
+    # value and subgradient are the parts of value_and_subgradient, bit for
+    # bit, also where a kind overrides one of them.
+    for p in points:
+        val, sub = oracle.value_and_subgradient(p)
+        assert oracle.value(p).hex() == val.hex()
+        assert oracle.subgradient(p).tobytes() == sub.tobytes()
 
 
 def test_oracle_bank_affine_fast_path_matches_loop():

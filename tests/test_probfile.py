@@ -48,8 +48,8 @@ def test_parse_disk_problem():
     assert document.instance.dimension == 2
     assert isinstance(document.instance.objective, AffineOracle)
     assert document.instance.n_constraints == 2
-    assert np.array_equal(document.x0, np.zeros(2))
-    assert document.theta0 == 2.0
+    assert np.array_equal(document.geometry.anchor, np.zeros(2))
+    assert document.geometry.theta0 == 2.0
     assert document.epsilon == 0.1
     assert isinstance(document.geometry, EuclideanBall)
     assert document.geometry.radius == 2.0
@@ -72,7 +72,7 @@ def test_simplex_geometry_uses_uniform_anchor():
         "constraints": [
             {"kind": "affine", "parameters": {"a": [1.0, 0.0], "b": -2.0}}
         ],
-        "x0": [0.5, 0.5],
+        "x0": [1.0, 0.0],
         "theta0": 1.0,
         "epsilon": 0.05,
         "geometry": {"kind": "simplex"},
@@ -80,6 +80,8 @@ def test_simplex_geometry_uses_uniform_anchor():
     document = parse_problem(mapping)
     assert isinstance(document.geometry, EntropySimplex)
     assert np.array_equal(document.geometry.anchor, np.array([0.5, 0.5]))
+    # a written file gives the point the run starts from
+    assert problem_to_mapping(document)["x0"] == [0.5, 0.5]
 
 
 def test_round_trip_through_file(tmp_path):
@@ -137,6 +139,28 @@ def test_round_trip_preserves_all_oracle_kinds(tmp_path):
         document.instance.objective.subgradient(x),
         reloaded.instance.objective.subgradient(x),
     )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("node", [
+    {"kind": "sqrt_quadratic", "parameters": {"Q": [[-1e-17]]}},
+    {"kind": "quadratic", "parameters": {"A": [[-1e-17]]}},
+    {"kind": "affine", "parameters": {"a": [1e200]}},
+], ids=["sqrt-negative-eigenvalue", "quadratic-negative-eigenvalue",
+        "affine-overflow"])
+def test_derived_metadata_round_trips(node):
+    # Derived bounds obey the rule parse_problem applies to supplied ones,
+    # so a written document reads back.
+    mapping = {
+        "dimension": 1,
+        "objective": node,
+        "constraints": [{"kind": "affine", "parameters": {"a": [1.0], "b": -1.0}}],
+        "x0": [0.0],
+        "theta0": 1.0,
+        "epsilon": 0.1,
+    }
+    written = problem_to_mapping(parse_problem(mapping))
+    assert problem_to_mapping(parse_problem(written)) == written
 
 
 def test_explicit_lipschitz_metadata_passthrough():

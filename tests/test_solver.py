@@ -41,11 +41,8 @@ class _NanOracle(Oracle):
     def __init__(self, dimension: int = 2) -> None:
         self.dimension = dimension
 
-    def value(self, x):
-        return math.nan
-
-    def subgradient(self, x):
-        return np.zeros(self.dimension)
+    def value_and_subgradient(self, x):
+        return math.nan, np.zeros(self.dimension)
 
 
 class _BadSubgradientOracle(Oracle):
@@ -55,11 +52,8 @@ class _BadSubgradientOracle(Oracle):
         self.dimension = 2
         self.entry = entry
 
-    def value(self, x):
-        return 1.0
-
-    def subgradient(self, x):
-        return np.array([self.entry, 0.0])
+    def value_and_subgradient(self, x):
+        return 1.0, np.array([self.entry, 0.0])
 
 
 def disk_problem():
