@@ -223,14 +223,13 @@ class VerificationCheck:
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Named pass/fail checks for one report against one example."""
+    """Named pass/fail checks for one report; the first is ``converged``."""
 
-    criterion_met: bool
     checks: tuple[VerificationCheck, ...]
 
     @property
     def all_passed(self) -> bool:
-        return self.criterion_met and all(c.passed for c in self.checks)
+        return all(c.passed for c in self.checks)
 
 
 _GUARANTEE_SLACK = 1e-9
@@ -243,8 +242,9 @@ def verify_example(report: SolverReport, example: BenchmarkExample,
     Asserts the objective gap (Lipschitz regime), the constraint residuals,
     the productive-iterate certificate the run computed (nonstandard regime
     with a known optimum, ``report.certificate``) and the a-priori iteration
-    bound when estimable.  A report that did not converge gets no guarantee
-    checks; without a known optimum only the reference-free checks run.
+    bound when estimable, after the ``converged`` check.  A report that did
+    not converge gets that check only; without a known optimum only the
+    reference-free checks run.
     ``geometry`` is no longer read; it is kept for positional callers.
     """
     config = report.config
@@ -253,10 +253,11 @@ def verify_example(report: SolverReport, example: BenchmarkExample,
         raise ValueError(
             "report was produced with different settings than the example"
         )
+    checks = [VerificationCheck("converged", report.converged,
+                                report.stop_reason.value)]
     if not report.converged:
-        return VerificationResult(criterion_met=False, checks=())
+        return VerificationResult(tuple(checks))
 
-    checks: list[VerificationCheck] = []
     tol = eps + _GUARANTEE_SLACK
     reference = example.instance.known_optimum
 
@@ -280,7 +281,7 @@ def verify_example(report: SolverReport, example: BenchmarkExample,
             "iteration_bound", report.total_steps <= report.a_priori_bound,
             f"N={report.total_steps} bound={report.a_priori_bound}"))
 
-    return VerificationResult(criterion_met=True, checks=tuple(checks))
+    return VerificationResult(tuple(checks))
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,13 @@ Three subcommands drive the solver::
 ``run`` solves one problem and reports the outcome (exit 0 when the run
 converged, 1 when it did not, 2 on usage or parse errors).  ``bench`` runs
 the four regime/policy configurations per selected built-in example and
-prints a comparison table; iteration cells show ``>cap`` when the cap was
-hit.  ``verify`` re-checks the convergence guarantees on one configuration
-and exits 0 only if every applicable check passes.
+prints a comparison table.  ``verify`` re-checks the convergence guarantees
+on one configuration, ``converged`` first, and exits 0 only if every
+applicable check passes.
+
+Reports stay typed values until written: JSON gets numbers (null for a
+missing or non-finite one); text and CSV cells, formatted in one place,
+show ``>cap`` for the step count of a run that hit its cap.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .benchmarks import (
     default_geometry,
     verify_example,
 )
-from .geometry import ProxGeometry
 from .probfile import (
     ProblemFileError,
     load_problem,
@@ -127,34 +130,35 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
-@dataclasses.dataclass
-class _Target:
-    """One resolved problem source with its effective settings."""
-
-    label: str
-    example: BenchmarkExample
-    geometry: ProxGeometry
-
-
-def _resolve_target(args: argparse.Namespace) -> _Target:
+def _solve(args: argparse.Namespace, record_history: bool = False
+           ) -> tuple[str, BenchmarkExample, SolverReport]:
+    """Run the problem ``args`` names, with its overrides: the source label,
+    the problem as an example (id 0 for a file) and the report."""
     overrides = {name: getattr(args, name) for name in ("theta0", "epsilon")
                  if getattr(args, name) is not None}
     if args.example is not None:
         example = build_example(args.example)
         example = dataclasses.replace(
             example, settings=dataclasses.replace(example.settings, **overrides))
-        return _Target(label=str(args.example), example=example,
-                       geometry=default_geometry(example))
-
-    document = load_problem(args.problem_file)
-    if overrides:
-        # Re-parse so the file's geometry is rebuilt with the overrides.
-        document = parse_problem({**problem_to_mapping(document), **overrides})
-    geometry = document.geometry
-    settings = ExperimentSettings(geometry.anchor, geometry.theta0, document.epsilon)
-    example = BenchmarkExample(0, document.instance, settings)
-    return _Target(label=Path(args.problem_file).stem, example=example,
-                   geometry=geometry)
+        label, geometry = str(args.example), default_geometry(example)
+    else:
+        document = load_problem(args.problem_file)
+        if overrides:
+            # Re-parse so the file's geometry is rebuilt with the overrides.
+            document = parse_problem({**problem_to_mapping(document), **overrides})
+        geometry = document.geometry
+        settings = ExperimentSettings(geometry.anchor, geometry.theta0,
+                                      document.epsilon)
+        label = Path(args.problem_file).stem
+        example = BenchmarkExample(0, document.instance, settings)
+    config = RunConfig(
+        epsilon=example.settings.epsilon,
+        regime=Regime(args.regime),
+        policy=Policy(args.policy),
+        max_iterations=args.max_iter,
+        record_history=record_history,
+    )
+    return label, example, run(example.instance, geometry, config)
 
 
 def _jsonable(obj: Any) -> Any:
@@ -172,18 +176,6 @@ def _jsonable(obj: Any) -> Any:
     if isinstance(obj, float) and not np.isfinite(obj):
         return None
     return obj
-
-
-def _iterations_cell(report: SolverReport) -> str:
-    if report.stop_reason is StopReason.ITERATION_CAP:
-        return f">{report.config.max_iterations}"
-    return str(report.total_steps)
-
-
-def _gap(report: SolverReport, instance: ProblemInstance) -> float | None:
-    if instance.known_optimum is None:
-        return None
-    return report.output_objective - instance.known_optimum[1]
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -209,44 +201,64 @@ def _table_text(header: Sequence[str], rows: list[Sequence[Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_row(label: str, report: SolverReport,
+def _run_row(label: int | str, report: SolverReport,
              instance: ProblemInstance) -> list[Any]:
-    gap = _gap(report, instance)
+    """The ``BENCH_COLUMNS`` values of one run, typed as reported."""
+    optimum = instance.known_optimum
     return [
         label,
         report.config.regime.value,
         report.config.policy.value,
-        _iterations_cell(report),
+        report.total_steps,
         report.productive_count,
-        f"{report.wall_time:.3f}",
-        "" if gap is None else f"{gap:.6e}",
-        f"{report.output_max_violation:.6e}",
+        report.wall_time,
+        None if optimum is None else report.output_objective - optimum[1],
+        report.output_max_violation,
         report.stop_reason.value,
     ]
+
+
+_CELL_FORMATS = {"time_s": "{:.3f}", "objective_gap": "{:.6e}",
+                 "max_violation": "{:.6e}"}
+
+
+def _cells(row: Sequence[Any]) -> list[str]:
+    """Text and CSV cells of a row: empty for None, ``>N`` for the step
+    count of a run that hit its cap N."""
+    capped = row[-1] == StopReason.ITERATION_CAP.value
+    cells = []
+    for column, value in zip(BENCH_COLUMNS, row):
+        if value is None:
+            cells.append("")
+        elif column == "iterations" and capped:
+            cells.append(f">{value}")
+        else:
+            cells.append(_CELL_FORMATS.get(column, "{}").format(value))
+    return cells
 
 
 def _run_text(label: str, report: SolverReport,
               instance: ProblemInstance) -> str:
     config = report.config
+    cell = dict(zip(BENCH_COLUMNS, _cells(_run_row(label, report, instance))))
     lines = [
         f"source               {label}",
         f"regime               {config.regime.value}",
         f"policy               {config.policy.value}",
         f"epsilon              {config.epsilon:g}",
         f"stop reason          {report.stop_reason.value}",
-        f"iterations           {_iterations_cell(report)}",
+        f"iterations           {cell['iterations']}",
         f"productive steps     {report.productive_count}",
         f"nonproductive steps  {report.nonproductive_count}",
         f"output objective     {report.output_objective:.6e}",
     ]
-    gap = _gap(report, instance)
-    if gap is not None:
-        lines.append(f"objective gap        {gap:.6e}")
-    lines.append(f"max violation        {report.output_max_violation:.6e}")
+    if cell["objective_gap"]:
+        lines.append(f"objective gap        {cell['objective_gap']}")
+    lines.append(f"max violation        {cell['max_violation']}")
     bound = report.a_priori_bound
     lines.append(f"a priori bound       "
                  f"{bound if bound is not None else 'unknown'}")
-    lines.append(f"wall time            {report.wall_time:.3f} s")
+    lines.append(f"wall time            {cell['time_s']} s")
     lines.append("constraint residuals")
     values = instance.constraint_bank().values(report.output_point)
     for m, value in enumerate(values, start=1):
@@ -255,43 +267,29 @@ def _run_text(label: str, report: SolverReport,
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    target = _resolve_target(args)
-    example = target.example
-    config = RunConfig(
-        epsilon=example.settings.epsilon,
-        regime=Regime(args.regime),
-        policy=Policy(args.policy),
-        max_iterations=args.max_iter,
-        record_history=args.history,
-    )
-    report = run(example.instance, target.geometry, config)
-
+    label, example, report = _solve(args, record_history=args.history)
     if args.format == "json":
         text = json.dumps(_jsonable(report), indent=2, allow_nan=False) + "\n"
     elif args.format == "csv":
         text = _csv_text(BENCH_COLUMNS,
-                         [_run_row(target.label, report, example.instance)])
+                         [_cells(_run_row(label, report, example.instance))])
     else:
-        text = _run_text(target.label, report, example.instance)
+        text = _run_text(label, report, example.instance)
     _emit(text, args.output)
     return 0 if report.converged else 1
 
 
 def _verification_cell(report: SolverReport, example: BenchmarkExample) -> str:
-    try:
-        result = verify_example(report, example)
-    except ValueError:
-        return "error"
-    if not result.criterion_met:
+    converged, *checks = verify_example(report, example).checks
+    if not converged.passed:
         return "n/a"
-    failed = [c.name for c in result.checks if not c.passed]
+    failed = [c.name for c in checks if not c.passed]
     return "ok" if not failed else "fail:" + ",".join(failed)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    rows: list[Sequence[Any]] = []
+    rows: list[list[Any]] = []
     verifications: list[str] = []
-    failures = 0
     for example_id in args.examples:
         example = build_example(example_id)
         geometry = default_geometry(example)
@@ -308,58 +306,41 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 print(f"mirropt: example {example_id} {regime.value} "
                       f"{policy.value}: {exc}", file=sys.stderr)
                 rows.append([example_id, regime.value, policy.value,
-                             "", "", "", "", "", "error"])
+                             None, None, None, None, None, "error"])
                 verifications.append("error")
-                failures += 1
                 continue
-            rows.append(_run_row(str(example_id), report, example.instance))
+            rows.append(_run_row(example_id, report, example.instance))
             verifications.append(_verification_cell(report, example))
 
     if args.format == "json":
-        items = [dict(zip(BENCH_COLUMNS, row)) for row in rows]
+        items = [dict(zip(BENCH_COLUMNS, _jsonable(row))) for row in rows]
         text = json.dumps(items, indent=2, allow_nan=False) + "\n"
     elif args.format == "csv":
-        text = _csv_text(BENCH_COLUMNS, rows)
+        text = _csv_text(BENCH_COLUMNS, [_cells(row) for row in rows])
     else:
-        header = BENCH_COLUMNS + ("verification",)
-        text = _table_text(header,
-                           [list(r) + [v] for r, v in zip(rows, verifications)])
+        text = _table_text(BENCH_COLUMNS + ("verification",),
+                           [_cells(row) + [v] for row, v in zip(rows, verifications)])
     _emit(text, args.output)
-    return 1 if failures else 0
+    return 1 if "error" in verifications else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    target = _resolve_target(args)
-    example = target.example
-    config = RunConfig(
-        epsilon=example.settings.epsilon,
-        regime=Regime(args.regime),
-        policy=Policy(args.policy),
-        max_iterations=args.max_iter,
-    )
-    report = run(example.instance, target.geometry, config)
+    label, example, report = _solve(args)
     result = verify_example(report, example)
-
-    check_rows = [("converged", result.criterion_met,
-                   report.stop_reason.value)]
-    check_rows += [(c.name, c.passed, c.detail) for c in result.checks]
-
     if args.format == "json":
         payload = {**_jsonable(result), "all_passed": result.all_passed}
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     elif args.format == "csv":
         text = _csv_text(("check", "passed", "detail"),
-                         [[name, str(passed).lower(), detail]
-                          for name, passed, detail in check_rows])
+                         [[c.name, str(c.passed).lower(), c.detail]
+                          for c in result.checks])
     else:
-        lines = [f"source               {target.label}",
-                 f"regime               {config.regime.value}",
-                 f"policy               {config.policy.value}"]
-        for name, passed, detail in check_rows:
-            status = "pass" if passed else "FAIL"
-            lines.append(f"{name:20s} {status}  {detail}")
-        lines.append(f"{'result':20s} "
-                     f"{'pass' if result.all_passed else 'FAIL'}")
+        lines = [f"source               {label}",
+                 f"regime               {report.config.regime.value}",
+                 f"policy               {report.config.policy.value}"]
+        for c in result.checks:
+            lines.append(f"{c.name:20s} {'pass' if c.passed else 'FAIL'}  {c.detail}")
+        lines.append(f"{'result':20s} {'pass' if result.all_passed else 'FAIL'}")
         text = "\n".join(lines) + "\n"
     _emit(text, args.output)
     return 0 if result.all_passed else 1

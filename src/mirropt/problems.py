@@ -45,7 +45,8 @@ def _read_only(arr: Array) -> Array:
     return arr
 
 
-def _check_symmetric_psd(mat, name: str) -> Array:
+def _check_symmetric_psd(mat, name: str) -> tuple[Array, float]:
+    """The matrix, read-only, and its largest eigenvalue."""
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
@@ -57,7 +58,7 @@ def _check_symmetric_psd(mat, name: str) -> Array:
     # PSD up to a small spectral tolerance; convexity is all that is needed.
     if eigs[0] < -1e-10 * max(1.0, abs(eigs[-1])):
         raise ValueError(f"{name} must be positive semidefinite")
-    return _read_only(mat)
+    return _read_only(mat), float(eigs[-1])
 
 
 def _derived(bound: float) -> float | None:
@@ -136,7 +137,7 @@ class QuadraticOracle(Oracle):
     def __init__(self, A, b=None, alpha: float = 0.0, *,
                  lipschitz_value: float | None = None,
                  lipschitz_gradient: float | None = None) -> None:
-        self.A = _check_symmetric_psd(A, "A")
+        self.A, top = _check_symmetric_psd(A, "A")
         self.dimension = self.A.shape[0]
         if b is None:
             b = np.zeros(self.dimension)
@@ -146,7 +147,7 @@ class QuadraticOracle(Oracle):
             raise ValueError("alpha must be finite")
         self._set_metadata(lipschitz_value, lipschitz_gradient)
         if lipschitz_gradient is None:
-            self.lipschitz_gradient = _derived(float(np.linalg.eigvalsh(self.A)[-1]))
+            self.lipschitz_gradient = _derived(top)
 
     def value_and_subgradient(self, x: Array) -> tuple[float, Array]:
         Ax = self.A @ x
@@ -172,7 +173,7 @@ class SqrtQuadraticOracle(Oracle):
     def __init__(self, Q, scale: float = 1.0, *,
                  lipschitz_value: float | None = None,
                  lipschitz_gradient: float | None = None) -> None:
-        self.Q = _check_symmetric_psd(Q, "Q")
+        self.Q, top = _check_symmetric_psd(Q, "Q")
         self.dimension = self.Q.shape[0]
         self.scale = float(scale)
         if not math.isfinite(self.scale) or self.scale <= 0.0:
@@ -180,8 +181,7 @@ class SqrtQuadraticOracle(Oracle):
         self._set_metadata(lipschitz_value, lipschitz_gradient)
         if lipschitz_value is None:
             # ||grad f|| <= sqrt(scale * lambda_max(Q)) everywhere.
-            top = max(float(np.linalg.eigvalsh(self.Q)[-1]), 0.0)
-            self.lipschitz_value = _derived(math.sqrt(self.scale * top))
+            self.lipschitz_value = _derived(math.sqrt(self.scale * max(top, 0.0)))
 
     def value_and_subgradient(self, x: Array) -> tuple[float, Array]:
         Qx = self.Q @ x

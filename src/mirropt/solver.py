@@ -184,9 +184,9 @@ def _make_selector(
         def select(x: Array):
             vals = values(x).tolist()
             for i, v in enumerate(vals):
-                if v > epsilon:
+                if epsilon < v < math.inf:
                     return i, sub(i, x)
-                if not v <= epsilon:  # NaN falls through both comparisons
+                if not v <= epsilon:  # NaN or +inf
                     raise EvaluationError("constraint produced a non-finite value")
             return None
 
@@ -276,7 +276,6 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     x = prox.anchor.copy()
     crit_sum = 0.0
     n_productive = 0
-    n_nonproductive = 0
     weight_sum = 0.0
     weighted = np.zeros(problem.dimension)
     best_value = math.inf
@@ -338,7 +337,6 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
                 history.append(StepRecord(steps, StepKind.NONPRODUCTIVE, h, norm,
                                           idx0 + 1, None, x))
             x = mirror(x, grad, h)
-            n_nonproductive += 1
         steps += 1
         if crit_sum >= stop_target:
             stop = StopReason.CRITERION_MET
@@ -357,7 +355,7 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     return SolverReport(
         total_steps=steps,
         productive_count=n_productive,
-        nonproductive_count=n_nonproductive,
+        nonproductive_count=steps - n_productive,
         output_point=out,
         output_objective=float(out_objective),
         output_max_violation=float(out_violation),

@@ -19,6 +19,7 @@ from mirropt import (
     RunConfig,
     SolverReport,
     StopReason,
+    VerificationCheck,
     brute_force_optimum,
     build_example,
     default_geometry,
@@ -148,7 +149,7 @@ def test_verify_example_passes_on_real_run():
         RunConfig(0.05, regime=Regime.LIPSCHITZ, policy=Policy.FIRST_VIOLATED),
     )
     result = verify_example(report, example)
-    assert result.criterion_met
+    assert result.checks[0] == VerificationCheck("converged", True, "criterion-met")
     assert result.all_passed
     names = [check.name for check in result.checks]
     assert "objective_gap" in names
@@ -173,14 +174,13 @@ def test_verify_example_nonstandard_certificate():
     assert "objective_gap" not in names
 
 
-def test_verify_example_capped_run_has_no_checks():
+def test_verify_example_capped_run_fails_converged_only():
     example = build_example(4)
     report = run(
         example.instance, default_geometry(example), RunConfig(0.05, max_iterations=10)
     )
     result = verify_example(report, example)
-    assert not result.criterion_met
-    assert result.checks == ()
+    assert result.checks == (VerificationCheck("converged", False, "iteration-cap"),)
     assert not result.all_passed
 
 
@@ -201,7 +201,7 @@ def test_verify_example_flags_violating_output():
         config=config,
     )
     result = verify_example(report, example)
-    assert result.criterion_met
+    assert result.checks[0] == VerificationCheck("converged", True, "criterion-met")
     assert not result.all_passed
     failed = {check.name for check in result.checks if not check.passed}
     assert "constraint_residuals" in failed

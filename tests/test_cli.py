@@ -282,7 +282,33 @@ def test_bench_json_items(capsys):
     items = _strict_json(capsys.readouterr().out)
     assert len(items) == 4
     assert all(set(item) == set(BENCH_COLUMNS) for item in items)
-    assert all(item["example"] == "4" for item in items)
+    assert all(item["example"] == 4 for item in items)
+
+
+def test_bench_json_values_match_csv_cells(capsys):
+    # The JSON values, formatted the way CSV cells are, equal the CSV
+    # cells.  Every cell of example 4 hits the 5000-step cap.
+    argv = ["bench", "--examples", "4", "--max-iter", "5000"]
+    assert main(argv + ["--format", "json"]) == 0
+    items = _strict_json(capsys.readouterr().out)
+    assert main(argv + ["--format", "csv"]) == 0
+    rows = _csv_rows(capsys.readouterr().out)[1:]
+    assert len(items) == len(rows) == 4
+    formats = {"time_s": "{:.3f}", "objective_gap": "{:.6e}",
+               "max_violation": "{:.6e}"}
+    for item, row in zip(items, rows):
+        assert type(item["example"]) is int
+        assert type(item["iterations"]) is int
+        assert item["stop_reason"] == "iteration-cap"
+        assert item["iterations"] == 5000
+        for column, cell in zip(BENCH_COLUMNS, row):
+            if column == "time_s":  # two runs, two wall times
+                assert cell == formats[column].format(float(cell))
+                assert isinstance(item[column], float)
+            elif column == "iterations":
+                assert cell == f">{item[column]}"
+            else:
+                assert cell == formats.get(column, "{}").format(item[column])
 
 
 # ------------------------------------------------------------------- verify
@@ -348,3 +374,11 @@ def test_verify_capped_run_fails(disk_file, capsys):
     assert main(["verify", "--problem-file", disk_file,
                  "--max-iter", "10"]) == 1
     assert "FAIL" in capsys.readouterr().out
+    assert main(["verify", "--problem-file", disk_file,
+                 "--max-iter", "10", "--format", "json"]) == 1
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload == {
+        "checks": [{"name": "converged", "passed": False,
+                    "detail": "iteration-cap"}],
+        "all_passed": False,
+    }

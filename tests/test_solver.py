@@ -35,14 +35,15 @@ def _constant(value: float, dimension: int = 2) -> AffineOracle:
     return AffineOracle(np.zeros(dimension), value)
 
 
-class _NanOracle(Oracle):
-    """Test double returning NaN values."""
+class _BadValueOracle(Oracle):
+    """Test double: a fixed non-finite value, with subgradient (1, 0)."""
 
-    def __init__(self, dimension: int = 2) -> None:
-        self.dimension = dimension
+    def __init__(self, entry: float) -> None:
+        self.dimension = 2
+        self.entry = entry
 
     def value_and_subgradient(self, x):
-        return math.nan, np.zeros(self.dimension)
+        return self.entry, np.array([1.0, 0.0])
 
 
 class _BadSubgradientOracle(Oracle):
@@ -145,9 +146,11 @@ def test_boundary_value_is_not_violated(policy):
     assert record.kind is StepKind.PRODUCTIVE
 
 
-@pytest.mark.parametrize("bad", [_NanOracle(), _BadSubgradientOracle(math.inf),
+@pytest.mark.parametrize("bad", [_BadValueOracle(math.nan), _BadValueOracle(math.inf),
+                                 _BadSubgradientOracle(math.inf),
                                  _BadSubgradientOracle(math.nan)],
-                         ids=["nan-value", "inf-subgradient", "nan-subgradient"])
+                         ids=["nan-value", "inf-value", "inf-subgradient",
+                              "nan-subgradient"])
 @pytest.mark.parametrize("policy", list(Policy))
 def test_nonfinite_constraint_raises_in_run(policy, bad):
     # the satisfied second constraint must never be picked in its place
