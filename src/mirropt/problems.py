@@ -255,9 +255,20 @@ class OracleBank:
             self._offsets = None
 
     def values(self, x: Array) -> Array:
+        """Member values at x.
+
+        A non-finite member value raises :class:`EvaluationError`, so every
+        selection policy rejects a broken member, -inf included.  The
+        stacked affine product skips the check, which would add a reduction
+        to every step: its values are non-finite only when x or a product
+        overflows.
+        """
         if self._matrix is not None:
             return self._matrix @ x + self._offsets
-        return np.array([o.value(x) for o in self.oracles])
+        vals = [o.value(x) for o in self.oracles]
+        if not all(map(math.isfinite, vals)):
+            raise EvaluationError("oracle produced a non-finite value")
+        return np.array(vals)
 
     def subgradient(self, index: int, x: Array) -> Array:
         return self.oracles[index].subgradient(x)

@@ -14,6 +14,7 @@ from mirropt import (
     EuclideanSpace,
     EvaluationError,
     ExperimentSettings,
+    MaxOracle,
     Oracle,
     Policy,
     ProblemInstance,
@@ -159,6 +160,206 @@ def test_nonfinite_constraint_raises_in_run(policy, bad):
     config = RunConfig(0.05, policy=policy, max_iterations=50)
     with pytest.raises(EvaluationError):
         run(instance, EuclideanSpace([0.0, 0.0], 1.0), config)
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_negative_infinite_constraint_value_raises(policy):
+    # -inf is no more a value than +inf: every policy rejects it, where the
+    # max-based policies used to read it as satisfied
+    constraints = [_BadValueOracle(-math.inf), AffineOracle([0.0, 1.0], -1.0)]
+    instance = ProblemInstance(2, AffineOracle([1.0, 1.0]), constraints)
+    config = RunConfig(0.05, policy=policy, max_iterations=1000)
+    with pytest.raises(EvaluationError):
+        run(instance, EuclideanSpace([0.0, 0.0], 1.0), config)
+
+
+# ---------------------------------------------- batched non-productive runs
+
+
+class _SteppedSpace(EuclideanSpace):
+    """The same geometry; runs on a subclass take the stepwise path."""
+
+
+_BATCHED_POLICIES = [Policy.AGGREGATE_MAX, Policy.MAX_VIOLATION,
+                     Policy.FIRST_VIOLATED]
+
+
+def _counted_mirror_steps(space):
+    """Count calls of the instance's mirror_step."""
+    calls = [0]
+    inner = space.mirror_step
+
+    def counted(x, p, h):
+        calls[0] += 1
+        return inner(x, p, h)
+
+    space.mirror_step = counted
+    return calls
+
+
+def _run_both(instance, anchor, theta0, config):
+    """Batched and stepwise reports of one run, and the batched run's count
+    of ordinary (unbatched) steps."""
+    space = EuclideanSpace(anchor, theta0)
+    calls = _counted_mirror_steps(space)
+    batched = run(instance, space, config)
+    stepped = run(instance, _SteppedSpace(anchor, theta0), config)
+    return batched, stepped, calls[0]
+
+
+def _assert_bitwise_equal(first, second):
+    assert first.output_point.tobytes() == second.output_point.tobytes()
+    for field in ("total_steps", "productive_count", "nonproductive_count",
+                  "stop_reason", "a_priori_bound"):
+        assert getattr(first, field) == getattr(second, field), field
+    for field in ("output_objective", "output_max_violation", "certificate"):
+        a, b = getattr(first, field), getattr(second, field)
+        assert (a is None and b is None) or np.float64(a).tobytes() == np.float64(b).tobytes()
+    if first.history is None:
+        assert second.history is None
+        return
+    assert len(first.history) == len(second.history) == first.total_steps
+    for a, b in zip(first.history, second.history):
+        assert (a.index, a.kind, a.constraint_index) == (b.index, b.kind, b.constraint_index)
+        assert (a.step_size, a.grad_dual_norm, a.objective_value) == (
+            b.step_size, b.grad_dual_norm, b.objective_value)
+        assert a.point.tobytes() == b.point.tobytes()
+
+
+def _random_affine_instance(seed):
+    """Random affine constraints feasible at the origin, violated at the start,
+    and a quadratic or max-affine objective."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(1, 9))
+    constraints = [AffineOracle(rng.standard_normal(n), -rng.uniform(0.0, 0.5))
+                   for _ in range(m)]
+    if seed % 2:
+        objective = QuadraticOracle(np.eye(n), rng.standard_normal(n))
+    else:
+        objective = MaxOracle([AffineOracle(rng.standard_normal(n)) for _ in range(3)])
+    anchor = 10.0 * rng.standard_normal(n)
+    instance = ProblemInstance(n, objective, constraints)
+    return instance, anchor, float(np.linalg.norm(anchor)) + 0.5
+
+
+@pytest.mark.parametrize("record_history", [False, True])
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_batched_runs_equal_stepwise_runs_on_random_instances(policy, regime,
+                                                              record_history):
+    batched_steps = 0
+    for seed in range(8):
+        instance, anchor, theta0 = _random_affine_instance(seed)
+        config = RunConfig(0.05, regime=regime, policy=policy,
+                           max_iterations=4000, record_history=record_history)
+        batched, stepped, calls = _run_both(instance, anchor, theta0, config)
+        _assert_bitwise_equal(batched, stepped)
+        batched_steps += batched.total_steps - calls
+    # the opening constraint phases were batched
+    assert batched_steps > 1000
+
+
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_batched_run_stops_on_the_criterion_inside_a_batch(policy):
+    # 2 theta0^2 / eps^2 = 512 steps of weight 1: the criterion fires on a
+    # constraint step deep inside a batch
+    instance = ProblemInstance(2, AffineOracle([0.0, 1.0]),
+                               [AffineOracle([1.0, 0.0], -1.0)])
+    config = RunConfig(2.0**-4, policy=policy, record_history=True)
+    batched, stepped, calls = _run_both(instance, [100.0, 0.0], 1.0, config)
+    _assert_bitwise_equal(batched, stepped)
+    assert batched.stop_reason is StopReason.CRITERION_MET
+    assert batched.total_steps == batched.nonproductive_count == 512
+    assert calls < 20
+
+
+@pytest.mark.parametrize("cap", [3, 40, 200])
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_batched_run_stops_at_the_cap_inside_a_batch(policy, cap):
+    instance = ProblemInstance(2, AffineOracle([0.0, 1.0]),
+                               [AffineOracle([1.0, 0.0], -1.0)])
+    config = RunConfig(2.0**-4, policy=policy, max_iterations=cap,
+                       record_history=True)
+    batched, stepped, calls = _run_both(instance, [100.0, 0.0], 10.0, config)
+    _assert_bitwise_equal(batched, stepped)
+    assert batched.stop_reason is StopReason.ITERATION_CAP
+    assert batched.total_steps == cap
+    assert calls < min(cap, 20)
+
+
+@pytest.mark.parametrize("sitting", [False, True])
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_batched_run_stops_where_a_value_equals_epsilon(policy, sitting):
+    # dyadic throughout: with eps = 1/16 the run on x_1 - 1 from (5, 0)
+    # reaches value eps exactly after 63 steps; a constraint sitting at eps
+    # all along before it refuses every first-violated batch
+    constraints = [AffineOracle([1.0, 0.0], -1.0)]
+    if sitting:
+        constraints.insert(0, AffineOracle([0.0, 1.0], 2.0**-4))
+    instance = ProblemInstance(2, AffineOracle([-1.0, 0.0]), constraints)
+    config = RunConfig(2.0**-4, policy=policy, max_iterations=200,
+                       record_history=True)
+    batched, stepped, calls = _run_both(instance, [5.0, 0.0], 1.0, config)
+    _assert_bitwise_equal(batched, stepped)
+    kinds = [r.kind for r in batched.history]
+    assert kinds[:64] == [StepKind.NONPRODUCTIVE] * 63 + [StepKind.PRODUCTIVE]
+    if sitting and policy is Policy.FIRST_VIOLATED:
+        assert calls == batched.total_steps
+    else:
+        assert calls < batched.total_steps - 50
+
+
+@pytest.mark.parametrize("offset", [0.0, 1.0], ids=["duplicate", "one-ulp"])
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_batched_runs_with_near_tied_constraints(policy, offset):
+    # two copies of one row, the second's offset equal or one ulp higher:
+    # the selector's ties are decided by the stepwise engine
+    base = -1.0
+    tied = np.nextafter(base, 0.0) if offset else base
+    instance = ProblemInstance(
+        2, AffineOracle([0.0, 1.0]),
+        [AffineOracle([1.0, 1.0], base), AffineOracle([1.0, 1.0], tied),
+         AffineOracle([1.0, 0.0], -2.0)])
+    for regime in Regime:
+        config = RunConfig(0.05, regime=regime, policy=policy,
+                           max_iterations=3000, record_history=True)
+        batched, stepped, _ = _run_both(instance, [20.0, 5.0], 5.0, config)
+        _assert_bitwise_equal(batched, stepped)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("first", [False, True], ids=["after", "before"])
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_batched_run_meets_overflow_as_the_stepwise_run_does(policy, first):
+    # Steps along -(1, 1) from the origin keep x_1 = x_2, so the second
+    # constraint's products cancel exactly, to 0, until they overflow near
+    # step 10240 (x_1 = -2^28); what the sum is then (NaN or an infinity)
+    # is the matrix-vector product's affair.  Either run raises the same
+    # error, or neither does and they agree bitwise.  Rounding on products
+    # near 2^1000 swamps the margins, so batches stop short of the overflow.
+    descended = AffineOracle([2.0**-20, 2.0**-20], 1000.0)
+    overflowing = AffineOracle([2.0**996, -(2.0**996)], 0.0)
+    constraints = [overflowing, descended] if first else [descended, overflowing]
+    instance = ProblemInstance(2, AffineOracle([0.0, 1.0]), constraints)
+    config = RunConfig(0.05, policy=policy, max_iterations=11_000,
+                       record_history=True)
+    spaces = [EuclideanSpace([0.0, 0.0], 1e7), _SteppedSpace([0.0, 0.0], 1e7)]
+    calls = [_counted_mirror_steps(space) for space in spaces]
+    outcomes = []
+    for space in spaces:
+        try:
+            outcomes.append(run(instance, space, config))
+        except EvaluationError as error:
+            outcomes.append(str(error))
+    batched, stepped = outcomes
+    if isinstance(stepped, str):
+        assert batched == stepped
+    else:
+        _assert_bitwise_equal(batched, stepped)
+        assert not math.isfinite(overflowing.value(stepped.output_point))
+    assert calls[1][0] > 10_000
 
 
 # ------------------------------------------------------------------- config
