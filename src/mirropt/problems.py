@@ -258,13 +258,17 @@ class OracleBank:
         """Member values at x.
 
         A non-finite member value raises :class:`EvaluationError`, so every
-        selection policy rejects a broken member, -inf included.  The
-        stacked affine product skips the check, which would add a reduction
-        to every step: its values are non-finite only when x or a product
-        overflows.
+        selection policy rejects a broken member, -inf included, whatever
+        summation order an overflowing stacked product takes.
         """
         if self._matrix is not None:
-            return self._matrix @ x + self._offsets
+            vals = self._matrix @ x + self._offsets
+            # argmin and argmax both return the first NaN; with the argmin
+            # entry finite, only the argmax entry can be +inf.
+            if not (math.isfinite(vals[vals.argmin()])
+                    and math.isfinite(vals[vals.argmax()])):
+                raise EvaluationError("oracle produced a non-finite value")
+            return vals
         vals = [o.value(x) for o in self.oracles]
         if not all(map(math.isfinite, vals)):
             raise EvaluationError("oracle produced a non-finite value")
@@ -276,7 +280,7 @@ class OracleBank:
     def max_entry(self, x: Array) -> tuple[float, int]:
         """Largest value and its lowest attaining 0-based index."""
         vals = self.values(x)
-        idx = int(np.argmax(vals))
+        idx = int(vals.argmax())
         return float(vals[idx]), idx
 
 
@@ -375,8 +379,6 @@ def max_violation(problem, x) -> tuple[float, int]:
         bank = OracleBank(problem)
     x = as_vector(x, bank.dimension, "x")
     val, idx = bank.max_entry(x)
-    if not math.isfinite(val):
-        raise EvaluationError("constraint produced a non-finite value")
     return val, idx + 1
 
 

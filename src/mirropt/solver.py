@@ -27,7 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Array, EuclideanSpace, ProxGeometry, as_vector
-from .problems import EvaluationError, Oracle, OracleBank, ProblemInstance
+from .problems import (EvaluationError, MaxOracle, Oracle, OracleBank,
+                       ProblemInstance)
 
 __all__ = [
     "Regime",
@@ -162,11 +163,13 @@ def _make_selector(
     epsilon: float,
     policy: Policy,
     dual_norm: Callable[[Array], float],
-) -> Callable[[Array], tuple[int, Array] | None]:
+) -> Callable[[Array], tuple | None]:
     """Build the per-iteration constraint scan for one policy.
 
     The returned callable maps an iterate to ``None`` (no constraint above
-    epsilon, step is productive) or ``(index0, subgradient)``.
+    epsilon, step is productive) or the step's ``(index0, subgradient,
+    dual norm)``, the row ``_AffineRuns`` tables for an affine member.  A
+    non-finite constraint value raises in ``bank.values``.
     """
     sub = bank.subgradient
     if policy in (Policy.AGGREGATE_MAX, Policy.MAX_VIOLATION):
@@ -174,32 +177,26 @@ def _make_selector(
 
         def select(x: Array):
             val, idx = max_entry(x)
-            if not math.isfinite(val):
-                raise EvaluationError("constraint produced a non-finite value")
             if val <= epsilon:
                 return None
-            return idx, sub(idx, x)
+            s = sub(idx, x)
+            return idx, s, dual_norm(s)
 
     elif policy is Policy.FIRST_VIOLATED:
         values = bank.values
 
         def select(x: Array):
-            vals = values(x).tolist()
-            for i, v in enumerate(vals):
-                if epsilon < v < math.inf:
-                    return i, sub(i, x)
-                if not v <= epsilon:  # NaN or +inf
-                    raise EvaluationError("constraint produced a non-finite value")
+            for i, v in enumerate(values(x).tolist()):
+                if v > epsilon:
+                    s = sub(i, x)
+                    return i, s, dual_norm(s)
             return None
 
     elif policy is Policy.MIN_DUAL_NORM:
         values = bank.values
 
         def select(x: Array):
-            vals = values(x)
-            if not np.all(np.isfinite(vals)):
-                raise EvaluationError("constraint produced a non-finite value")
-            violated = np.nonzero(vals > epsilon)[0]
+            violated = np.nonzero(values(x) > epsilon)[0]
             if violated.size == 0:
                 return None
             best_i = -1
@@ -215,7 +212,7 @@ def _make_selector(
                     best_norm = nrm
                     best_i = int(i)
                     best_sub = s
-            return best_i, best_sub
+            return best_i, best_sub, best_norm
 
     else:  # pragma: no cover - exhaustive over Policy
         raise ValueError(f"unknown policy {policy!r}")
@@ -237,22 +234,45 @@ _BLOCK_FLOATS = 1 << 14
 _HUGE = 2.0 ** 1020
 
 
-class _AffineRuns:
-    """Batched non-productive steps on Euclidean space with affine constraints.
+# Instance attributes that replace a method a stepwise run calls.  Where one
+# is set (perfbench's tracer sets them all), the run takes no table lookup,
+# so each ordinary step makes every call a traced pass counts.
+_HOOKS = ("mirror_step", "dual_norm", "values", "max_entry", "subgradient",
+          "value_and_subgradient")
 
-    There k steps on constraint i are x - q, x - 2q, ... with the fixed
-    q = h * a_i; ``np.cumsum`` builds them by the same subtractions as the
-    stepwise ``x - h * p``, so they are bitwise its iterates.  One matrix
-    product gives their constraint values.  A row is committed only while
-    the policy's selector provably picks i there: each comparison it makes
+
+def _hooked(*objects: object) -> bool:
+    return any(name in vars(o) for o in objects for name in _HOOKS)
+
+
+class _AffineRuns:
+    """Steps on affine members of an exact Euclidean space.
+
+    An affine member (a row of the stacked constraint bank, or a piece of a
+    max-affine objective whose bank is stacked) has a constant subgradient
+    a, so ``(index0, a, dual norm of a)`` is a constant of the run, and the
+    kernel tables it once per member.  Its ``select`` and ``pieces`` scan
+    the members with one matrix-vector product into a preallocated buffer
+    and look the row up, in place of the selector, oracle and dual-norm
+    calls; every entry is bit for bit what those calls return.  Both are
+    None where a hook is set on an instance (``_HOOKS``), and ``pieces``
+    where the objective is not max-affine.
+
+    ``advance`` batches a run of k steps on constraint i, x - q, x - 2q, ...:
+    ``np.cumsum`` builds them by the same subtractions as the stepwise
+    ``x - h * p``, so they are bitwise its iterates.  One matrix product
+    gives their constraint values.  A row is committed only while the
+    policy's selector provably picks i there: each comparison it makes
     holds with a margin above the rounding bound ``gamma * (|A| @ r + |b|)``,
     where r bounds |x - k q| over the batch, so no summation order of the
     stepwise matrix-vector product can decide otherwise.
     """
 
-    def __init__(self, bank: OracleBank, policy: Policy, epsilon: float) -> None:
-        self.first_violated = policy is Policy.FIRST_VIOLATED
-        self.epsilon = epsilon
+    def __init__(self, problem: ProblemInstance, prox: EuclideanSpace,
+                 config: RunConfig) -> None:
+        bank = problem.constraint_bank()
+        self.first_violated = config.policy is Policy.FIRST_VIOLATED
+        self.epsilon = config.epsilon
         self.at = bank._matrix.T
         self.b = bank._offsets
         self.abs_a = np.abs(bank._matrix)
@@ -264,12 +284,60 @@ class _AffineRuns:
         self.gamma = 4.0 * (n + 2) * np.finfo(float).eps
         self.max_rows = max(1, _BLOCK_FLOATS // max(n, m))
 
+        self.select = self.pieces = None
+        objective = problem.objective
+        pieces = (objective._bank if type(objective) is MaxOracle
+                  and objective._bank._matrix is not None else None)
+        # A non-max-affine objective makes its own calls, hooked or not.
+        watched = [] if pieces is None else [objective, pieces, *pieces.oracles]
+        if _hooked(prox, bank, *bank.oracles, *watched):
+            return
+        dual = prox.dual_norm
+        self.select = self._scan(bank, dual)
+        if pieces is not None:
+            self.pieces = self._scan(pieces, dual, top=True)
+
+    def _scan(self, bank: OracleBank, dual: Callable[[Array], float],
+              top: bool = False) -> Callable[[Array], tuple | None]:
+        """The stacked members' values at x, as ``OracleBank.values``
+        computes and checks them, reduced to a table row: the selector's
+        (None when no member is above epsilon), or with ``top``, the max and
+        its row."""
+        matrix, offsets = bank._matrix, bank._offsets
+        rows = [(i, member.a, dual(member.a)) for i, member in enumerate(bank.oracles)]
+        values = np.empty(matrix.shape[0])
+        flags = np.empty(matrix.shape[0], dtype=bool)
+        argmax, argmin, item = values.argmax, values.argmin, values.item
+        dot, add, greater, isfinite = np.dot, np.add, np.greater, math.isfinite
+        eps = self.epsilon
+        first_violated = self.first_violated
+
+        def scan(x: Array):
+            dot(matrix, x, out=values)
+            add(values, offsets, out=values)
+            i = argmax()
+            high = item(i)
+            # As in OracleBank.values: a finite argmin entry rules out NaN
+            # and -inf, a finite argmax entry +inf.
+            if not (isfinite(high) and isfinite(item(argmin()))):
+                raise EvaluationError("oracle produced a non-finite value")
+            if top:
+                return high, rows[i]
+            if high <= eps:
+                return None
+            if first_violated:
+                return rows[greater(values, eps, out=flags).argmax()]
+            return rows[i]
+
+        return scan
+
     @classmethod
-    def applicable(cls, prox: ProxGeometry, bank: OracleBank,
+    def applicable(cls, problem: ProblemInstance, prox: ProxGeometry,
                    config: RunConfig) -> _AffineRuns | None:
-        if (type(prox) is EuclideanSpace and bank._matrix is not None
+        if (type(prox) is EuclideanSpace
+                and problem.constraint_bank()._matrix is not None
                 and config.policy is not Policy.MIN_DUAL_NORM):
-            return cls(bank, config.policy, config.epsilon)
+            return cls(problem, prox, config)
         return None
 
     def advance(self, x: Array, q: Array, i: int, rows: int) -> tuple[Array, int]:
@@ -332,14 +400,20 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     problem admits a feasible point within the prox radius.
 
     On an exact :class:`EuclideanSpace` with all-affine constraints, under
-    every policy but min-dual-norm, a run of non-productive steps on one
-    constraint is batched (see ``_AffineRuns``): the trajectory, counts and
-    history are bitwise those of the stepwise engine.  The first step of
-    each run and the step after each batch are ordinary steps; batched
-    steps do not call instance-level overrides of the geometry's
-    ``mirror_step`` or the bank's ``values``.  A wrapper that counts runs
-    by their first step, as perfbench's tracer does, still counts them
-    exactly.
+    every policy but min-dual-norm, affine members take the fast paths of
+    ``_AffineRuns``; the trajectory, counts and history are bitwise those
+    of the stepwise engine.  Choosing each constraint step, and each
+    productive step on a max-affine objective, is one scan of the stacked
+    members and a lookup in tables built at the start of the run, with no
+    call to the selector, the oracles or the dual norm; the step is the
+    geometry's mirror step, and any other objective is still called.  Runs
+    of non-productive steps on one constraint are batched; the first step
+    of each run and the step after each batch are ordinary steps.  Where an
+    instance sets its own ``mirror_step``, ``dual_norm``, ``values``,
+    ``max_entry``, ``subgradient`` or ``value_and_subgradient``, as
+    perfbench's tracer does, the tables are not used and every ordinary
+    step calls them; batched steps still skip them, and a wrapper that
+    counts runs by their first step counts them exactly.
     """
     if problem.dimension != prox.dimension:
         raise ValueError("problem and geometry dimensions differ")
@@ -354,7 +428,10 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     mirror = prox.mirror_step
     dual = prox.dual_norm
     isfinite = math.isfinite
-    select = _make_selector(bank, eps, config.policy, dual)
+    runs = _AffineRuns.applicable(problem, prox, config)
+    select, pieces = (runs.select, runs.pieces) if runs is not None else (None, None)
+    if select is None:
+        select = _make_selector(bank, eps, config.policy, dual)
 
     # Both regimes stop once this running sum reaches 2 * theta0^2 / eps^2:
     # productive steps contribute 1/||s||^2 (Lipschitz) or 1 (nonstandard),
@@ -377,7 +454,6 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     max_steps = config.max_iterations
     # The current run of non-productive steps on one constraint: its index,
     # its length, and the length at which it is next batched.
-    runs = _AffineRuns.applicable(prox, bank, config)
     first_batch = _MIN_RUN if runs is not None else math.inf
     run_index = run_length = 0
     batch_at = first_batch
@@ -386,8 +462,11 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
         sel = select(x)
         if sel is None:
             run_length = 0
-            value, grad = objective.value_and_subgradient(x)
-            norm = dual(grad)
+            if pieces is None:
+                value, grad = objective.value_and_subgradient(x)
+                norm = dual(grad)
+            else:
+                value, (_, grad, norm) = pieces(x)
             if not (isfinite(value) and isfinite(norm)):
                 raise EvaluationError("objective produced a non-finite result")
             if norm == 0.0:
@@ -417,8 +496,7 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
             x = mirror(x, grad, h)
             n_productive += 1
         else:
-            idx0, grad = sel
-            norm = dual(grad)
+            idx0, grad, norm = sel
             if not isfinite(norm):
                 raise EvaluationError("constraint produced a non-finite subgradient")
             if norm == 0.0:

@@ -23,12 +23,23 @@ from mirropt import (
     RunConfig,
     StepKind,
     StopReason,
+    build_example,
     corollary_bound,
+    default_geometry,
     iteration_bound,
     max_violation,
     run,
     verify_example,
     vf_gap,
+)
+from mirropt import solver
+
+from differential import (
+    SteppedSpace,
+    assert_bitwise_equal,
+    counted_mirror_steps,
+    run_both,
+    run_tabled,
 )
 
 
@@ -176,54 +187,8 @@ def test_negative_infinite_constraint_value_raises(policy):
 # ---------------------------------------------- batched non-productive runs
 
 
-class _SteppedSpace(EuclideanSpace):
-    """The same geometry; runs on a subclass take the stepwise path."""
-
-
 _BATCHED_POLICIES = [Policy.AGGREGATE_MAX, Policy.MAX_VIOLATION,
                      Policy.FIRST_VIOLATED]
-
-
-def _counted_mirror_steps(space):
-    """Count calls of the instance's mirror_step."""
-    calls = [0]
-    inner = space.mirror_step
-
-    def counted(x, p, h):
-        calls[0] += 1
-        return inner(x, p, h)
-
-    space.mirror_step = counted
-    return calls
-
-
-def _run_both(instance, anchor, theta0, config):
-    """Batched and stepwise reports of one run, and the batched run's count
-    of ordinary (unbatched) steps."""
-    space = EuclideanSpace(anchor, theta0)
-    calls = _counted_mirror_steps(space)
-    batched = run(instance, space, config)
-    stepped = run(instance, _SteppedSpace(anchor, theta0), config)
-    return batched, stepped, calls[0]
-
-
-def _assert_bitwise_equal(first, second):
-    assert first.output_point.tobytes() == second.output_point.tobytes()
-    for field in ("total_steps", "productive_count", "nonproductive_count",
-                  "stop_reason", "a_priori_bound"):
-        assert getattr(first, field) == getattr(second, field), field
-    for field in ("output_objective", "output_max_violation", "certificate"):
-        a, b = getattr(first, field), getattr(second, field)
-        assert (a is None and b is None) or np.float64(a).tobytes() == np.float64(b).tobytes()
-    if first.history is None:
-        assert second.history is None
-        return
-    assert len(first.history) == len(second.history) == first.total_steps
-    for a, b in zip(first.history, second.history):
-        assert (a.index, a.kind, a.constraint_index) == (b.index, b.kind, b.constraint_index)
-        assert (a.step_size, a.grad_dual_norm, a.objective_value) == (
-            b.step_size, b.grad_dual_norm, b.objective_value)
-        assert a.point.tobytes() == b.point.tobytes()
 
 
 def _random_affine_instance(seed):
@@ -253,8 +218,8 @@ def test_batched_runs_equal_stepwise_runs_on_random_instances(policy, regime,
         instance, anchor, theta0 = _random_affine_instance(seed)
         config = RunConfig(0.05, regime=regime, policy=policy,
                            max_iterations=4000, record_history=record_history)
-        batched, stepped, calls = _run_both(instance, anchor, theta0, config)
-        _assert_bitwise_equal(batched, stepped)
+        batched, stepped, calls = run_both(instance, anchor, theta0, config)
+        assert_bitwise_equal(batched, stepped)
         batched_steps += batched.total_steps - calls
     # the opening constraint phases were batched
     assert batched_steps > 1000
@@ -267,8 +232,8 @@ def test_batched_run_stops_on_the_criterion_inside_a_batch(policy):
     instance = ProblemInstance(2, AffineOracle([0.0, 1.0]),
                                [AffineOracle([1.0, 0.0], -1.0)])
     config = RunConfig(2.0**-4, policy=policy, record_history=True)
-    batched, stepped, calls = _run_both(instance, [100.0, 0.0], 1.0, config)
-    _assert_bitwise_equal(batched, stepped)
+    batched, stepped, calls = run_both(instance, [100.0, 0.0], 1.0, config)
+    assert_bitwise_equal(batched, stepped)
     assert batched.stop_reason is StopReason.CRITERION_MET
     assert batched.total_steps == batched.nonproductive_count == 512
     assert calls < 20
@@ -281,8 +246,8 @@ def test_batched_run_stops_at_the_cap_inside_a_batch(policy, cap):
                                [AffineOracle([1.0, 0.0], -1.0)])
     config = RunConfig(2.0**-4, policy=policy, max_iterations=cap,
                        record_history=True)
-    batched, stepped, calls = _run_both(instance, [100.0, 0.0], 10.0, config)
-    _assert_bitwise_equal(batched, stepped)
+    batched, stepped, calls = run_both(instance, [100.0, 0.0], 10.0, config)
+    assert_bitwise_equal(batched, stepped)
     assert batched.stop_reason is StopReason.ITERATION_CAP
     assert batched.total_steps == cap
     assert calls < min(cap, 20)
@@ -300,8 +265,8 @@ def test_batched_run_stops_where_a_value_equals_epsilon(policy, sitting):
     instance = ProblemInstance(2, AffineOracle([-1.0, 0.0]), constraints)
     config = RunConfig(2.0**-4, policy=policy, max_iterations=200,
                        record_history=True)
-    batched, stepped, calls = _run_both(instance, [5.0, 0.0], 1.0, config)
-    _assert_bitwise_equal(batched, stepped)
+    batched, stepped, calls = run_both(instance, [5.0, 0.0], 1.0, config)
+    assert_bitwise_equal(batched, stepped)
     kinds = [r.kind for r in batched.history]
     assert kinds[:64] == [StepKind.NONPRODUCTIVE] * 63 + [StepKind.PRODUCTIVE]
     if sitting and policy is Policy.FIRST_VIOLATED:
@@ -324,8 +289,8 @@ def test_batched_runs_with_near_tied_constraints(policy, offset):
     for regime in Regime:
         config = RunConfig(0.05, regime=regime, policy=policy,
                            max_iterations=3000, record_history=True)
-        batched, stepped, _ = _run_both(instance, [20.0, 5.0], 5.0, config)
-        _assert_bitwise_equal(batched, stepped)
+        batched, stepped, _ = run_both(instance, [20.0, 5.0], 5.0, config)
+        assert_bitwise_equal(batched, stepped)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -335,31 +300,193 @@ def test_batched_runs_with_near_tied_constraints(policy, offset):
 def test_batched_run_meets_overflow_as_the_stepwise_run_does(policy, first):
     # Steps along -(1, 1) from the origin keep x_1 = x_2, so the second
     # constraint's products cancel exactly, to 0, until they overflow near
-    # step 10240 (x_1 = -2^28); what the sum is then (NaN or an infinity)
-    # is the matrix-vector product's affair.  Either run raises the same
-    # error, or neither does and they agree bitwise.  Rounding on products
-    # near 2^1000 swamps the margins, so batches stop short of the overflow.
+    # step 10240 (x_1 = -2^28); the sum is then NaN or an infinity, by the
+    # matrix-vector product's summation order, and any of them raises the
+    # same error in both runs.  Rounding on products near 2^1000 swamps the
+    # margins, so batches stop short of the overflow.
     descended = AffineOracle([2.0**-20, 2.0**-20], 1000.0)
     overflowing = AffineOracle([2.0**996, -(2.0**996)], 0.0)
     constraints = [overflowing, descended] if first else [descended, overflowing]
     instance = ProblemInstance(2, AffineOracle([0.0, 1.0]), constraints)
     config = RunConfig(0.05, policy=policy, max_iterations=11_000,
                        record_history=True)
-    spaces = [EuclideanSpace([0.0, 0.0], 1e7), _SteppedSpace([0.0, 0.0], 1e7)]
-    calls = [_counted_mirror_steps(space) for space in spaces]
+    spaces = [EuclideanSpace([0.0, 0.0], 1e7), SteppedSpace([0.0, 0.0], 1e7)]
+    calls = [counted_mirror_steps(space) for space in spaces]
+    # With no override set, the third run takes table-driven steps as well.
+    spaces.append(EuclideanSpace([0.0, 0.0], 1e7))
     outcomes = []
     for space in spaces:
         try:
             outcomes.append(run(instance, space, config))
         except EvaluationError as error:
             outcomes.append(str(error))
-    batched, stepped = outcomes
-    if isinstance(stepped, str):
-        assert batched == stepped
-    else:
-        _assert_bitwise_equal(batched, stepped)
-        assert not math.isfinite(overflowing.value(stepped.output_point))
+    batched, stepped, tabled = outcomes
+    assert isinstance(stepped, str)
+    assert batched == stepped == tabled
     assert calls[1][0] > 10_000
+
+
+# ------------------------------------------------------- table-driven steps
+
+
+def _random_tabled_instance(seed):
+    """Random affine constraints feasible at the origin, violated at the
+    start, the origin as known optimum, and a lone affine objective or a
+    max of affine pieces with a duplicate and a constant (zero-gradient)
+    piece."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(1, 9))
+    constraints = [AffineOracle(rng.standard_normal(n), -rng.uniform(0.0, 0.5))
+                   for _ in range(m)]
+    if seed % 2:
+        objective = AffineOracle(rng.standard_normal(n), rng.standard_normal())
+    else:
+        pieces = [AffineOracle(rng.standard_normal(n), rng.standard_normal())
+                  for _ in range(3)]
+        pieces.insert(1, pieces[0])
+        pieces.append(AffineOracle(np.zeros(n), -rng.uniform(0.5, 2.0)))
+        objective = MaxOracle(pieces)
+    origin = np.zeros(n)
+    instance = ProblemInstance(n, objective, constraints,
+                               known_optimum=(origin, objective.value(origin)))
+    anchor = 10.0 * rng.standard_normal(n)
+    return instance, anchor, float(np.linalg.norm(anchor)) + 0.5
+
+
+def _table_rows(instance):
+    """Affine members a run tables: the constraint rows, and the pieces of
+    a max-affine objective."""
+    objective = instance.objective
+    pieces = len(objective.children) if type(objective) is MaxOracle else 0
+    return len(instance.constraint_bank().oracles) + pieces
+
+
+@pytest.mark.parametrize("record_history", [False, True])
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_table_steps_equal_stepwise_steps_on_random_instances(policy, regime,
+                                                              record_history):
+    stops = set()
+    for seed in range(8):
+        instance, anchor, theta0 = _random_tabled_instance(seed)
+        config = RunConfig(0.05, regime=regime, policy=policy,
+                           max_iterations=4000, record_history=record_history)
+        fast, stepped, calls = run_tabled(instance, anchor, theta0, config)
+        assert_bitwise_equal(fast, stepped)
+        # every step was a table step or a batched one, but the productive
+        # steps on a lone affine objective, which call its oracle
+        expected = _table_rows(instance)
+        if type(instance.objective) is AffineOracle:
+            expected += fast.productive_count
+        assert calls == expected
+        stops.add(fast.stop_reason)
+    assert StopReason.ZERO_OBJECTIVE_GRADIENT in stops
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_table_steps_break_piece_ties_and_stop_on_a_zero_piece(policy, regime):
+    # At the origin the first two pieces tie at 0: the first (norm 5) is
+    # taken.  Once both fall below -1, the constant piece is the max.
+    objective = MaxOracle([AffineOracle([3.0, 4.0]), AffineOracle([1.0, 0.0]),
+                           AffineOracle([0.0, 0.0], -1.0)])
+    instance = ProblemInstance(2, objective, [AffineOracle([0.0, -1.0], -1.0)],
+                               known_optimum=([-1.0, 0.0], -1.0))
+    config = RunConfig(0.05, regime=regime, policy=policy, record_history=True)
+    fast, stepped, calls = run_tabled(instance, [0.0, 0.0], 1.0, config)
+    assert_bitwise_equal(fast, stepped)
+    assert calls == _table_rows(instance) == 4
+    assert fast.history[0].grad_dual_norm == 5.0
+    assert fast.stop_reason is StopReason.ZERO_OBJECTIVE_GRADIENT
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_table_steps_stop_on_a_zero_constraint_row(policy, regime):
+    # once the first constraint is met, the constant one (0.5 > eps) is the
+    # violated row, and no step can decrease it
+    instance = ProblemInstance(2, AffineOracle([0.0, 1.0]),
+                               [AffineOracle([1.0, 0.0], -1.0),
+                                AffineOracle([0.0, 0.0], 0.5)])
+    config = RunConfig(0.05, regime=regime, policy=policy, record_history=True)
+    fast, stepped, calls = run_tabled(instance, [20.0, 0.0], 5.0, config)
+    assert_bitwise_equal(fast, stepped)
+    assert fast.productive_count == 0
+    assert calls == _table_rows(instance) == 2
+    assert fast.stop_reason is StopReason.INFEASIBLE_CONSTRAINT
+    assert fast.total_steps > 300
+
+
+@pytest.mark.parametrize("policy", [Policy.AGGREGATE_MAX, Policy.FIRST_VIOLATED])
+@pytest.mark.parametrize("regime", list(Regime))
+def test_table_steps_equal_stepwise_steps_on_example_6(regime, policy):
+    # each cap lies past its policy's constraint phase: 172 820 steps under
+    # aggregate-max, 17 254 under first-violated
+    example = build_example(6)
+    settings = example.settings
+    cap = 180_000 if policy is Policy.AGGREGATE_MAX else 30_000
+    config = RunConfig(settings.epsilon, regime=regime, policy=policy,
+                       max_iterations=cap)
+    fast, stepped, calls = run_tabled(example.instance, settings.x0,
+                                      settings.theta0, config)
+    assert_bitwise_equal(fast, stepped)
+    assert calls == _table_rows(example.instance) == 15
+    assert fast.productive_count > 1000
+
+
+def test_run_keeps_calling_instance_level_overrides(monkeypatch):
+    # perfbench's tracer counts calls through overrides set on the
+    # instances; where one is set, the run makes every call it would make
+    # without table-driven steps, and only batched steps skip mirror_step
+    example = build_example(6)
+    instance, geometry = example.instance, default_geometry(example)
+    objective = instance.objective
+    calls = {"objective": 0, "mirror": 0, "batched": 0}
+    inner_objective = objective.value_and_subgradient
+    inner_mirror = geometry.mirror_step
+    inner_advance = solver._AffineRuns.advance
+
+    def counted_objective(x):
+        calls["objective"] += 1
+        return inner_objective(x)
+
+    def counted_mirror(x, p, h):
+        calls["mirror"] += 1
+        return inner_mirror(x, p, h)
+
+    def counted_advance(self, *args):
+        block, count = inner_advance(self, *args)
+        calls["batched"] += count
+        return block, count
+
+    objective.value_and_subgradient = counted_objective
+    geometry.mirror_step = counted_mirror
+    monkeypatch.setattr(solver._AffineRuns, "advance", counted_advance)
+    config = RunConfig(example.settings.epsilon, regime=Regime.NONSTANDARD,
+                       policy=Policy.FIRST_VIOLATED)
+    report = run(instance, geometry, config)
+    assert calls["batched"] > 0
+    # one call per productive step, and one for the output's value
+    assert calls["objective"] == report.productive_count + 1
+    assert calls["mirror"] == report.total_steps - calls["batched"]
+    fresh = build_example(6)
+    assert_bitwise_equal(report, run(fresh.instance, default_geometry(fresh), config))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("space", [EuclideanSpace, SteppedSpace],
+                         ids=["tabled", "stepwise"])
+@pytest.mark.parametrize("policy", list(Policy))
+def test_overflowing_stacked_constraint_raises(policy, space):
+    # both products of the first row are -2^1030 at the start, so its value
+    # is -inf, which no policy may read as satisfied
+    instance = ProblemInstance(2, AffineOracle([1.0, 1.0]),
+                               [AffineOracle([2.0**1000, 2.0**1000]),
+                                AffineOracle([0.0, 1.0])])
+    config = RunConfig(0.05, policy=policy, max_iterations=100)
+    with pytest.raises(EvaluationError):
+        run(instance, space([-(2.0**30), -(2.0**30)], 1.0), config)
 
 
 # ------------------------------------------------------------------- config
