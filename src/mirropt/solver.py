@@ -103,10 +103,14 @@ class RunConfig:
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "regime", Regime(self.regime))
         object.__setattr__(self, "policy", Policy(self.policy))
-        cap = int(self.max_iterations)
-        if cap < 1:
-            raise ValueError("max_iterations must be at least 1")
-        object.__setattr__(self, "max_iterations", cap)
+        cap = self.max_iterations
+        try:
+            integral = cap == int(cap)
+        except (OverflowError, ValueError):  # inf, nan
+            integral = False
+        if not integral or cap < 1:
+            raise ValueError("max_iterations must be an integer, at least 1")
+        object.__setattr__(self, "max_iterations", int(cap))
 
 
 @dataclass(slots=True)
@@ -158,64 +162,91 @@ class SolverReport:
         )
 
 
-def _make_selector(
-    bank: OracleBank,
-    epsilon: float,
-    policy: Policy,
-    dual_norm: Callable[[Array], float],
-) -> Callable[[Array], tuple | None]:
-    """Build the per-iteration constraint scan for one policy.
+def _sources(bank: OracleBank, dual: Callable[[Array], float], tabled: bool):
+    """A bank's scan ``x -> (values, argmax, max)`` and row source
+    ``(i, x) -> (i, subgradient, dual norm)``.
+
+    Where ``tabled``, the bank is stacked: each member is affine, with a
+    constant subgradient a, so its row ``(i, a, dual norm of a)`` is a
+    constant of the run, tabled once.  The scan is then one matrix-vector
+    product into a preallocated buffer, checked as ``OracleBank.values``
+    checks it, and the row is a lookup; both are bit for bit what the
+    oracle and dual-norm calls return.  Otherwise the scan is
+    ``bank.values`` and the row calls the member and the dual norm.
+    """
+    if not tabled:
+        values, sub = bank.values, bank.subgradient
+
+        def scan(x: Array):
+            vals = values(x)
+            i = int(vals.argmax())
+            return vals, i, vals.item(i)
+
+        def row(i: int, x: Array):
+            s = sub(i, x)
+            return i, s, dual(s)
+
+        return scan, row
+
+    matrix, offsets = bank._matrix, bank._offsets
+    rows = [(i, member.a, dual(member.a)) for i, member in enumerate(bank.oracles)]
+    vals = np.empty(matrix.shape[0])
+    argmax, argmin, item = vals.argmax, vals.argmin, vals.item
+    dot, add, isfinite = np.dot, np.add, math.isfinite
+
+    def scan(x: Array):
+        dot(matrix, x, out=vals)
+        add(vals, offsets, out=vals)
+        i = argmax()
+        high = item(i)
+        # As in OracleBank.values: a finite argmin entry rules out NaN and
+        # -inf, a finite argmax entry +inf.
+        if not (isfinite(high) and isfinite(item(argmin()))):
+            raise EvaluationError("oracle produced a non-finite value")
+        return vals, i, high
+
+    return scan, lambda i, x: rows[i]
+
+
+def _make_selector(scan: Callable, row: Callable, epsilon: float,
+                   policy: Policy) -> Callable[[Array], tuple | None]:
+    """Build the per-iteration constraint choice for one policy.
 
     The returned callable maps an iterate to ``None`` (no constraint above
-    epsilon, step is productive) or the step's ``(index0, subgradient,
-    dual norm)``, the row ``_AffineRuns`` tables for an affine member.  A
-    non-finite constraint value raises in ``bank.values``.
+    epsilon, step is productive) or the ``row`` of the constraint the step
+    descends on.  ``scan`` and ``row`` are a bank's, from ``_sources``.
     """
-    sub = bank.subgradient
-    if policy in (Policy.AGGREGATE_MAX, Policy.MAX_VIOLATION):
-        max_entry = bank.max_entry
+    if policy is Policy.FIRST_VIOLATED:
 
         def select(x: Array):
-            val, idx = max_entry(x)
-            if val <= epsilon:
+            vals, _, high = scan(x)
+            if high <= epsilon:
                 return None
-            s = sub(idx, x)
-            return idx, s, dual_norm(s)
-
-    elif policy is Policy.FIRST_VIOLATED:
-        values = bank.values
-
-        def select(x: Array):
-            for i, v in enumerate(values(x).tolist()):
-                if v > epsilon:
-                    s = sub(i, x)
-                    return i, s, dual_norm(s)
-            return None
+            return row(int((vals > epsilon).argmax()), x)
 
     elif policy is Policy.MIN_DUAL_NORM:
-        values = bank.values
 
         def select(x: Array):
-            violated = np.nonzero(values(x) > epsilon)[0]
-            if violated.size == 0:
+            vals, _, high = scan(x)
+            if high <= epsilon:
                 return None
-            best_i = -1
-            best_norm = math.inf
-            best_sub: Array | None = None
-            for i in violated:
-                s = sub(int(i), x)
-                nrm = dual_norm(s)
-                if not math.isfinite(nrm):
+            best = None
+            for i in np.flatnonzero(vals > epsilon).tolist():
+                candidate = row(i, x)
+                if not math.isfinite(candidate[2]):
                     raise EvaluationError(
                         "constraint produced a non-finite subgradient")
-                if nrm < best_norm:
-                    best_norm = nrm
-                    best_i = int(i)
-                    best_sub = s
-            return best_i, best_sub, best_norm
+                if best is None or candidate[2] < best[2]:
+                    best = candidate
+            return best
 
-    else:  # pragma: no cover - exhaustive over Policy
-        raise ValueError(f"unknown policy {policy!r}")
+    else:  # aggregate-max and max-violation descend on the argmax
+
+        def select(x: Array):
+            _, i, high = scan(x)
+            if high <= epsilon:
+                return None
+            return row(i, x)
 
     return select
 
@@ -237,7 +268,7 @@ _HUGE = 2.0 ** 1020
 # Instance attributes that replace a method a stepwise run calls.  Where one
 # is set (perfbench's tracer sets them all), the run takes no table lookup,
 # so each ordinary step makes every call a traced pass counts.
-_HOOKS = ("mirror_step", "dual_norm", "values", "max_entry", "subgradient",
+_HOOKS = ("mirror_step", "dual_norm", "values", "subgradient",
           "value_and_subgradient")
 
 
@@ -246,17 +277,7 @@ def _hooked(*objects: object) -> bool:
 
 
 class _AffineRuns:
-    """Steps on affine members of an exact Euclidean space.
-
-    An affine member (a row of the stacked constraint bank, or a piece of a
-    max-affine objective whose bank is stacked) has a constant subgradient
-    a, so ``(index0, a, dual norm of a)`` is a constant of the run, and the
-    kernel tables it once per member.  Its ``select`` and ``pieces`` scan
-    the members with one matrix-vector product into a preallocated buffer
-    and look the row up, in place of the selector, oracle and dual-norm
-    calls; every entry is bit for bit what those calls return.  Both are
-    None where a hook is set on an instance (``_HOOKS``), and ``pieces``
-    where the objective is not max-affine.
+    """Batched runs of non-productive steps on an exact Euclidean space.
 
     ``advance`` batches a run of k steps on constraint i, x - q, x - 2q, ...:
     ``np.cumsum`` builds them by the same subtractions as the stepwise
@@ -268,9 +289,7 @@ class _AffineRuns:
     stepwise matrix-vector product can decide otherwise.
     """
 
-    def __init__(self, problem: ProblemInstance, prox: EuclideanSpace,
-                 config: RunConfig) -> None:
-        bank = problem.constraint_bank()
+    def __init__(self, bank: OracleBank, config: RunConfig) -> None:
         self.first_violated = config.policy is Policy.FIRST_VIOLATED
         self.epsilon = config.epsilon
         self.at = bank._matrix.T
@@ -284,60 +303,13 @@ class _AffineRuns:
         self.gamma = 4.0 * (n + 2) * np.finfo(float).eps
         self.max_rows = max(1, _BLOCK_FLOATS // max(n, m))
 
-        self.select = self.pieces = None
-        objective = problem.objective
-        pieces = (objective._bank if type(objective) is MaxOracle
-                  and objective._bank._matrix is not None else None)
-        # A non-max-affine objective makes its own calls, hooked or not.
-        watched = [] if pieces is None else [objective, pieces, *pieces.oracles]
-        if _hooked(prox, bank, *bank.oracles, *watched):
-            return
-        dual = prox.dual_norm
-        self.select = self._scan(bank, dual)
-        if pieces is not None:
-            self.pieces = self._scan(pieces, dual, top=True)
-
-    def _scan(self, bank: OracleBank, dual: Callable[[Array], float],
-              top: bool = False) -> Callable[[Array], tuple | None]:
-        """The stacked members' values at x, as ``OracleBank.values``
-        computes and checks them, reduced to a table row: the selector's
-        (None when no member is above epsilon), or with ``top``, the max and
-        its row."""
-        matrix, offsets = bank._matrix, bank._offsets
-        rows = [(i, member.a, dual(member.a)) for i, member in enumerate(bank.oracles)]
-        values = np.empty(matrix.shape[0])
-        flags = np.empty(matrix.shape[0], dtype=bool)
-        argmax, argmin, item = values.argmax, values.argmin, values.item
-        dot, add, greater, isfinite = np.dot, np.add, np.greater, math.isfinite
-        eps = self.epsilon
-        first_violated = self.first_violated
-
-        def scan(x: Array):
-            dot(matrix, x, out=values)
-            add(values, offsets, out=values)
-            i = argmax()
-            high = item(i)
-            # As in OracleBank.values: a finite argmin entry rules out NaN
-            # and -inf, a finite argmax entry +inf.
-            if not (isfinite(high) and isfinite(item(argmin()))):
-                raise EvaluationError("oracle produced a non-finite value")
-            if top:
-                return high, rows[i]
-            if high <= eps:
-                return None
-            if first_violated:
-                return rows[greater(values, eps, out=flags).argmax()]
-            return rows[i]
-
-        return scan
-
     @classmethod
     def applicable(cls, problem: ProblemInstance, prox: ProxGeometry,
                    config: RunConfig) -> _AffineRuns | None:
-        if (type(prox) is EuclideanSpace
-                and problem.constraint_bank()._matrix is not None
+        bank = problem.constraint_bank()
+        if (type(prox) is EuclideanSpace and bank._matrix is not None
                 and config.policy is not Policy.MIN_DUAL_NORM):
-            return cls(problem, prox, config)
+            return cls(bank, config)
         return None
 
     def advance(self, x: Array, q: Array, i: int, rows: int) -> tuple[Array, int]:
@@ -373,15 +345,33 @@ def _metadata_bound(problem: ProblemInstance, theta0: float, epsilon: float,
     bounds = [c.lipschitz_value for c in problem.constraints]
     if any(b is None for b in bounds):
         return None
-    m_g = max(bounds)
-    if not (math.isfinite(m_g) and m_g > 0.0):
+    try:
+        return iteration_bound(problem.objective.lipschitz_value, max(bounds),
+                               theta0, epsilon, regime)
+    except ValueError:
         return None
-    if regime is Regime.LIPSCHITZ:
-        m_f = problem.objective.lipschitz_value
-        if m_f is None or not (math.isfinite(m_f) and m_f > 0.0):
-            return None
-        return iteration_bound(m_f, m_g, theta0, epsilon, regime)
-    return iteration_bound(None, m_g, theta0, epsilon, regime)
+
+
+def _make_evaluator(objective: Oracle, dual: Callable[[Array], float],
+                    tabled: bool) -> Callable[[Array], tuple]:
+    """The objective's value and row ``(index, subgradient, dual norm)`` at
+    x: where ``tabled``, a scan of a max-affine objective's stacked pieces
+    (see ``_sources``), or else its own call and the dual norm."""
+    if tabled:
+        top, piece = _sources(objective._bank, dual, True)
+
+        def evaluate(x: Array):
+            _, i, high = top(x)
+            return high, piece(i, x)
+
+        return evaluate
+    value_and_subgradient = objective.value_and_subgradient
+
+    def evaluate(x: Array):
+        value, grad = value_and_subgradient(x)
+        return value, (None, grad, dual(grad))
+
+    return evaluate
 
 
 def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> SolverReport:
@@ -399,21 +389,22 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     productive set, which the stopping criterion guarantees whenever the
     problem admits a feasible point within the prox radius.
 
-    On an exact :class:`EuclideanSpace` with all-affine constraints, under
-    every policy but min-dual-norm, affine members take the fast paths of
-    ``_AffineRuns``; the trajectory, counts and history are bitwise those
-    of the stepwise engine.  Choosing each constraint step, and each
-    productive step on a max-affine objective, is one scan of the stacked
-    members and a lookup in tables built at the start of the run, with no
-    call to the selector, the oracles or the dual norm; the step is the
-    geometry's mirror step, and any other objective is still called.  Runs
-    of non-productive steps on one constraint are batched; the first step
-    of each run and the step after each batch are ordinary steps.  Where an
-    instance sets its own ``mirror_step``, ``dual_norm``, ``values``,
-    ``max_entry``, ``subgradient`` or ``value_and_subgradient``, as
-    perfbench's tracer does, the tables are not used and every ordinary
-    step calls them; batched steps still skip them, and a wrapper that
-    counts runs by their first step counts them exactly.
+    Affine data take table-driven steps on every geometry and under every
+    policy; the trajectory, counts and history are bitwise those of the
+    stepwise engine.  Where the constraints are all affine, scanning them is
+    one matrix-vector product, and each constraint row's subgradient and
+    dual norm are looked up in a table built at the start of the run, with
+    no call to the oracles or the dual norm; so are a max-affine
+    objective's pieces on productive steps, and any other objective is
+    called.  On an exact :class:`EuclideanSpace`, under every policy but
+    min-dual-norm, runs of non-productive steps on one constraint are also
+    batched by ``_AffineRuns``; the first step of each run and the step
+    after each batch are ordinary steps.  Where an instance sets its own
+    ``mirror_step``, ``dual_norm``, ``values``, ``subgradient`` or
+    ``value_and_subgradient``, as perfbench's tracer does, the tables are
+    not used and every ordinary step calls them; batched steps still skip
+    them, and a wrapper that counts runs by their first step counts them
+    exactly.
     """
     if problem.dimension != prox.dimension:
         raise ValueError("problem and geometry dimensions differ")
@@ -428,10 +419,14 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     mirror = prox.mirror_step
     dual = prox.dual_norm
     isfinite = math.isfinite
+    pieces = objective._bank if type(objective) is MaxOracle else None
+    plain = not _hooked(prox, objective, bank, *bank.oracles,
+                        *([] if pieces is None else [pieces, *pieces.oracles]))
+    scan, row = _sources(bank, dual, plain and bank._matrix is not None)
+    select = _make_selector(scan, row, eps, config.policy)
+    evaluate = _make_evaluator(objective, dual, plain and pieces is not None
+                               and pieces._matrix is not None)
     runs = _AffineRuns.applicable(problem, prox, config)
-    select, pieces = (runs.select, runs.pieces) if runs is not None else (None, None)
-    if select is None:
-        select = _make_selector(bank, eps, config.policy, dual)
 
     # Both regimes stop once this running sum reaches 2 * theta0^2 / eps^2:
     # productive steps contribute 1/||s||^2 (Lipschitz) or 1 (nonstandard),
@@ -462,11 +457,7 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
         sel = select(x)
         if sel is None:
             run_length = 0
-            if pieces is None:
-                value, grad = objective.value_and_subgradient(x)
-                norm = dual(grad)
-            else:
-                value, (_, grad, norm) = pieces(x)
+            value, (_, grad, norm) = evaluate(x)
             if not (isfinite(value) and isfinite(norm)):
                 raise EvaluationError("objective produced a non-finite result")
             if norm == 0.0:

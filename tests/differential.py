@@ -1,9 +1,15 @@
 """Differential-test helpers: the stepwise reference engine and one comparer.
 
-``run`` takes its fast paths (batched runs and table-driven steps) only on an
-exact :class:`EuclideanSpace`; on :class:`SteppedSpace` it takes the stepwise
-path with the same arithmetic, so the two runs must agree bit for bit.
+``run`` takes table-driven steps on affine data on every geometry, and
+batches runs of constraint steps on an exact :class:`EuclideanSpace`.  The
+stepwise reference turns both off without changing the arithmetic: an
+instance-level override of ``dual_norm``, which ``run`` honours, turns off
+the tables, and :class:`SteppedSpace` in place of an exact Euclidean space
+turns off the batches.  A run and its reference must agree bit for bit.
 """
+
+import copy
+from unittest import mock
 
 import numpy as np
 
@@ -11,7 +17,17 @@ from mirropt import EuclideanSpace, run
 
 
 class SteppedSpace(EuclideanSpace):
-    """The same geometry; runs on a subclass take the stepwise path."""
+    """The same geometry; runs on a subclass take no batches."""
+
+
+def stepwise(space):
+    """A copy of the geometry that ``run`` steps through one call at a time."""
+    if type(space) is EuclideanSpace:
+        space = SteppedSpace(space.anchor, space.theta0)
+    else:
+        space = copy.copy(space)
+    space.dual_norm = space.dual_norm
+    return space
 
 
 def counted_mirror_steps(space):
@@ -35,34 +51,30 @@ def run_both(instance, anchor, theta0, config):
     """Batched and stepwise reports of one run, and the batched run's count
     of ordinary (unbatched) steps."""
     space = EuclideanSpace(anchor, theta0)
+    reference = stepwise(space)
     calls = counted_mirror_steps(space)
-    batched = run(instance, space, config)
-    stepped = run(instance, SteppedSpace(anchor, theta0), config)
-    return batched, stepped, calls[0]
+    return run(instance, space, config), run(instance, reference, config), calls[0]
 
 
-def run_tabled(instance, anchor, theta0, config):
+def run_tabled(instance, space, config):
     """Default and stepwise reports of one run, and how many times the
     default run called the geometry's dual_norm.
 
-    The count patches the class, not the instance, so the default run keeps
-    its table-driven steps: it calls dual_norm once per affine member it
-    tables, and once per step that is not table-driven.
+    The count patches the geometry's class, not the instance, so the
+    default run keeps its table-driven steps: it calls dual_norm once per
+    affine member it tables, and once per step that is not table-driven.
     """
     calls = [0]
-    inner = EuclideanSpace.dual_norm
+    inner = type(space).dual_norm
 
     def counted(self, p):
         calls[0] += 1
         return inner(self, p)
 
-    EuclideanSpace.dual_norm = counted
-    try:
-        fast = run(instance, EuclideanSpace(anchor, theta0), config)
-    finally:
-        EuclideanSpace.dual_norm = inner
-    stepped = run(instance, SteppedSpace(anchor, theta0), config)
-    return fast, stepped, calls[0]
+    reference = stepwise(space)
+    with mock.patch.object(type(space), "dual_norm", counted):
+        fast = run(instance, space, config)
+    return fast, run(instance, reference, config), calls[0]
 
 
 def assert_bitwise_equal(first, second):

@@ -11,6 +11,7 @@ from mirropt import (
     AffineOracle,
     BenchmarkExample,
     EuclideanBall,
+    EntropySimplex,
     EuclideanSpace,
     EvaluationError,
     ExperimentSettings,
@@ -40,6 +41,7 @@ from differential import (
     counted_mirror_steps,
     run_both,
     run_tabled,
+    stepwise,
 )
 
 
@@ -329,16 +331,26 @@ def test_batched_run_meets_overflow_as_the_stepwise_run_does(policy, first):
 # ------------------------------------------------------- table-driven steps
 
 
-def _random_tabled_instance(seed):
-    """Random affine constraints feasible at the origin, violated at the
-    start, the origin as known optimum, and a lone affine objective or a
-    max of affine pieces with a duplicate and a constant (zero-gradient)
-    piece."""
+_GEOMETRIES = ["space", "ball", "simplex"]
+
+
+def _random_tabled_instance(seed, geometry="space"):
+    """Random affine constraints feasible at a point of the geometry's set
+    (the origin, or the simplex's first vertex), that point as known
+    optimum, and a lone affine objective or a max of affine pieces with a
+    duplicate and a constant (zero-gradient) piece; and the geometry: a
+    Euclidean space or a ball around the origin, from a start that violates
+    the constraints, or the simplex."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 7))
     m = int(rng.integers(1, 9))
-    constraints = [AffineOracle(rng.standard_normal(n), -rng.uniform(0.0, 0.5))
-                   for _ in range(m)]
+    feasible = np.zeros(n)
+    if geometry == "simplex":
+        feasible[0] = 1.0
+    constraints = []
+    for _ in range(m):
+        a = rng.standard_normal(n)
+        constraints.append(AffineOracle(a, -float(a @ feasible) - rng.uniform(0.0, 0.5)))
     if seed % 2:
         objective = AffineOracle(rng.standard_normal(n), rng.standard_normal())
     else:
@@ -347,11 +359,15 @@ def _random_tabled_instance(seed):
         pieces.insert(1, pieces[0])
         pieces.append(AffineOracle(np.zeros(n), -rng.uniform(0.5, 2.0)))
         objective = MaxOracle(pieces)
-    origin = np.zeros(n)
     instance = ProblemInstance(n, objective, constraints,
-                               known_optimum=(origin, objective.value(origin)))
+                               known_optimum=(feasible, objective.value(feasible)))
     anchor = 10.0 * rng.standard_normal(n)
-    return instance, anchor, float(np.linalg.norm(anchor)) + 0.5
+    theta0 = float(np.linalg.norm(anchor)) + 0.5
+    if geometry == "space":
+        return instance, EuclideanSpace(anchor, theta0)
+    if geometry == "ball":
+        return instance, EuclideanBall(np.zeros(n), theta0, theta0, anchor)
+    return instance, EntropySimplex(n, 1.0)
 
 
 def _table_rows(instance):
@@ -364,15 +380,16 @@ def _table_rows(instance):
 
 @pytest.mark.parametrize("record_history", [False, True])
 @pytest.mark.parametrize("regime", list(Regime))
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
-def test_table_steps_equal_stepwise_steps_on_random_instances(policy, regime,
+@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("geometry", _GEOMETRIES)
+def test_table_steps_equal_stepwise_steps_on_random_instances(geometry, policy, regime,
                                                               record_history):
     stops = set()
     for seed in range(8):
-        instance, anchor, theta0 = _random_tabled_instance(seed)
+        instance, space = _random_tabled_instance(seed, geometry)
         config = RunConfig(0.05, regime=regime, policy=policy,
                            max_iterations=4000, record_history=record_history)
-        fast, stepped, calls = run_tabled(instance, anchor, theta0, config)
+        fast, stepped, calls = run_tabled(instance, space, config)
         assert_bitwise_equal(fast, stepped)
         # every step was a table step or a batched one, but the productive
         # steps on a lone affine objective, which call its oracle
@@ -381,11 +398,13 @@ def test_table_steps_equal_stepwise_steps_on_random_instances(policy, regime,
             expected += fast.productive_count
         assert calls == expected
         stops.add(fast.stop_reason)
-    assert StopReason.ZERO_OBJECTIVE_GRADIENT in stops
+    # Euclidean runs reach the constant piece, simplex runs the criterion
+    assert (StopReason.CRITERION_MET if geometry == "simplex"
+            else StopReason.ZERO_OBJECTIVE_GRADIENT) in stops
 
 
 @pytest.mark.parametrize("regime", list(Regime))
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", list(Policy))
 def test_table_steps_break_piece_ties_and_stop_on_a_zero_piece(policy, regime):
     # At the origin the first two pieces tie at 0: the first (norm 5) is
     # taken.  Once both fall below -1, the constant piece is the max.
@@ -394,7 +413,7 @@ def test_table_steps_break_piece_ties_and_stop_on_a_zero_piece(policy, regime):
     instance = ProblemInstance(2, objective, [AffineOracle([0.0, -1.0], -1.0)],
                                known_optimum=([-1.0, 0.0], -1.0))
     config = RunConfig(0.05, regime=regime, policy=policy, record_history=True)
-    fast, stepped, calls = run_tabled(instance, [0.0, 0.0], 1.0, config)
+    fast, stepped, calls = run_tabled(instance, EuclideanSpace([0.0, 0.0], 1.0), config)
     assert_bitwise_equal(fast, stepped)
     assert calls == _table_rows(instance) == 4
     assert fast.history[0].grad_dual_norm == 5.0
@@ -410,12 +429,37 @@ def test_table_steps_stop_on_a_zero_constraint_row(policy, regime):
                                [AffineOracle([1.0, 0.0], -1.0),
                                 AffineOracle([0.0, 0.0], 0.5)])
     config = RunConfig(0.05, regime=regime, policy=policy, record_history=True)
-    fast, stepped, calls = run_tabled(instance, [20.0, 0.0], 5.0, config)
+    fast, stepped, calls = run_tabled(instance, EuclideanSpace([20.0, 0.0], 5.0), config)
     assert_bitwise_equal(fast, stepped)
     assert fast.productive_count == 0
     assert calls == _table_rows(instance) == 2
     assert fast.stop_reason is StopReason.INFEASIBLE_CONSTRAINT
     assert fast.total_steps > 300
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("violated", [False, True])
+def test_min_dual_norm_meets_a_row_of_infinite_dual_norm(violated):
+    # The first row's squared norm 2^1201 overflows, so its dual norm, in
+    # the table as in the stepwise call, is inf.  Violated at the start, it
+    # is a broken subgradient; kept below x_1 + x_2 <= 100, it is never
+    # looked at.
+    huge = AffineOracle([2.0**600, 2.0**600], 2.0**600 * (-6.0 if violated else -100.0))
+    instance = ProblemInstance(
+        2, MaxOracle([AffineOracle([0.0, 1.0]), AffineOracle([0.0, 0.0], -1.0)]),
+        [huge, AffineOracle([1.0, 0.0], -1.0)])
+    config = RunConfig(0.05, policy=Policy.MIN_DUAL_NORM, record_history=True)
+    space = EuclideanSpace([5.0, 2.0], 5.0)
+    if violated:
+        for geometry in (space, stepwise(space)):
+            with pytest.raises(EvaluationError):
+                run(instance, geometry, config)
+        return
+    fast, stepped, calls = run_tabled(instance, space, config)
+    assert_bitwise_equal(fast, stepped)
+    assert calls == _table_rows(instance) == 4
+    assert fast.nonproductive_count > 0
+    assert fast.stop_reason is StopReason.ZERO_OBJECTIVE_GRADIENT
 
 
 @pytest.mark.parametrize("policy", [Policy.AGGREGATE_MAX, Policy.FIRST_VIOLATED])
@@ -428,8 +472,8 @@ def test_table_steps_equal_stepwise_steps_on_example_6(regime, policy):
     cap = 180_000 if policy is Policy.AGGREGATE_MAX else 30_000
     config = RunConfig(settings.epsilon, regime=regime, policy=policy,
                        max_iterations=cap)
-    fast, stepped, calls = run_tabled(example.instance, settings.x0,
-                                      settings.theta0, config)
+    fast, stepped, calls = run_tabled(example.instance,
+                                      EuclideanSpace(settings.x0, settings.theta0), config)
     assert_bitwise_equal(fast, stepped)
     assert calls == _table_rows(example.instance) == 15
     assert fast.productive_count > 1000
@@ -475,7 +519,8 @@ def test_run_keeps_calling_instance_level_overrides(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize("space", [EuclideanSpace, SteppedSpace],
+@pytest.mark.parametrize("space", [EuclideanSpace,
+                                   lambda *args: stepwise(EuclideanSpace(*args))],
                          ids=["tabled", "stepwise"])
 @pytest.mark.parametrize("policy", list(Policy))
 def test_overflowing_stacked_constraint_raises(policy, space):
@@ -504,9 +549,16 @@ def test_run_config_rejects_bad_epsilon(eps):
         RunConfig(eps)
 
 
-def test_run_config_rejects_bad_cap():
+@pytest.mark.parametrize("cap", [0, -3, 2.7, math.inf, math.nan])
+def test_run_config_rejects_bad_cap(cap):
     with pytest.raises(ValueError):
-        RunConfig(0.1, max_iterations=0)
+        RunConfig(0.1, max_iterations=cap)
+
+
+def test_run_config_accepts_an_integral_float_cap():
+    config = RunConfig(0.1, max_iterations=1e6)
+    assert config.max_iterations == 1_000_000
+    assert type(config.max_iterations) is int
 
 
 # ----------------------------------------------------------- degenerate stops
@@ -759,6 +811,20 @@ def test_iteration_bound_nonstandard():
 def test_iteration_bound_requires_m_f_for_lipschitz():
     with pytest.raises(ValueError):
         iteration_bound(None, 2.0, 2.0, 0.1, Regime.LIPSCHITZ)
+
+
+@pytest.mark.parametrize("regime, objective, constraint, bound", [
+    # no objective metadata: the Lipschitz regime has no bound
+    (Regime.LIPSCHITZ, QuadraticOracle(np.eye(2)), AffineOracle([1.0, 0.0], -1.0), None),
+    (Regime.NONSTANDARD, QuadraticOracle(np.eye(2)), AffineOracle([1.0, 0.0], -1.0), 8),
+    # constraint bounds all 0
+    (Regime.LIPSCHITZ, AffineOracle([1.0, 1.0]), _constant(-1.0), None),
+    (Regime.NONSTANDARD, AffineOracle([1.0, 1.0]), _constant(-1.0), None),
+])
+def test_a_priori_bound_from_metadata(regime, objective, constraint, bound):
+    instance = ProblemInstance(2, objective, [constraint])
+    config = RunConfig(0.5, regime=regime, max_iterations=3)
+    assert run(instance, EuclideanSpace([0.0, 0.0], 1.0), config).a_priori_bound == bound
 
 
 def test_iteration_bound_validates_inputs():
