@@ -12,7 +12,7 @@ converged, 1 when it did not, 2 on usage or parse errors).  ``bench`` runs
 the four regime/policy configurations per selected built-in example and
 prints a comparison table.  ``verify`` re-checks the convergence guarantees
 on one configuration, ``converged`` first, and exits 0 only if every
-applicable check passes.
+check that applies passes.
 
 Reports stay typed values until written: JSON gets numbers (null for a
 missing or non-finite one); text and CSV cells, formatted in one place,

@@ -126,10 +126,6 @@ class AffineOracle(Oracle):
     def values(self, points: Array) -> Array:
         return points @ self.a + self.b
 
-    # Kept: every non-productive step fetches it; deriving adds a dot product.
-    def subgradient(self, x: Array) -> Array:
-        return self.a
-
 
 class QuadraticOracle(Oracle):
     """f(x) = <A x, x> / 2 - <b, x> + alpha with A symmetric PSD."""

@@ -251,13 +251,6 @@ def _make_selector(scan: Callable, row: Callable, epsilon: float,
     return select
 
 
-# A run of non-productive steps on one constraint is batched once it is
-# _MIN_RUN steps long.  A batch spans _GROWTH times the run so far, at least
-# _MIN_ROWS rows: at n = M = 10 a row costs about 0.3 us, against 8 us for an
-# ordinary step and 30 us for a batch's fixed work, so batches err long.
-_MIN_RUN = 2
-_MIN_ROWS = 32
-_GROWTH = 4
 # Float budget of one batch's (rows x max(n, M)) arrays, which bounds memory.
 _BLOCK_FLOATS = 1 << 14
 # Below this bound on |A| @ |x| + |b|, sixteen times under the largest float,
@@ -279,7 +272,7 @@ def _hooked(*objects: object) -> bool:
 class _AffineRuns:
     """Batched runs of non-productive steps on an exact Euclidean space.
 
-    ``advance`` batches a run of k steps on constraint i, x - q, x - 2q, ...:
+    ``advance`` batches a run's ``length`` steps on constraint i, x - q, ...:
     ``np.cumsum`` builds them by the same subtractions as the stepwise
     ``x - h * p``, so they are bitwise its iterates.  One matrix product
     gives their constraint values.  A row is committed only while the
@@ -292,7 +285,7 @@ class _AffineRuns:
     def __init__(self, bank: OracleBank, config: RunConfig) -> None:
         self.first_violated = config.policy is Policy.FIRST_VIOLATED
         self.epsilon = config.epsilon
-        self.at = bank._matrix.T
+        self.a = bank._matrix
         self.b = bank._offsets
         self.abs_a = np.abs(bank._matrix)
         # The smallest normal float covers underflow in the products.
@@ -302,15 +295,25 @@ class _AffineRuns:
         # difference, which also absorbs the rounding of r and the margins.
         self.gamma = 4.0 * (n + 2) * np.finfo(float).eps
         self.max_rows = max(1, _BLOCK_FLOATS // max(n, m))
+        self.tables: dict[int, tuple] = {}
 
-    @classmethod
-    def applicable(cls, problem: ProblemInstance, prox: ProxGeometry,
-                   config: RunConfig) -> _AffineRuns | None:
-        bank = problem.constraint_bank()
-        if (type(prox) is EuclideanSpace and bank._matrix is not None
-                and config.policy is not Policy.MIN_DUAL_NORM):
-            return cls(bank, config)
-        return None
+    def length(self, x: Array, i: int) -> float:
+        """How many of x, x - q, x - 2q, ... the policy picks i at, in exact
+        arithmetic: a number whose ceiling is the count, NaN if unknown.  A
+        step lowers value j by q . a_j; the rows that can end i's run are the
+        lower rows that rise (first-violated) or the rows that gain on i."""
+        if i not in self.tables:
+            a = self.a[i]
+            with np.errstate(all="ignore"):  # a zero or overflowing row: NaN
+                rates = self.a @ a / (a @ a) * self.epsilon
+            closing = -rates[:i] if self.first_violated else rates[i] - rates
+            ends = np.flatnonzero(closing > 0)
+            self.tables[i] = rates[i], ends, closing[ends]
+        own, ends, closing = self.tables[i]
+        values = self.a @ x + self.b
+        bound = self.epsilon if self.first_violated else values[i]
+        return float(((bound - values[ends]) / closing).min(
+            initial=(values[i] - self.epsilon) / own))
 
     def advance(self, x: Array, q: Array, i: int, rows: int) -> tuple[Array, int]:
         """The block of iterates x, x - q, ..., x - rows*q, and how many
@@ -325,7 +328,7 @@ class _AffineRuns:
             return block, 0  # NaN included: the stepwise engine decides
         slack = self.gamma * bound
         eps = self.epsilon
-        values = block[:rows] @ self.at + self.b
+        values = block[:rows] @ self.a.T + self.b
         if self.first_violated:
             ok = values[:, i] > eps + slack[i]
             if i:
@@ -397,9 +400,11 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     no call to the oracles or the dual norm; so are a max-affine
     objective's pieces on productive steps, and any other objective is
     called.  On an exact :class:`EuclideanSpace`, under every policy but
-    min-dual-norm, runs of non-productive steps on one constraint are also
-    batched by ``_AffineRuns``; the first step of each run and the step
-    after each batch are ordinary steps.  Where an instance sets its own
+    min-dual-norm, a run of non-productive steps on one constraint is also
+    batched by ``_AffineRuns``, each batch as long as the rest of the run
+    is computed to last; a batch that the rounding margins cut short ends
+    batching for its run.  The first step of each run and the step after
+    each batch are ordinary steps.  Where an instance sets its own
     ``mirror_step``, ``dual_norm``, ``values``, ``subgradient`` or
     ``value_and_subgradient``, as perfbench's tracer does, the tables are
     not used and every ordinary step calls them; batched steps still skip
@@ -426,7 +431,9 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     select = _make_selector(scan, row, eps, config.policy)
     evaluate = _make_evaluator(objective, dual, plain and pieces is not None
                                and pieces._matrix is not None)
-    runs = _AffineRuns.applicable(problem, prox, config)
+    runs = (_AffineRuns(bank, config) if type(prox) is EuclideanSpace
+            and bank._matrix is not None and config.policy is not Policy.MIN_DUAL_NORM
+            else None)
 
     # Both regimes stop once this running sum reaches 2 * theta0^2 / eps^2:
     # productive steps contribute 1/||s||^2 (Lipschitz) or 1 (nonstandard),
@@ -447,16 +454,14 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     stop = StopReason.ITERATION_CAP
     steps = 0
     max_steps = config.max_iterations
-    # The current run of non-productive steps on one constraint: its index,
-    # its length, and the length at which it is next batched.
-    first_batch = _MIN_RUN if runs is not None else math.inf
-    run_index = run_length = 0
-    batch_at = first_batch
+    # The constraint of the last step (None if productive), and whether its
+    # run is batched: from its second step on, until a batch falls short.
+    last = None
+    batching = False
 
     while steps < max_steps:
         sel = select(x)
         if sel is None:
-            run_length = 0
             value, (_, grad, norm) = evaluate(x)
             if not (isfinite(value) and isfinite(norm)):
                 raise EvaluationError("objective produced a non-finite result")
@@ -502,36 +507,32 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
                 history.append(StepRecord(steps, StepKind.NONPRODUCTIVE, h, norm,
                                           idx0 + 1, None, x))
             x = mirror(x, grad, h)
-            if run_length and idx0 == run_index:
-                run_length += 1
-            else:
-                run_index, run_length, batch_at = idx0, 1, first_batch
         steps += 1
         if crit_sum >= stop_target:
             stop = StopReason.CRITERION_MET
             break
-        if run_length >= batch_at:
-            # Batch the steps that end neither the run nor the loop; the one
-            # that may is left to the next ordinary step.
-            rows = min(runs.max_rows, max(_MIN_ROWS, _GROWTH * run_length),
-                       max_steps - steps)
+        if sel is None:
+            last = None
+        elif idx0 != last:
+            last, batching = idx0, runs is not None
+        elif batching and (length := runs.length(x, idx0)) > 1:
+            # Batch the steps the run is computed to take, two at least, as
+            # far as neither the criterion nor the cap ends the loop: the
+            # step that may is left to the next ordinary step.
+            rows = math.ceil(min(length, runs.max_rows, max_steps - steps))
             crit = np.full(rows + 1, weight)
             crit[0] = crit_sum
             np.cumsum(crit, out=crit)
             rows = int(np.searchsorted(crit[1:], stop_target))
-            block, count = runs.advance(x, h * grad, run_index, rows)
-            if history is not None:
-                points = block[:count].copy()  # drops the rows not taken
+            block, count = runs.advance(x, h * grad, idx0, rows)
+            if history is not None:  # the copy drops the rows not taken
                 history.extend(StepRecord(steps + k, StepKind.NONPRODUCTIVE, h, norm,
-                                          run_index + 1, None, points[k])
-                               for k in range(count))
+                                          idx0 + 1, None, point)
+                               for k, point in enumerate(block[:count].copy()))
             steps += count
             crit_sum = float(crit[count])
             x = block[count].copy()
-            run_length += count
-            batch_at = run_length + 1 if count == rows else 2 * run_length
-            # A batch that takes no step delays the next run's first one.
-            first_batch = min(2 * first_batch, runs.max_rows) if count == 0 else _MIN_RUN
+            batching = count == rows
 
     if stop in (StopReason.ZERO_OBJECTIVE_GRADIENT, StopReason.INFEASIBLE_CONSTRAINT):
         out = x
@@ -600,7 +601,10 @@ def iteration_bound(m_f: float | None, m_g: float, theta0: float,
         peak = max(m_f * m_f, m_g * m_g)
     else:
         peak = max(1.0, m_g * m_g)
-    return math.ceil(2.0 * peak * theta0 * theta0 / (epsilon * epsilon))
+    bound = 2.0 * peak * theta0 * theta0 / (epsilon * epsilon)
+    if not math.isfinite(bound):
+        raise ValueError("the iteration bound is not finite")
+    return math.ceil(bound)
 
 
 def corollary_bound(grad_norm_at_opt: float, lipschitz_gradient: float,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -328,6 +329,88 @@ def test_batched_run_meets_overflow_as_the_stepwise_run_does(policy, first):
     assert calls[1][0] > 10_000
 
 
+def _counted_batches(monkeypatch):
+    """(rows asked, rows taken) of every ``_AffineRuns.advance`` call."""
+    batches = []
+    inner = solver._AffineRuns.advance
+
+    def counted(self, x, q, i, rows):
+        block, count = inner(self, x, q, i, rows)
+        batches.append((rows, count))
+        return block, count
+
+    monkeypatch.setattr(solver._AffineRuns, "advance", counted)
+    return batches
+
+
+@pytest.mark.parametrize("example_id, policy", [
+    (4, Policy.FIRST_VIOLATED), (4, Policy.AGGREGATE_MAX),
+    (1, Policy.AGGREGATE_MAX)])
+def test_batches_take_every_row_they_ask_for(monkeypatch, example_id, policy):
+    # each batch is as long as the run is computed to last, so the rounding
+    # margins refuse none of its rows
+    batches = _counted_batches(monkeypatch)
+    example = build_example(example_id)
+    config = RunConfig(example.settings.epsilon, policy=policy)
+    report = run(example.instance, default_geometry(example), config)
+    assert report.stop_reason is StopReason.CRITERION_MET
+    assert batches
+    assert all(count == rows for rows, count in batches)
+    assert sum(count for _, count in batches) > 0.9 * report.nonproductive_count
+
+
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_run_beside_a_constraint_at_epsilon_is_batched_at_most_once(monkeypatch,
+                                                                    policy):
+    # as in test_batched_run_stops_where_a_value_equals_epsilon, with a
+    # 511-step run: under first-violated the constraint sitting at eps
+    # refuses the run's one batch, which ends batching for the run; the
+    # other policies take the run in one batch
+    batches = _counted_batches(monkeypatch)
+    constraints = [AffineOracle([0.0, 1.0], 2.0**-4), AffineOracle([1.0, 0.0], -1.0)]
+    instance = ProblemInstance(2, AffineOracle([-1.0, 0.0]), constraints)
+    config = RunConfig(2.0**-4, policy=policy, record_history=True)
+    batched, stepped, calls = run_both(instance, [33.0, 0.0], 1.0, config)
+    assert_bitwise_equal(batched, stepped)
+    assert batched.total_steps == 512
+    assert batched.nonproductive_count == 511
+    assert len(batches) == 1
+    if policy is Policy.FIRST_VIOLATED:
+        assert batches == [(509, 0)]
+        assert calls == batched.total_steps
+    else:
+        assert batches == [(509, 509)]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # the oracle's norm
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_run_tables_of_zero_and_overflowing_rows_raise_no_warning(policy):
+    # a zero row and a row whose products overflow get no batches (NaN),
+    # the others a finite length, and computing them warns of nothing
+    rows = [[0.0, 0.0], [2.0**996, -(2.0**996)], [2.0**-20, 2.0**-20], [1.0, 0.0]]
+    bank = ProblemInstance(2, AffineOracle([0.0, 1.0]),
+                           [AffineOracle(a, 1.0) for a in rows]).constraint_bank()
+    runs = solver._AffineRuns(bank, RunConfig(0.05, policy=policy))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lengths = [runs.length(np.zeros(2), i) for i in range(len(rows))]
+    assert math.isnan(lengths[0]) and math.isnan(lengths[1])
+    assert all(math.isfinite(length) for length in lengths[2:])
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_batched_runs_beside_a_zero_constraint_row(policy, regime):
+    # a satisfied zero row is tabled with the others and never ends a run
+    constraints = [AffineOracle([0.0, 0.0], -1.0), AffineOracle([1.0, 0.0], -1.0)]
+    instance = ProblemInstance(2, AffineOracle([0.0, 1.0]), constraints)
+    config = RunConfig(2.0**-4, regime=regime, policy=policy, record_history=True)
+    batched, stepped, calls = run_both(instance, [100.0, 0.0], 1.0, config)
+    assert_bitwise_equal(batched, stepped)
+    assert batched.nonproductive_count == 512
+    assert calls < 5
+
+
 # ------------------------------------------------------- table-driven steps
 
 
@@ -486,10 +569,9 @@ def test_run_keeps_calling_instance_level_overrides(monkeypatch):
     example = build_example(6)
     instance, geometry = example.instance, default_geometry(example)
     objective = instance.objective
-    calls = {"objective": 0, "mirror": 0, "batched": 0}
+    calls = {"objective": 0, "mirror": 0}
     inner_objective = objective.value_and_subgradient
     inner_mirror = geometry.mirror_step
-    inner_advance = solver._AffineRuns.advance
 
     def counted_objective(x):
         calls["objective"] += 1
@@ -499,21 +581,17 @@ def test_run_keeps_calling_instance_level_overrides(monkeypatch):
         calls["mirror"] += 1
         return inner_mirror(x, p, h)
 
-    def counted_advance(self, *args):
-        block, count = inner_advance(self, *args)
-        calls["batched"] += count
-        return block, count
-
     objective.value_and_subgradient = counted_objective
     geometry.mirror_step = counted_mirror
-    monkeypatch.setattr(solver._AffineRuns, "advance", counted_advance)
+    batches = _counted_batches(monkeypatch)
     config = RunConfig(example.settings.epsilon, regime=Regime.NONSTANDARD,
                        policy=Policy.FIRST_VIOLATED)
     report = run(instance, geometry, config)
-    assert calls["batched"] > 0
+    batched = sum(count for _, count in batches)
+    assert batched > 0
     # one call per productive step, and one for the output's value
     assert calls["objective"] == report.productive_count + 1
-    assert calls["mirror"] == report.total_steps - calls["batched"]
+    assert calls["mirror"] == report.total_steps - batched
     fresh = build_example(6)
     assert_bitwise_equal(report, run(fresh.instance, default_geometry(fresh), config))
 
@@ -832,6 +910,22 @@ def test_iteration_bound_validates_inputs():
         iteration_bound(1.0, -1.0, 1.0, 0.1, Regime.LIPSCHITZ)
     with pytest.raises(ValueError):
         iteration_bound(1.0, 1.0, 0.0, 0.1, Regime.LIPSCHITZ)
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_iteration_bound_that_overflows_raises(regime):
+    with pytest.raises(ValueError):
+        iteration_bound(1.0, 1e200, 1.0, 0.05, regime)
+
+
+def test_a_priori_bound_that_overflows_is_none():
+    # m_g^2 overflows; the run still reports
+    instance = ProblemInstance(2, AffineOracle([0.0, 1.0]),
+                               [AffineOracle([1.0, 0.0], -1.0, lipschitz_value=1e200)])
+    config = RunConfig(0.05, regime=Regime.NONSTANDARD, max_iterations=5)
+    report = run(instance, EuclideanSpace([0.0, 0.0], 1.0), config)
+    assert report.a_priori_bound is None
+    assert report.total_steps == 5
 
 
 def test_corollary_bound_values():
