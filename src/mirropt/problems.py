@@ -116,7 +116,8 @@ class AffineOracle(Oracle):
         self._set_metadata(lipschitz_value, lipschitz_gradient)
         if lipschitz_value is None:
             # ||a|| is the exact global constant, not an estimate.
-            self.lipschitz_value = _derived(math.sqrt(float(self.a @ self.a)))
+            with np.errstate(over="ignore"):  # overflow: inf, so None
+                self.lipschitz_value = _derived(math.sqrt(float(self.a @ self.a)))
         if lipschitz_gradient is None:
             self.lipschitz_gradient = 0.0
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import time
+from operator import sub
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -98,8 +99,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         eps = float(self.epsilon)
-        if not math.isfinite(eps) or eps <= 0.0:
-            raise ValueError("epsilon must be finite and positive")
+        if not (math.isfinite(eps) and eps > 0.0 and eps * eps > 0.0):  # eps^2 divides
+            raise ValueError("epsilon must be finite, positive, its square nonzero")
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "regime", Regime(self.regime))
         object.__setattr__(self, "policy", Policy(self.policy))
@@ -270,32 +271,57 @@ def _hooked(*objects: object) -> bool:
 
 
 class _AffineRuns:
-    """Batched runs of non-productive steps on an exact Euclidean space.
+    """Batched steps x - q, q tabled, on an exact Euclidean space: runs of
+    non-productive steps on one constraint and, given a max of stacked
+    affine ``pieces``, of productive steps on predicted pieces.
 
-    ``advance`` batches a run's ``length`` steps on constraint i, x - q, ...:
-    ``np.cumsum`` builds them by the same subtractions as the stepwise
-    ``x - h * p``, so they are bitwise its iterates.  One matrix product
-    gives their constraint values.  A row is committed only while the
-    policy's selector provably picks i there: each comparison it makes
-    holds with a margin above the rounding bound ``gamma * (|A| @ r + |b|)``,
-    where r bounds |x - k q| over the batch, so no summation order of the
-    stepwise matrix-vector product can decide otherwise.
+    ``np.cumsum`` builds a batch's iterates by the same subtractions as the
+    stepwise ``x - h * p``, so they are bitwise its iterates.  One matrix
+    product gives their constraint and piece values.  A row is committed
+    only while the stepwise engine provably takes its step there: each
+    comparison it makes holds with a margin above the rounding bound
+    ``gamma * (|A| @ r + |b|)``, where r bounds |x| over the batch, so no
+    summation order of the stepwise matrix-vector product decides otherwise.
     """
 
-    def __init__(self, bank: OracleBank, config: RunConfig) -> None:
+    def __init__(self, bank: OracleBank, config: RunConfig,
+                 pieces: OracleBank | None = None, piece_row: Callable | None = None) -> None:
         self.first_violated = config.policy is Policy.FIRST_VIOLATED
-        self.epsilon = config.epsilon
+        self.epsilon = eps = config.epsilon
         self.a = bank._matrix
         self.b = bank._offsets
-        self.abs_a = np.abs(bank._matrix)
-        # The smallest normal float covers underflow in the products.
-        self.abs_b = np.abs(bank._offsets) + np.finfo(float).tiny
         m, n = bank._matrix.shape
+        # The rows ``advance`` evaluates: the constraints, then the pieces.
+        banks = [bank] if pieces is None else [bank, pieces]
+        self.stack = np.vstack([o._matrix for o in banks])
+        self.offsets, self.m = np.concatenate([o._offsets for o in banks]), m
+        self.abs_a = np.abs(self.stack)
+        # The smallest normal float covers underflow in the products.
+        self.abs_b = np.abs(self.offsets) + np.finfo(float).tiny
         # Four times the bound 2 * gamma_(n+1) on two summation orders'
         # difference, which also absorbs the rounding of r and the margins.
         self.gamma = 4.0 * (n + 2) * np.finfo(float).eps
-        self.max_rows = max(1, _BLOCK_FLOATS // max(n, m))
+        self.max_rows = max(1, _BLOCK_FLOATS // max(n, self.offsets.shape[0]))
         self.tables: dict[int, tuple] = {}
+        # A productive batch asks for twice the rows the last took, plus two;
+        # after batches of under two rows, 0, 1, 3, ... steps pass idle.
+        self.ask, self.idle, self.backoff, self.pieces = self.max_rows, 0, 0, pieces
+        if pieces is None:
+            return
+        # A step on piece l is x - q_l, q_l = h_l c_l, and lowers piece j by
+        # c_j . q_l; h_l and 1 / ||c_l||^2 come from the tabled dual norm.  A
+        # zero or non-finite norm ends a prediction before its piece.
+        c = pieces._matrix
+        norms = np.array([piece_row(l, None)[2] for l in range(c.shape[0])])
+        with np.errstate(all="ignore"):  # a zero or overflowing piece: inf, NaN
+            self.ends = (~(np.isfinite(norms) & (norms * norms > 0.0))).tolist()
+            self.h, self.weights = eps / (norms * norms), 1.0 / (norms * norms)
+            self.q = np.where(np.array(self.ends)[:, None], 0.0, self.h[:, None] * c)
+            self.drops = (c @ self.q.T).T.tolist()
+        self.abs_q = np.abs(self.q).max(axis=0)
+        # Twin pieces take bitwise the same step: the argmax may pick either.
+        bits = c.view(np.uint64)
+        self.same = (bits[:, None] == bits[None]).all(axis=2) & (norms[:, None] == norms)
 
     def length(self, x: Array, i: int) -> float:
         """How many of x, x - q, x - 2q, ... the policy picks i at, in exact
@@ -315,21 +341,30 @@ class _AffineRuns:
         return float(((bound - values[ends]) / closing).min(
             initial=(values[i] - self.epsilon) / own))
 
-    def advance(self, x: Array, q: Array, i: int, rows: int) -> tuple[Array, int]:
-        """The block of iterates x, x - q, ..., x - rows*q, and how many
-        leading ones (at most ``rows``) provably select ``i``."""
+    def advance(self, x: Array, q: Array, i: int | Array, rows: int) -> tuple[Array, int]:
+        """The block of iterates x, x - q, ..., x - rows*q (x - q[0], ... for
+        a row per step, on pieces ``i``), and how many leading ones (at most
+        ``rows``) provably select constraint ``i`` (are productive on i[k])."""
         block = np.empty((rows + 1, x.shape[0]))
         block[0] = x
         block[1:] = -q
         np.cumsum(block, axis=0, out=block)
-        reach = np.abs(x) + rows * np.abs(q)
+        reach = np.abs(x) + rows * (self.abs_q if q.ndim == 2 else np.abs(q))
         bound = self.abs_a @ reach + self.abs_b
         if not (reach.max() < _HUGE and bound.max() < _HUGE):
             return block, 0  # NaN included: the stepwise engine decides
         slack = self.gamma * bound
-        eps = self.epsilon
-        values = block[:rows] @ self.a.T + self.b
-        if self.first_violated:
+        eps, m = self.epsilon, self.m
+        values = block[:rows] @ self.stack.T + self.offsets
+        if isinstance(i, np.ndarray):
+            # All constraints at most eps; i[k] or its twin tops the pieces.
+            ok = (values[:, :m] <= eps - slack[:m]).all(axis=1)
+            low = values[np.arange(rows), m + i] - slack[m + i]
+            values += slack
+            pieces = values[:, m:]
+            pieces[self.same[i]] = -math.inf
+            ok &= low > pieces.max(axis=1)
+        elif self.first_violated:
             ok = values[:, i] > eps + slack[i]
             if i:
                 ok &= (values[:, :i] <= eps - slack[:i]).all(axis=1)
@@ -338,8 +373,39 @@ class _AffineRuns:
             low = values[:, i] - slack[i]
             values += slack
             values[:, i] = eps
-            ok = low > values.max(axis=1)
+            ok = low > values[:, :m].max(axis=1)
         return block, rows if ok.all() else int(ok.argmin())
+
+    def produce(self, x: Array, rows: int, crit_sum: float, target: float,
+                weighted: Array, weight_sum: float) -> tuple:
+        """Batch up to ``rows`` productive steps from x, each on its predicted
+        piece, that keep ``crit_sum`` below ``target``: their count, then x,
+        ``crit_sum``, ``weighted`` and ``weight_sum`` after them."""
+        if self.idle:
+            self.idle -= 1
+            return 0, x, crit_sum, weighted, weight_sum
+        # Predict: the piece values in floats; ties go to the lowest index.
+        values, labels = (self.stack @ x + self.offsets)[self.m:].tolist(), []
+        for _ in range(min(rows, self.ask, self.max_rows)):
+            l = values.index(max(values))
+            if self.ends[l]:
+                break
+            labels.append(l)
+            values = list(map(sub, values, self.drops[l]))
+        labels = np.array(labels, dtype=np.intp)
+        crit = np.concatenate(([crit_sum], self.weights[labels])).cumsum()
+        labels = labels[:np.searchsorted(crit[1:], target)]
+        rows = labels.shape[0]
+        block, count = self.advance(x, self.q[labels], labels, rows)
+        self.ask = 2 * count + 2
+        self.backoff = 2 * self.backoff + 1 if count < 2 else 0
+        self.idle = self.backoff // 2
+        # Commit: the sums add the rows' terms one by one, in stepwise order.
+        h = self.h[labels[:count]]
+        weighted = np.vstack([weighted, h[:, None] * block[:count]]).cumsum(axis=0)
+        weight_sum = np.concatenate(([weight_sum], h)).cumsum()
+        return (count, block[count].copy(), float(crit[count]), weighted[count],
+                float(weight_sum[count]))
 
 
 def _metadata_bound(problem: ProblemInstance, theta0: float, epsilon: float,
@@ -356,12 +422,12 @@ def _metadata_bound(problem: ProblemInstance, theta0: float, epsilon: float,
 
 
 def _make_evaluator(objective: Oracle, dual: Callable[[Array], float],
-                    tabled: bool) -> Callable[[Array], tuple]:
+                    sources: tuple | None) -> Callable[[Array], tuple]:
     """The objective's value and row ``(index, subgradient, dual norm)`` at
-    x: where ``tabled``, a scan of a max-affine objective's stacked pieces
-    (see ``_sources``), or else its own call and the dual norm."""
-    if tabled:
-        top, piece = _sources(objective._bank, dual, True)
+    x: given ``sources``, a scan of a max-affine objective's stacked pieces
+    (from ``_sources``), or else its own call and the dual norm."""
+    if sources is not None:
+        top, piece = sources
 
         def evaluate(x: Array):
             _, i, high = top(x)
@@ -403,8 +469,11 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     min-dual-norm, a run of non-productive steps on one constraint is also
     batched by ``_AffineRuns``, each batch as long as the rest of the run
     is computed to last; a batch that the rounding margins cut short ends
-    batching for its run.  The first step of each run and the step after
-    each batch are ordinary steps.  Where an instance sets its own
+    batching for its run.  In the Lipschitz regime without history, a run
+    of productive steps on a max-affine objective is batched too, on pieces
+    predicted from the piece values and certified by the same margins.  The
+    first step of each run and the step after each batch are ordinary
+    steps.  Where an instance sets its own
     ``mirror_step``, ``dual_norm``, ``values``, ``subgradient`` or
     ``value_and_subgradient``, as perfbench's tracer does, the tables are
     not used and every ordinary step calls them; batched steps still skip
@@ -429,11 +498,15 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
                         *([] if pieces is None else [pieces, *pieces.oracles]))
     scan, row = _sources(bank, dual, plain and bank._matrix is not None)
     select = _make_selector(scan, row, eps, config.policy)
-    evaluate = _make_evaluator(objective, dual, plain and pieces is not None
-                               and pieces._matrix is not None)
-    runs = (_AffineRuns(bank, config) if type(prox) is EuclideanSpace
-            and bank._matrix is not None and config.policy is not Policy.MIN_DUAL_NORM
-            else None)
+    tabled = plain and pieces is not None and pieces._matrix is not None
+    piece_sources = _sources(pieces, dual, True) if tabled else None
+    evaluate = _make_evaluator(objective, dual, piece_sources)
+    # Productive runs are batched where a gemm row need not give the
+    # stepwise objective value: in the Lipschitz regime, without history.
+    produce = tabled and lipschitz and not config.record_history
+    runs = (_AffineRuns(bank, config, *(pieces, piece_sources[1]) if produce else ())
+            if type(prox) is EuclideanSpace and bank._matrix is not None
+            and config.policy is not Policy.MIN_DUAL_NORM else None)
 
     # Both regimes stop once this running sum reaches 2 * theta0^2 / eps^2:
     # productive steps contribute 1/||s||^2 (Lipschitz) or 1 (nonstandard),
@@ -512,6 +585,12 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
             stop = StopReason.CRITERION_MET
             break
         if sel is None:
+            # As a constraint run, a productive run is batched from its second step.
+            if last is None and runs is not None and runs.pieces is not None:
+                count, x, crit_sum, weighted, weight_sum = runs.produce(
+                    x, max_steps - steps, crit_sum, stop_target, weighted, weight_sum)
+                steps += count
+                n_productive += count
             last = None
         elif idx0 != last:
             last, batching = idx0, runs is not None
@@ -520,9 +599,7 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
             # far as neither the criterion nor the cap ends the loop: the
             # step that may is left to the next ordinary step.
             rows = math.ceil(min(length, runs.max_rows, max_steps - steps))
-            crit = np.full(rows + 1, weight)
-            crit[0] = crit_sum
-            np.cumsum(crit, out=crit)
+            crit = np.concatenate(([crit_sum], np.full(rows, weight))).cumsum()
             rows = int(np.searchsorted(crit[1:], stop_target))
             block, count = runs.advance(x, h * grad, idx0, rows)
             if history is not None:  # the copy drops the rows not taken
@@ -601,6 +678,8 @@ def iteration_bound(m_f: float | None, m_g: float, theta0: float,
         peak = max(m_f * m_f, m_g * m_g)
     else:
         peak = max(1.0, m_g * m_g)
+    if epsilon * epsilon == 0.0:
+        raise ValueError("epsilon^2 underflows to 0")
     bound = 2.0 * peak * theta0 * theta0 / (epsilon * epsilon)
     if not math.isfinite(bound):
         raise ValueError("the iteration bound is not finite")

@@ -1,11 +1,12 @@
 """Differential-test helpers: the stepwise reference engine and one comparer.
 
 ``run`` takes table-driven steps on affine data on every geometry, and
-batches runs of constraint steps on an exact :class:`EuclideanSpace`.  The
-stepwise reference turns both off without changing the arithmetic: an
-instance-level override of ``dual_norm``, which ``run`` honours, turns off
-the tables, and :class:`SteppedSpace` in place of an exact Euclidean space
-turns off the batches.  A run and its reference must agree bit for bit.
+batches runs of constraint steps, and of productive steps on a max of
+affine pieces, on an exact :class:`EuclideanSpace`.  The stepwise reference
+turns both off without changing the arithmetic: an instance-level override
+of ``dual_norm``, which ``run`` honours, turns off the tables, and
+:class:`SteppedSpace` in place of an exact Euclidean space turns off the
+batches.  A run and its reference must agree bit for bit.
 """
 
 import copy

@@ -152,7 +152,6 @@ def test_lipschitz_metadata_must_be_finite_and_nonnegative(kind, field, bad):
     assert getattr(_CONSTRUCTORS[kind](**{field: 0.0}), field) == 0.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("oracle, field, expected", [
     # eigvalsh of this PSD-within-tolerance matrix dips below 0 by rounding
     (lambda: SqrtQuadraticOracle([[-1e-17]]), "lipschitz_value", 0.0),

@@ -141,7 +141,6 @@ def test_round_trip_preserves_all_oracle_kinds(tmp_path):
     )
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("node", [
     {"kind": "sqrt_quadratic", "parameters": {"Q": [[-1e-17]]}},
     {"kind": "quadratic", "parameters": {"A": [[-1e-17]]}},

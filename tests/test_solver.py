@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -382,7 +383,6 @@ def test_run_beside_a_constraint_at_epsilon_is_batched_at_most_once(monkeypatch,
         assert batches == [(509, 509)]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")  # the oracle's norm
 @pytest.mark.parametrize("policy", _BATCHED_POLICIES)
 def test_run_tables_of_zero_and_overflowing_rows_raise_no_warning(policy):
     # a zero row and a row whose products overflow get no batches (NaN),
@@ -612,6 +612,196 @@ def test_overflowing_stacked_constraint_raises(policy, space):
         run(instance, space([-(2.0**30), -(2.0**30)], 1.0), config)
 
 
+# ------------------------------------------------ batched productive runs
+
+
+def _random_max_affine_instance(seed, near_tie=False):
+    """Random affine constraints feasible at the origin; a max of affine
+    pieces, rows and their negatives, so bounded below, the second nearly
+    the first where ``near_tie``, with a constant (zero-gradient) piece on
+    odd seeds; and the Euclidean space from a random start, which violates
+    the constraints on some seeds."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    constraints = [AffineOracle(rng.standard_normal(n), -rng.uniform(0.5, 5.0))
+                   for _ in range(int(rng.integers(1, 6)))]
+    rows = rng.standard_normal((int(rng.integers(2, 4)), n))
+    rows = np.vstack([rows, -rows])
+    offsets = rng.standard_normal(rows.shape[0])
+    if near_tie:
+        rows[1], offsets[1] = rows[0] * (1.0 + 1e-13), offsets[0]
+    pieces = [AffineOracle(a, b) for a, b in zip(rows, offsets)]
+    if seed % 2:
+        pieces.append(AffineOracle(np.zeros(n), rng.uniform(0.0, 1.0)))
+    anchor = 4.0 * rng.standard_normal(n)
+    return (ProblemInstance(n, MaxOracle(pieces), constraints),
+            EuclideanSpace(anchor, float(np.linalg.norm(anchor)) + 0.5))
+
+
+def _counted_productive_batches(monkeypatch):
+    """Rows taken by every ``_AffineRuns.produce`` call that took any."""
+    counts = []
+    inner = solver._AffineRuns.produce
+
+    def counted(self, *args):
+        result = inner(self, *args)
+        if result[0]:
+            counts.append(result[0])
+        return result
+
+    monkeypatch.setattr(solver._AffineRuns, "produce", counted)
+    return counts
+
+
+@pytest.mark.parametrize("near_tie", [False, True], ids=["random", "near-tie"])
+@pytest.mark.parametrize("cap", [777, 10**6])
+@pytest.mark.parametrize("record_history", [False, True])
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_productive_batches_equal_stepwise_runs_on_random_instances(
+        monkeypatch, policy, record_history, cap, near_tie):
+    counts = _counted_productive_batches(monkeypatch)
+    productive, stops = 0, set()
+    for seed in range(1, 6):
+        instance, space = _random_max_affine_instance(seed, near_tie)
+        config = RunConfig(0.5, policy=policy, max_iterations=cap,
+                           record_history=record_history)
+        fast, stepped, _ = run_tabled(instance, space, config)
+        assert_bitwise_equal(fast, stepped)
+        productive += fast.productive_count
+        stops.add(fast.stop_reason)
+    # runs end on the cap, the criterion and the constant piece
+    assert StopReason.ZERO_OBJECTIVE_GRADIENT in stops
+    assert (StopReason.ITERATION_CAP if cap == 777 else StopReason.CRITERION_MET) in stops
+    # history runs keep stepwise productive steps
+    if record_history:
+        assert not counts
+    else:
+        assert sum(counts) > (0.2 if near_tie else 0.5) * productive
+
+
+def _productive_run(epsilon, start, cap=10**6, pieces=None, constraints=None):
+    """A run down x_1 on a max of affine pieces, from ``start``."""
+    instance = ProblemInstance(
+        2, MaxOracle(pieces or [AffineOracle([1.0, 0.0]), AffineOracle([0.5, 0.0], -100.0)]),
+        constraints or [AffineOracle([0.0, 1.0], -1.0)])
+    config = RunConfig(epsilon, max_iterations=cap)
+    return run_tabled(instance, EuclideanSpace(start, 1.0), config)
+
+
+def test_productive_batch_stops_on_the_criterion_inside_a_batch(monkeypatch):
+    # every step has weight 1, so 2 theta0^2 / eps^2 = 512 steps fire the
+    # criterion, far inside the run's batches
+    counts = _counted_productive_batches(monkeypatch)
+    fast, stepped, _ = _productive_run(2.0**-4, [0.0, 0.0])
+    assert_bitwise_equal(fast, stepped)
+    assert fast.stop_reason is StopReason.CRITERION_MET
+    assert fast.total_steps == fast.productive_count == 512
+    assert sum(counts) > 500
+
+
+@pytest.mark.parametrize("cap", [3, 40, 200])
+def test_productive_batch_stops_at_the_cap_inside_a_batch(monkeypatch, cap):
+    counts = _counted_productive_batches(monkeypatch)
+    fast, stepped, _ = _productive_run(2.0**-4, [0.0, 0.0], cap)
+    assert_bitwise_equal(fast, stepped)
+    assert fast.stop_reason is StopReason.ITERATION_CAP
+    assert fast.total_steps == fast.productive_count == cap
+    assert sum(counts) > cap - 5
+
+
+@pytest.mark.parametrize("first", [False, True], ids=["after", "before"])
+def test_productive_batch_ends_before_a_zero_piece(monkeypatch, first):
+    # dyadic: from x_1 = 10, steps of 1/16 reach x_1 = -1 after 176 steps,
+    # where the constant piece ties the first; it wins if it comes first,
+    # else one more step puts it on top
+    counts = _counted_productive_batches(monkeypatch)
+    pieces = [AffineOracle([1.0, 0.0]), AffineOracle([0.0, 0.0], -1.0)]
+    fast, stepped, _ = _productive_run(2.0**-4, [10.0, 0.0], pieces=pieces[::-1]
+                                       if first else pieces)
+    assert_bitwise_equal(fast, stepped)
+    assert fast.stop_reason is StopReason.ZERO_OBJECTIVE_GRADIENT
+    assert fast.total_steps == (176 if first else 177)
+    assert sum(counts) > 150
+
+
+def test_productive_runs_meet_a_constraint_they_raise(monkeypatch):
+    # the piece -x_1 drives x_1 up into x_1 <= 10: the margins end the
+    # first productive phase's batches where the constraint reaches eps,
+    # and the run then alternates between the two kinds of step
+    counts = _counted_productive_batches(monkeypatch)
+    pieces = [AffineOracle([-1.0, 0.0]), AffineOracle([0.0, -1.0], -100.0)]
+    fast, stepped, _ = _productive_run(2.0**-4, [0.0, 0.0], pieces=pieces,
+                                       constraints=[AffineOracle([1.0, 0.0], -10.0)])
+    assert_bitwise_equal(fast, stepped)
+    assert fast.nonproductive_count > 100
+    assert sum(counts) > 150
+
+
+def _productive_runs(pieces, constraints, policy=Policy.FIRST_VIOLATED):
+    """``_AffineRuns`` batching productive steps on ``pieces``."""
+    instance = ProblemInstance(2, MaxOracle(pieces), constraints)
+    space = EuclideanSpace([0.0, 0.0], 1.0)
+    objective = instance.objective._bank
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the dual norm of an overflowing row
+        _, piece_row = solver._sources(objective, space.dual_norm, True)
+    return solver._AffineRuns(instance.constraint_bank(), RunConfig(2.0**-4, policy=policy),
+                              objective, piece_row)
+
+
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_productive_batch_certifies_the_constraints(policy):
+    # steps of 1/16 from 0 raise x_1 - 10 to eps at x_1 = 161/16, still a
+    # productive point but without margin: the batch takes the 161 steps
+    # before it, and leaves that one and the constraint step to the
+    # stepwise engine
+    runs = _productive_runs([AffineOracle([-1.0, 0.0]), AffineOracle([0.0, -1.0], -100.0)],
+                            [AffineOracle([1.0, 0.0], -10.0)], policy)
+    count, x, crit_sum, weighted, weight_sum = runs.produce(
+        np.zeros(2), 1000, 0.0, math.inf, np.zeros(2), 0.0)
+    assert count == 161
+    assert x.tolist() == [161 / 16, 0.0]
+    assert crit_sum == 161.0 and weight_sum == 161 / 16
+    assert weighted.tolist() == [sum(k / 256 for k in range(161)), 0.0]
+
+
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_productive_tables_of_zero_and_overflowing_pieces_raise_no_warning(policy):
+    # a zero piece and one whose norm overflows end a prediction before
+    # their turn; next to the overflowing piece the margins, and then the
+    # bound 2^997 * |x| on its products, refuse every row; nothing warns
+    rows = [[0.0, 0.0], [2.0**996, -(2.0**996)], [2.0**-20, 2.0**-20], [1.0, 0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in ([0.0, 0.0], [1.0, 1.0], [2.0**22, 2.0**22]):
+            runs = _productive_runs([AffineOracle(a, 1.0) for a in rows],
+                                    [AffineOracle([0.0, 1.0], -1.0)], policy)
+            assert runs.ends == [True, True, False, False]
+            count, *_ = runs.produce(np.array(x), 1000, 0.0, math.inf, np.zeros(2), 0.0)
+            assert count == 0
+
+
+@pytest.mark.parametrize("policy", [Policy.AGGREGATE_MAX, Policy.FIRST_VIOLATED])
+def test_example_6_batches_its_productive_steps(policy):
+    # ordinary steps call the geometry's mirror_step; batched ones do not.
+    # Productive ones step along an objective piece's (tabled) row.
+    example = build_example(6)
+    rows = [piece.a for piece in example.instance.objective.children]
+    productive = [0]
+    inner = EuclideanSpace.mirror_step
+
+    def counted(self, x, p, h):
+        productive[0] += any(p is row for row in rows)
+        return inner(self, x, p, h)
+
+    config = RunConfig(example.settings.epsilon, policy=policy)
+    with mock.patch.object(EuclideanSpace, "mirror_step", counted):
+        report = run(example.instance, default_geometry(example), config)
+    assert report.stop_reason is StopReason.CRITERION_MET
+    assert report.productive_count > 270_000
+    assert productive[0] <= 0.01 * report.productive_count
+
+
 # ------------------------------------------------------------------- config
 
 
@@ -621,8 +811,9 @@ def test_run_config_coerces_strings():
     assert config.policy is Policy.AGGREGATE_MAX
 
 
-@pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan, 1e-170])
 def test_run_config_rejects_bad_epsilon(eps):
+    # 1e-170: the stop target divides by eps^2, which underflows to 0
     with pytest.raises(ValueError):
         RunConfig(eps)
 
@@ -910,6 +1101,12 @@ def test_iteration_bound_validates_inputs():
         iteration_bound(1.0, -1.0, 1.0, 0.1, Regime.LIPSCHITZ)
     with pytest.raises(ValueError):
         iteration_bound(1.0, 1.0, 0.0, 0.1, Regime.LIPSCHITZ)
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_iteration_bound_rejects_an_epsilon_whose_square_underflows(regime):
+    with pytest.raises(ValueError):
+        iteration_bound(1.0, 1.0, 1.0, 1e-170, regime)
 
 
 @pytest.mark.parametrize("regime", list(Regime))
