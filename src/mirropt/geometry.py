@@ -153,13 +153,19 @@ class EuclideanBall(EuclideanSpace):
         return math.sqrt(float(d @ d)) <= self.radius * (1.0 + FEASIBILITY_TOL)
 
     def mirror_step(self, x: Array, p: Array, h: float) -> Array:
-        # Step and projection inline: this runs once per solver step.
+        return self.scaled_step(x, p, h)[0]
+
+    def scaled_step(self, x: Array, p: Array, h: float) -> tuple[Array, float]:
+        """The mirror step x' and its radial scale t: x' = center + t (x -
+        h p - center), t = 1.0 where x - h p lies in the ball (no
+        projection), radius / ||x - h p - center|| where it does not."""
         z = x - h * p
         d = z - self.center
         nrm = math.sqrt(float(d @ d))
         if nrm > self.radius:
-            z = self.center + d * (self.radius / nrm)
-        return z
+            t = self.radius / nrm
+            return self.center + d * t, t
+        return z, 1.0
 
 
 class EntropySimplex(ProxGeometry):

@@ -212,7 +212,9 @@ class AbsAffinePlusOracle(Oracle):
             raise ValueError("scale must be finite and nonnegative")
         self._set_metadata(lipschitz_value, lipschitz_gradient)
         if lipschitz_value is None:
-            self.lipschitz_value = _derived(self.scale * math.sqrt(float(self.a @ self.a)))
+            with np.errstate(over="ignore"):  # overflow: inf, so None
+                self.lipschitz_value = _derived(
+                    self.scale * math.sqrt(float(self.a @ self.a)))
 
     def value_and_subgradient(self, x: Array) -> tuple[float, Array]:
         t = float(self.a @ x)

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Array, EuclideanSpace, ProxGeometry, as_vector
+from .geometry import Array, EuclideanBall, EuclideanSpace, ProxGeometry, as_vector
 from .problems import (EvaluationError, MaxOracle, Oracle, OracleBank,
                        ProblemInstance)
 
@@ -408,6 +408,116 @@ class _AffineRuns:
                 float(weight_sum[count]))
 
 
+class _BallTracker:
+    """Constraint values tracked in O(M) per step on an exact Euclidean ball.
+
+    A ball step is x' = c + t (x - h p - c), so A x' + b = (1 - t)(A c + b)
+    + t (A x + b - h A p).  Where p is a tabled row (a constraint row or a
+    max-affine piece), ``step`` updates the values v that way, the column
+    ``A p`` computed once per row, and ``scan`` hands v to the selector in
+    place of the stacked product when the decision is certified: ``e``
+    bounds |v - (A x + b)| in exact arithmetic at the iterate x, and the
+    product's rounding is at most a quarter of ``e0`` = gamma (rn R +
+    max|b|), R a bound on ||x|| over the ball and rn on the rows' norms.
+    With E = e + e0, every value more than E away from epsilon and, where
+    one is above it, the largest more than 2E above the others, every
+    policy sees the violated set and the argmax the product would give;
+    the unused part of e0 covers the rounding of these comparisons.
+    Anything else, or an iterate the tracker did not step to, takes the
+    product and restarts v from it.
+
+    Rounding per step, with u = eps_mach / 2 and L = h ||p|| the step
+    length: the column is off by at most gamma rn ||p|| / 4, the step and
+    the projection move x by O(u (R + L)) from their exact values, and each
+    update of v rounds by O(u |v|).  So e grows by L ``slope``, slope =
+    (gamma + 16u) rn, by ``base`` = 16u (rn R + max|b|), and by 8u e; a
+    projection scales it by t and adds (1 - t) e0 for A c + b.  Steps with
+    L max(rn, 1) past ``_HUGE`` are not tracked, so no update overflows and
+    every tracked iterate is finite.
+    """
+
+    def __init__(self, bank: OracleBank, ball: EuclideanBall, scan: Callable,
+                 rows: list[tuple], epsilon: float) -> None:
+        matrix, offsets = bank._matrix, bank._offsets
+        m, n = matrix.shape
+        u = np.finfo(float).eps / 2.0
+        gamma = 4.0 * (n + 2) * u
+        # The rows' dual norms are their l2 norms, up to the rounding gamma covers.
+        norms = [norm * (1.0 + gamma) for _, _, norm in rows]
+        rn = max(norms[:m])
+        center = ball.center
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: not finite
+            offset = ball.anchor - center
+            reach = (math.sqrt(float(center @ center))
+                     + max(ball.radius, math.sqrt(float(offset @ offset))))
+            reach *= 1.0 + 2.0 * gamma
+            top = rn * reach + float(np.abs(offsets).max())
+            self.shift = matrix @ center + offsets  # A c + b
+        # Below _HUGE no summation order of the product overflows.
+        self.finite = top < _HUGE
+        self.real, self.step_ball, self.epsilon = scan, ball.scaled_step, epsilon
+        self.matrix = matrix
+        self.e0 = gamma * (top + np.finfo(float).tiny)
+        self.base = 16.0 * u * top
+        self.grow = 1.0 + 8.0 * u
+        self.slope = (gamma + 16.0 * u) * rn
+        # [norm, column] per tabled row, by identity: the rows are constant
+        # arrays the oracles hold for the run.  The column is computed on
+        # the row's first step.  Rows whose column may overflow are left out.
+        self.limit = _HUGE / max(rn, 1.0)
+        self.columns = {id(p): [norm, None] for (_, p, _), norm in zip(rows, norms)
+                        if norm < self.limit}
+        self.values, self.work, self.gap = np.empty(m), np.empty(m), np.empty(m)
+        self.x: Array | None = None
+        self.e = math.inf
+
+    def scan(self, x: Array):
+        """The selector's scan at x: the tracked values where certified."""
+        if x is self.x:
+            v = self.values
+            bound = self.e + self.e0
+            i = v.argmax()
+            high = v.item(i)
+            gap = self.gap
+            np.subtract(v, self.epsilon, out=gap)
+            np.abs(gap, out=gap)
+            if (math.isfinite(bound) and math.isfinite(high)
+                    and math.isfinite(v.item(v.argmin())) and gap.min() > bound):
+                if high <= self.epsilon:
+                    return v, i, high
+                v[i] = -math.inf
+                second = v.max()
+                v[i] = high
+                if second < high - 2.0 * bound:
+                    return v, i, high
+        vals, i, high = self.real(x)
+        np.copyto(self.values, vals)
+        self.x, self.e = x, self.e0
+        return vals, i, high
+
+    def step(self, x: Array, p: Array, h: float) -> Array:
+        """The ball's mirror step, with the values moved along."""
+        x_new, t = self.step_ball(x, p, h)
+        entry = self.columns.get(id(p)) if x is self.x else None
+        if entry is None or not h * entry[0] < self.limit:
+            self.x = None
+            return x_new
+        norm, g = entry
+        if g is None:
+            g = entry[1] = self.matrix @ p
+        v, work = self.values, self.work
+        np.multiply(g, h, out=work)
+        np.subtract(v, work, out=v)
+        e = self.e * self.grow + h * norm * self.slope
+        if t != 1.0:
+            np.multiply(v, t, out=v)
+            np.multiply(self.shift, 1.0 - t, out=work)
+            np.add(v, work, out=v)
+            e = t * e + (1.0 - t) * self.e0
+        self.x, self.e = x_new, e + self.base
+        return x_new
+
+
 def _metadata_bound(problem: ProblemInstance, theta0: float, epsilon: float,
                     regime: Regime) -> int | None:
     """A-priori iteration bound from declared Lipschitz metadata, if any."""
@@ -473,12 +583,18 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     of productive steps on a max-affine objective is batched too, on pieces
     predicted from the piece values and certified by the same margins.  The
     first step of each run and the step after each batch are ordinary
-    steps.  Where an instance sets its own
+    steps.  On an exact :class:`EuclideanBall` with all-affine constraints,
+    ``_BallTracker`` updates the constraint values in O(M) along each step
+    on a constraint row or a max-affine piece, and the policy reads them in
+    place of the matrix-vector product wherever a rounding bound certifies
+    that the product would give the same violated set and argmax; anywhere
+    else, and after a productive step on any other objective, the product
+    is taken.  Where an instance sets its own
     ``mirror_step``, ``dual_norm``, ``values``, ``subgradient`` or
-    ``value_and_subgradient``, as perfbench's tracer does, the tables are
-    not used and every ordinary step calls them; batched steps still skip
-    them, and a wrapper that counts runs by their first step counts them
-    exactly.
+    ``value_and_subgradient``, as perfbench's tracer does, neither the
+    tables nor the tracked values are used and every ordinary step calls
+    them; batched steps still skip them, and a wrapper that counts runs by
+    their first step counts them exactly.
     """
     if problem.dimension != prox.dimension:
         raise ValueError("problem and geometry dimensions differ")
@@ -496,11 +612,19 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     pieces = objective._bank if type(objective) is MaxOracle else None
     plain = not _hooked(prox, objective, bank, *bank.oracles,
                         *([] if pieces is None else [pieces, *pieces.oracles]))
-    scan, row = _sources(bank, dual, plain and bank._matrix is not None)
-    select = _make_selector(scan, row, eps, config.policy)
+    stacked = plain and bank._matrix is not None
+    scan, row = _sources(bank, dual, stacked)
     tabled = plain and pieces is not None and pieces._matrix is not None
     piece_sources = _sources(pieces, dual, True) if tabled else None
     evaluate = _make_evaluator(objective, dual, piece_sources)
+    if stacked and type(prox) is EuclideanBall:
+        rows = [row(i, None) for i in range(len(bank.oracles))]
+        if tabled:
+            rows += [piece_sources[1](l, None) for l in range(len(pieces.oracles))]
+        tracker = _BallTracker(bank, prox, scan, rows, eps)
+        if tracker.finite:
+            scan, mirror = tracker.scan, tracker.step
+    select = _make_selector(scan, row, eps, config.policy)
     # Productive runs are batched where a gemm row need not give the
     # stepwise objective value: in the Lipschitz regime, without history.
     produce = tabled and lipschitz and not config.record_history

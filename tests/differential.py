@@ -1,12 +1,14 @@
 """Differential-test helpers: the stepwise reference engine and one comparer.
 
-``run`` takes table-driven steps on affine data on every geometry, and
-batches runs of constraint steps, and of productive steps on a max of
-affine pieces, on an exact :class:`EuclideanSpace`.  The stepwise reference
-turns both off without changing the arithmetic: an instance-level override
-of ``dual_norm``, which ``run`` honours, turns off the tables, and
-:class:`SteppedSpace` in place of an exact Euclidean space turns off the
-batches.  A run and its reference must agree bit for bit.
+``run`` takes table-driven steps on affine data on every geometry, batches
+runs of constraint steps, and of productive steps on a max of affine
+pieces, on an exact :class:`EuclideanSpace`, and tracks all-affine
+constraint values in place of the stacked scan on an exact
+:class:`EuclideanBall`.  The stepwise reference turns all three off
+without changing the arithmetic: an instance-level override of
+``dual_norm``, which ``run`` honours, turns off the tables and the tracked
+values, and :class:`SteppedSpace` in place of an exact Euclidean space
+turns off the batches.  A run and its reference must agree bit for bit.
 """
 
 import copy

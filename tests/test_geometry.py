@@ -125,6 +125,21 @@ def test_mirror_step_ball_interior_untouched():
     assert np.allclose(out, np.array([0.4, 0.55]), rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("x, p, scale", [
+    ([0.5, 0.5], [0.2, -0.1], 1.0),  # interior: no projection
+    ([2.0, 1.0], [-2.0, 0.0], 0.5),  # x - h p = (3, 1), 2 from the center
+], ids=["interior", "projected"])
+def test_ball_scaled_step_is_the_mirror_step_and_its_radial_scale(x, p, scale):
+    ball = EuclideanBall(np.array([1.0, 1.0]), 1.0, 1.0)
+    x, p = np.array(x), np.array(p)
+    out, t = ball.scaled_step(x, p, 0.5)
+    assert t == scale
+    assert out.tobytes() == ball.mirror_step(x, p, 0.5).tobytes()
+    # out = center + t (x - h p - center)
+    assert np.allclose(out, ball.center + t * (x - 0.5 * p - ball.center),
+                       rtol=0.0, atol=1e-15)
+
+
 @pytest.mark.parametrize("bad_h", [0.0, -1.0, math.inf, math.nan])
 def test_mirror_step_rejects_bad_step_size(bad_h):
     space = EuclideanSpace(np.zeros(2), 1.0)

@@ -158,8 +158,9 @@ def test_lipschitz_metadata_must_be_finite_and_nonnegative(kind, field, bad):
     (lambda: QuadraticOracle([[-1e-17]]), "lipschitz_gradient", 0.0),
     # ||a||^2 overflows, so the bound is unknown rather than inf
     (lambda: AffineOracle([1e200, 1e200]), "lipschitz_value", None),
+    (lambda: AbsAffinePlusOracle([2.0**996, -(2.0**996)]), "lipschitz_value", None),
 ], ids=["sqrt-negative-eigenvalue", "quadratic-negative-eigenvalue",
-        "affine-overflow"])
+        "affine-overflow", "abs-affine-overflow"])
 def test_derived_metadata_is_finite_and_nonnegative(oracle, field, expected):
     assert getattr(oracle(), field) == expected
 

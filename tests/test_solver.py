@@ -597,19 +597,24 @@ def test_run_keeps_calling_instance_level_overrides(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize("space", [EuclideanSpace,
-                                   lambda *args: stepwise(EuclideanSpace(*args))],
-                         ids=["tabled", "stepwise"])
+@pytest.mark.parametrize("space", [
+    lambda anchor: EuclideanSpace(anchor, 1.0),
+    lambda anchor: stepwise(EuclideanSpace(anchor, 1.0)),
+    lambda anchor: EuclideanBall([0.0, 0.0], 2.0**31, 1.0, anchor),
+    lambda anchor: stepwise(EuclideanBall([0.0, 0.0], 2.0**31, 1.0, anchor)),
+], ids=["tabled", "stepwise", "ball-tracked", "ball-stepwise"])
 @pytest.mark.parametrize("policy", list(Policy))
 def test_overflowing_stacked_constraint_raises(policy, space):
     # both products of the first row are -2^1030 at the start, so its value
-    # is -inf, which no policy may read as satisfied
+    # is -inf, which no policy may read as satisfied; on the ball, the bound
+    # 2^1031 on that row's values is past what the tracker takes, so each
+    # choice takes the stacked product
     instance = ProblemInstance(2, AffineOracle([1.0, 1.0]),
                                [AffineOracle([2.0**1000, 2.0**1000]),
                                 AffineOracle([0.0, 1.0])])
     config = RunConfig(0.05, policy=policy, max_iterations=100)
     with pytest.raises(EvaluationError):
-        run(instance, space([-(2.0**30), -(2.0**30)], 1.0), config)
+        run(instance, space([-(2.0**30), -(2.0**30)]), config)
 
 
 # ------------------------------------------------ batched productive runs
@@ -800,6 +805,224 @@ def test_example_6_batches_its_productive_steps(policy):
     assert report.stop_reason is StopReason.CRITERION_MET
     assert report.productive_count > 270_000
     assert productive[0] <= 0.01 * report.productive_count
+
+
+# ----------------------------------------------- tracked values on the ball
+
+
+def _random_ball_instance(seed, radius=1.0, lift=0.0):
+    """Random affine constraints feasible at a point of a ball around an
+    off-origin center and violated at the anchor, across the ball from it,
+    or, where ``lift`` > 0, raised by 0.9 to 1 times ``lift``; a max of
+    affine pieces with a duplicate, a lone affine or a quadratic objective,
+    by seed % 3; and the ball."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    m = int(rng.integers(1, 10))
+    center = rng.standard_normal(n)
+    direction = rng.standard_normal(n)
+    direction /= np.linalg.norm(direction)
+    feasible = center + 0.5 * radius * direction
+    a = (-rng.uniform(0.2, 1.0, (m, 1)) * direction
+         + rng.standard_normal((m, n)) / math.sqrt(n))
+    b = (-(a @ feasible) - rng.uniform(0.0, 0.1, m) * radius
+         + lift * rng.uniform(0.9, 1.0, m))
+    constraints = [AffineOracle(row, offset) for row, offset in zip(a, b)]
+    if seed % 3 == 0:
+        pieces = [AffineOracle(rng.standard_normal(n), rng.standard_normal())
+                  for _ in range(3)]
+        pieces.insert(1, pieces[0])
+        objective = MaxOracle(pieces)
+    elif seed % 3 == 1:
+        objective = AffineOracle(rng.standard_normal(n), rng.standard_normal())
+    else:
+        objective = QuadraticOracle(np.eye(n), rng.standard_normal(n))
+    optimum = None if lift else (feasible, objective.value(feasible))
+    instance = ProblemInstance(n, objective, constraints, known_optimum=optimum)
+    return instance, EuclideanBall(center, radius, 1.0, center - 0.9 * radius * direction)
+
+
+def _ball_cell(seed, n=200, m=50, pieces=10):
+    """The benchmark's synthetic ball problem at a smaller size: rows that
+    point against a feasible point x* and are violated at the center of the
+    unit ball, and a max of affine pieces."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n)
+    u /= np.linalg.norm(u)
+    a = (-rng.uniform(0.2, 0.8, (m, 1)) * u[None, :]
+         + rng.standard_normal((m, n)) / math.sqrt(n))
+    b = -(a @ (0.5 * u)) - rng.uniform(0.005, 0.05, m)
+    c = rng.standard_normal((pieces, n)) / math.sqrt(n)
+    objective = MaxOracle([AffineOracle(row, offset)
+                           for row, offset in zip(c, rng.uniform(-0.1, 0.1, pieces))])
+    instance = ProblemInstance(n, objective, [AffineOracle(row, offset)
+                                              for row, offset in zip(a, b)])
+    return instance, EuclideanBall(np.zeros(n), 1.0, 2.0)
+
+
+def _counted_scans(monkeypatch):
+    """Calls of each bank's stacked product, by bank: the real scans that
+    tracked values stand in for."""
+    counts = {}
+    inner = solver._sources
+
+    def counted(bank, dual, tabled):
+        scan, row = inner(bank, dual, tabled)
+        if not tabled:
+            return scan, row
+
+        def counted_scan(x):
+            counts[bank] = counts.get(bank, 0) + 1
+            return scan(x)
+
+        return counted_scan, row
+
+    monkeypatch.setattr(solver, "_sources", counted)
+    return counts
+
+
+def _decisions(report):
+    """Constraint choices a run made: one per step, and one more where a
+    degenerate subgradient ended it."""
+    return report.total_steps + (report.stop_reason in (
+        StopReason.ZERO_OBJECTIVE_GRADIENT, StopReason.INFEASIBLE_CONSTRAINT))
+
+
+@pytest.mark.parametrize("cap", [777, 10**6])
+@pytest.mark.parametrize("record_history", [False, True])
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("policy", list(Policy))
+def test_tracked_ball_runs_equal_stepwise_runs_on_random_instances(
+        monkeypatch, policy, regime, record_history, cap):
+    scans = _counted_scans(monkeypatch)
+    stops, tracked = set(), {0: [0, 0], 1: [0, 0], 2: [0, 0]}
+    for seed in range(6):
+        instance, ball = _random_ball_instance(seed)
+        # about 1000 to 9000 steps: past the lower cap
+        epsilon = 0.1 if regime is Regime.LIPSCHITZ else 0.05
+        config = RunConfig(epsilon, regime=regime, policy=policy, max_iterations=cap,
+                           record_history=record_history)
+        fast, stepped, _ = run_tabled(instance, ball, config)
+        assert_bitwise_equal(fast, stepped)
+        stops.add(fast.stop_reason)
+        counts = tracked[seed % 3]
+        counts[0] += scans.pop(instance.constraint_bank())
+        counts[1] += _decisions(fast)
+    assert (StopReason.ITERATION_CAP if cap == 777 else StopReason.CRITERION_MET) in stops
+    # a max-affine objective's runs take one real scan each, their first;
+    # any other objective's productive steps are not tracked, so each is
+    # followed by one
+    assert tracked[0][0] == 2
+    for kind in (1, 2):
+        assert tracked[kind][0] < 0.9 * tracked[kind][1]
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("policy", list(Policy))
+def test_tracked_ball_runs_on_a_small_ball_project_every_step(monkeypatch, policy,
+                                                             regime):
+    # radius 0.01 against steps of about 0.1: every step is projected, from
+    # an anchor and around a center off the origin
+    scans = _counted_scans(monkeypatch)
+    scales = []
+    inner = EuclideanBall.scaled_step
+
+    def recorded(self, x, p, h):
+        out = inner(self, x, p, h)
+        scales.append(out[1])
+        return out
+
+    monkeypatch.setattr(EuclideanBall, "scaled_step", recorded)
+    mixed = 0
+    for seed in range(6):
+        instance, ball = _random_ball_instance(seed, radius=0.01, lift=0.1)
+        assert np.abs(ball.center).min() > 0.0
+        config = RunConfig(0.1, regime=regime, policy=policy)
+        fast, stepped, _ = run_tabled(instance, ball, config)
+        assert_bitwise_equal(fast, stepped)
+        if seed % 3 == 0:
+            assert scans.pop(instance.constraint_bank()) == 1
+        mixed += fast.productive_count > 0 and fast.nonproductive_count > 0
+    assert mixed >= 2
+    assert scales and max(scales) < 1.0
+
+
+@pytest.mark.parametrize("value", [0.1, np.nextafter(0.1, 0.0)], ids=["at", "one-ulp-below"])
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("policy", list(Policy))
+def test_a_row_held_at_epsilon_takes_the_real_scan_at_every_step(monkeypatch, policy,
+                                                                 regime, value):
+    # 0 . x + b is b exactly, at eps or one ulp below it: no margin certifies
+    # it, so every choice takes the stacked product, and the run is the
+    # stepwise one
+    scans = _counted_scans(monkeypatch)
+    instance, ball = _random_ball_instance(0)
+    n = instance.dimension
+    held = ProblemInstance(n, instance.objective,
+                           [*instance.constraints, AffineOracle(np.zeros(n), value)])
+    config = RunConfig(0.1, regime=regime, policy=policy)
+    fast, stepped, _ = run_tabled(held, ball, config)
+    assert_bitwise_equal(fast, stepped)
+    assert fast.total_steps > 100
+    assert scans[held.constraint_bank()] == _decisions(fast)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1.0], ids=["duplicate", "one-ulp"])
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("policy", list(Policy))
+def test_tracked_ball_runs_with_near_tied_constraints(monkeypatch, policy, regime,
+                                                      offset):
+    # each constraint has a twin, equal or one ulp higher in b: while a twin
+    # pair tops the violated rows no margin separates the two, so the
+    # stacked product decides between them
+    scans = _counted_scans(monkeypatch)
+    for seed in (0, 3):
+        instance, ball = _random_ball_instance(seed)
+        twins = [AffineOracle(c.a, np.nextafter(c.b, math.inf) if offset else c.b)
+                 for c in instance.constraints]
+        tied = ProblemInstance(instance.dimension, instance.objective,
+                               [*instance.constraints, *twins])
+        config = RunConfig(0.05, regime=regime, policy=policy, record_history=True)
+        fast, stepped, _ = run_tabled(tied, ball, config)
+        assert_bitwise_equal(fast, stepped)
+        assert scans[tied.constraint_bank()] >= fast.nonproductive_count
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_tracked_ball_run_takes_few_real_scans(monkeypatch, policy):
+    scans = _counted_scans(monkeypatch)
+    instance, ball = _ball_cell(3)
+    config = RunConfig(0.05, regime=Regime.NONSTANDARD, policy=policy)
+    fast, stepped, _ = run_tabled(instance, ball, config)
+    assert_bitwise_equal(fast, stepped)
+    assert fast.nonproductive_count > 500 and fast.productive_count > 500
+    assert scans[instance.constraint_bank()] <= 0.01 * _decisions(fast)
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_tracked_values_stay_within_their_bound(monkeypatch, regime):
+    # at every tracked choice the stacked product lies within e + e0 of the
+    # tracked values
+    instance, ball = _ball_cell(4)
+    bank = instance.constraint_bank()
+    checked, worst = [0], [0.0]
+    inner = solver._BallTracker.scan
+
+    def checked_scan(self, x):
+        if x is self.x:
+            deviation = np.abs(bank._matrix @ x + bank._offsets - self.values).max()
+            bound = self.e + self.e0
+            assert deviation <= bound
+            checked[0] += 1
+            worst[0] = max(worst[0], bound)
+        return inner(self, x)
+
+    monkeypatch.setattr(solver._BallTracker, "scan", checked_scan)
+    config = RunConfig(0.05, regime=regime, policy=Policy.MAX_VIOLATION)
+    report = run(instance, ball, config)
+    assert checked[0] == _decisions(report) - 1
+    # the bound stays far inside the margins the choices need
+    assert worst[0] < 1e-9
 
 
 # ------------------------------------------------------------------- config
