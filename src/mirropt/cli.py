@@ -48,7 +48,8 @@ from .probfile import (
     problem_to_mapping,
 )
 from .problems import EvaluationError, ProblemInstance
-from .solver import Policy, Regime, RunConfig, SolverReport, StopReason, run
+from .solver import (Policy, Regime, RunConfig, SolverReport, StepHistory, StopReason,
+                     run)
 
 __all__ = ["main", "build_parser"]
 
@@ -171,7 +172,7 @@ def _jsonable(obj: Any) -> Any:
         return obj.value
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, StepHistory)):
         return [_jsonable(item) for item in obj]
     if isinstance(obj, float) and not np.isfinite(obj):
         return None

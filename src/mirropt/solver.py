@@ -20,10 +20,13 @@ from __future__ import annotations
 
 import math
 import time
-from operator import sub
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
+from itertools import repeat
+from operator import index, sub
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,6 +41,7 @@ __all__ = [
     "StepKind",
     "RunConfig",
     "StepRecord",
+    "StepHistory",
     "SolverReport",
     "run",
     "vf_gap",
@@ -85,10 +89,12 @@ class RunConfig:
     max_iterations : int
         Safety cap; reaching it is reported, not raised.
     record_history : bool
-        Store one :class:`StepRecord` per step (including the iterate), for
+        Keep the run's steps as a :class:`StepHistory`, a read-only sequence
+        of one :class:`StepRecord` per step (including the iterate), for
         inspection only: no report field or verification check reads it.
-        The ``point`` of a batched non-productive step (see :func:`run`) is
-        a row view into one block holding the iterates its batch took.
+        A batch of non-productive steps (see :func:`run`) is stored as one
+        segment; its records are built on access, each ``point`` a row view
+        into the block holding the iterates the batch took.
     """
 
     epsilon: float
@@ -132,9 +138,92 @@ class StepRecord:
     point: Array | None = None
 
 
+class _Segment(NamedTuple):
+    """A batched run of non-productive steps on one constraint: the first
+    step's index, the shared fields, and the iterates, one row per step."""
+
+    index: int
+    step_size: float
+    grad_dual_norm: float
+    constraint_index: int
+    points: Array
+
+
+class StepHistory(Sequence):
+    """A run's steps: a read-only sequence of :class:`StepRecord` in step
+    order, record k being step k.
+
+    An ordinary step is stored as its record.  A batch of non-productive
+    steps (see :func:`run`) is stored as one segment, holding its first
+    index, step size, dual norm, constraint and the block of iterates it
+    took; its records are built on access, each ``point`` a row view of the
+    block, so ``h[k] is h[k]`` is false for a batched step.  Indexing takes
+    an int, negative counting from the end, or a slice, which gives a list.
+    """
+
+    __slots__ = ("_entries", "_starts")
+
+    def __init__(self) -> None:
+        self._entries: list[StepRecord | _Segment] = []
+        self._starts: list[int] = []  # the entries' first indices, for bisection
+
+    def _append(self, record: StepRecord) -> None:
+        self._entries.append(record)
+
+    def _add_segment(self, start: int, step_size: float, grad_dual_norm: float,
+                     constraint_index: int, points: Array) -> None:
+        self._entries.append(
+            _Segment(start, step_size, grad_dual_norm, constraint_index, points))
+
+    def __len__(self) -> int:
+        if not self._entries:
+            return 0
+        last = self._entries[-1]
+        return last.index + (1 if type(last) is StepRecord else len(last.points))
+
+    def __iter__(self) -> Iterator[StepRecord]:
+        for entry in self._entries:
+            if type(entry) is StepRecord:
+                yield entry
+                continue
+            # One map over the block: a Python loop iterates ex 2 N's
+            # history about a quarter slower.
+            start, h, norm, constraint, points = entry
+            yield from map(StepRecord, range(start, start + len(points)),
+                           repeat(StepKind.NONPRODUCTIVE), repeat(h), repeat(norm),
+                           repeat(constraint), repeat(None), points)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self[k] for k in range(*key.indices(len(self)))]
+        size = len(self)
+        k = index(key)
+        if k < 0:
+            k += size
+        if not 0 <= k < size:
+            raise IndexError("history index out of range")
+        entries, starts = self._entries, self._starts
+        if len(starts) < len(entries):
+            starts.extend(entry.index for entry in entries[len(starts):])
+        entry = entries[bisect_right(starts, k) - 1]
+        if type(entry) is StepRecord:
+            return entry
+        start, h, norm, constraint, points = entry
+        return StepRecord(k, StepKind.NONPRODUCTIVE, h, norm, constraint, None,
+                          points[k - start])
+
+    def __repr__(self) -> str:
+        return f"StepHistory({len(self)} steps, {len(self._entries)} entries)"
+
+
 @dataclass
 class SolverReport:
     """Outcome of one solver run.
+
+    ``history`` is the run's :class:`StepHistory`, a read-only sequence of
+    :class:`StepRecord`, one per step, where ``record_history`` is set;
+    a batched step's record is built on each access, so ``history[k] is
+    history[k]`` is false for it.
 
     ``certificate`` is min <s_k, x_k - x*> / ||s_k||_* over the productive
     iterates and an exact solution the run stops at (gap 0), inf if none,
@@ -152,7 +241,7 @@ class SolverReport:
     a_priori_bound: int | None
     wall_time: float
     config: RunConfig
-    history: list[StepRecord] | None = None
+    history: StepHistory | None = None
     certificate: float | None = None
 
     @property
@@ -589,7 +678,15 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     place of the matrix-vector product wherever a rounding bound certifies
     that the product would give the same violated set and argmax; anywhere
     else, and after a productive step on any other objective, the product
-    is taken.  Where an instance sets its own
+    is taken.
+
+    With ``record_history``, the report's ``history`` is a
+    :class:`StepHistory`, a read-only sequence of one :class:`StepRecord`
+    per step.  An ordinary step appends its record; a batch of
+    non-productive steps appends one segment holding the block of iterates
+    it took, whose records are built on access.
+
+    Where an instance sets its own
     ``mirror_step``, ``dual_norm``, ``values``, ``subgradient`` or
     ``value_and_subgradient``, as perfbench's tracer does, neither the
     tables nor the tracked values are used and every ordinary step calls
@@ -647,7 +744,7 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     reference = (problem.known_optimum[0]
                  if not lipschitz and problem.known_optimum is not None else None)
     certificate = math.inf
-    history: list[StepRecord] | None = [] if config.record_history else None
+    history = StepHistory() if config.record_history else None
     stop = StopReason.ITERATION_CAP
     steps = 0
     max_steps = config.max_iterations
@@ -684,8 +781,8 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
                     if gap < certificate:
                         certificate = gap
             if history is not None:
-                history.append(StepRecord(steps, StepKind.PRODUCTIVE, h, norm,
-                                          None, value, x))
+                history._append(StepRecord(steps, StepKind.PRODUCTIVE, h, norm,
+                                           None, value, x))
             x = mirror(x, grad, h)
             n_productive += 1
         else:
@@ -701,8 +798,8 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
             weight = 1.0 / (norm * norm)
             crit_sum += weight
             if history is not None:
-                history.append(StepRecord(steps, StepKind.NONPRODUCTIVE, h, norm,
-                                          idx0 + 1, None, x))
+                history._append(StepRecord(steps, StepKind.NONPRODUCTIVE, h, norm,
+                                           idx0 + 1, None, x))
             x = mirror(x, grad, h)
         steps += 1
         if crit_sum >= stop_target:
@@ -726,10 +823,8 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
             crit = np.concatenate(([crit_sum], np.full(rows, weight))).cumsum()
             rows = int(np.searchsorted(crit[1:], stop_target))
             block, count = runs.advance(x, h * grad, idx0, rows)
-            if history is not None:  # the copy drops the rows not taken
-                history.extend(StepRecord(steps + k, StepKind.NONPRODUCTIVE, h, norm,
-                                          idx0 + 1, None, point)
-                               for k, point in enumerate(block[:count].copy()))
+            if history is not None and count:  # the copy drops the rows not taken
+                history._add_segment(steps, h, norm, idx0 + 1, block[:count].copy())
             steps += count
             crit_sum = float(crit[count])
             x = block[count].copy()

@@ -91,9 +91,20 @@ def assert_bitwise_equal(first, second):
     if first.history is None:
         assert second.history is None
         return
-    assert len(first.history) == len(second.history) == first.total_steps
+    size = first.total_steps
+    assert len(first.history) == len(second.history) == size
     for a, b in zip(first.history, second.history):
-        assert (a.index, a.kind, a.constraint_index) == (b.index, b.kind, b.constraint_index)
-        assert (a.step_size, a.grad_dual_norm, a.objective_value) == (
-            b.step_size, b.grad_dual_norm, b.objective_value)
-        assert a.point.tobytes() == b.point.tobytes()
+        assert_same_record(a, b)
+    # Random access: a fixed sample of indices, from both ends.
+    for k in {0, 1, size // 3, size // 2, size - 2, -1}:
+        if -size <= k < size:
+            a = first.history[k]
+            assert a.index == k % size
+            assert_same_record(a, second.history[k])
+
+
+def assert_same_record(a, b):
+    assert (a.index, a.kind, a.constraint_index) == (b.index, b.kind, b.constraint_index)
+    assert (a.step_size, a.grad_dual_norm, a.objective_value) == (
+        b.step_size, b.grad_dual_norm, b.objective_value)
+    assert a.point.tobytes() == b.point.tobytes()

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import warnings
+from collections.abc import Sequence
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from mirropt import (
     QuadraticOracle,
     Regime,
     RunConfig,
+    StepHistory,
     StepKind,
     StopReason,
     build_example,
@@ -40,6 +42,7 @@ from mirropt import solver
 from differential import (
     SteppedSpace,
     assert_bitwise_equal,
+    assert_same_record,
     counted_mirror_steps,
     run_both,
     run_tabled,
@@ -1202,6 +1205,42 @@ def test_history_disabled_by_default():
     instance, geometry = disk_problem()
     report = run(instance, geometry, RunConfig(0.1))
     assert report.history is None
+
+
+def test_history_is_a_sequence_of_records_over_batched_segments():
+    # ex 1 L first-violated: ordinary steps between batches of constraint steps
+    example = build_example(1)
+    settings = example.settings
+    space = EuclideanSpace(settings.x0, settings.theta0)
+    config = RunConfig(settings.epsilon, policy=Policy.FIRST_VIOLATED,
+                       max_iterations=20_000, record_history=True)
+    report = run(example.instance, space, config)
+    assert_bitwise_equal(report, run(example.instance, stepwise(space), config))
+    history = report.history
+    assert isinstance(history, StepHistory) and isinstance(history, Sequence)
+    records = list(history)
+    size = report.total_steps
+    assert len(history) == len(records) == size == 20_000
+    assert [record.index for record in records] == list(range(size))
+    # a batched step's record is built on access, an ordinary one is kept
+    built = [history[k] is not history[k] for k in range(size)]
+    assert 0 < sum(built) < size
+    assert {records[k].kind for k in range(size) if built[k]} == {StepKind.NONPRODUCTIVE}
+    for k in range(size):
+        assert_same_record(history[k], records[k])
+    for k in range(1, size + 1):
+        assert_same_record(history[-k], records[size - k])
+    for part in (slice(0, 0), slice(5, 50), slice(-100, None), slice(None, None, 997),
+                 slice(size - 3, size + 10), slice(50, 5), slice(None, None, -1)):
+        got = history[part]
+        assert len(got) == len(records[part])
+        for a, b in zip(got, records[part]):
+            assert_same_record(a, b)
+    for k in (size, size + 1, -size - 1):
+        with pytest.raises(IndexError):
+            history[k]
+    with pytest.raises(TypeError):
+        history[1.0]
 
 
 def alternating_problem_with_optimum():
