@@ -137,6 +137,17 @@ class StepRecord:
     objective_value: float | None = None
     point: Array | None = None
 
+    def __eq__(self, other: object) -> bool:
+        # The points by value: the generated method compares them with ==,
+        # which has no truth value for two distinct arrays.
+        if type(other) is not StepRecord:
+            return NotImplemented
+        return ((self.index, self.kind, self.step_size, self.grad_dual_norm,
+                 self.constraint_index, self.objective_value)
+                == (other.index, other.kind, other.step_size, other.grad_dual_norm,
+                    other.constraint_index, other.objective_value)
+                and np.array_equal(self.point, other.point))
+
 
 class _Segment(NamedTuple):
     """A batched run of non-productive steps on one constraint: the first
@@ -252,19 +263,20 @@ class SolverReport:
         )
 
 
-def _sources(bank: OracleBank, dual: Callable[[Array], float], tabled: bool):
+def _sources(bank: OracleBank, dual: Callable[[Array], float]):
     """A bank's scan ``x -> (values, argmax, max)`` and row source
     ``(i, x) -> (i, subgradient, dual norm)``.
 
-    Where ``tabled``, the bank is stacked: each member is affine, with a
-    constant subgradient a, so its row ``(i, a, dual norm of a)`` is a
-    constant of the run, tabled once.  The scan is then one matrix-vector
-    product into a preallocated buffer, checked as ``OracleBank.values``
-    checks it, and the row is a lookup; both are bit for bit what the
-    oracle and dual-norm calls return.  Otherwise the scan is
-    ``bank.values`` and the row calls the member and the dual norm.
+    Where the bank is stacked (``OracleBank._matrix`` set), each member is
+    affine, with a constant subgradient a, so its row ``(i, a, dual norm of
+    a)`` is a constant of the run, tabled once.  The scan is then one
+    matrix-vector product into a preallocated buffer, checked as
+    ``OracleBank.values`` checks it, and the row is a lookup; both are bit
+    for bit what the oracle and dual-norm calls return.  Otherwise the scan
+    is ``bank.values`` and the row calls the member and the dual norm.
     """
-    if not tabled:
+    matrix, offsets = bank._matrix, bank._offsets
+    if matrix is None:
         values, sub = bank.values, bank.subgradient
 
         def scan(x: Array):
@@ -278,8 +290,8 @@ def _sources(bank: OracleBank, dual: Callable[[Array], float], tabled: bool):
 
         return scan, row
 
-    matrix, offsets = bank._matrix, bank._offsets
-    rows = [(i, member.a, dual(member.a)) for i, member in enumerate(bank.oracles)]
+    with np.errstate(over="ignore"):  # a norm that overflows reads inf
+        rows = [(i, member.a, dual(member.a)) for i, member in enumerate(bank.oracles)]
     vals = np.empty(matrix.shape[0])
     argmax, argmin, item = vals.argmax, vals.argmin, vals.item
     dot, add, isfinite = np.dot, np.add, math.isfinite
@@ -346,17 +358,6 @@ _BLOCK_FLOATS = 1 << 14
 # Below this bound on |A| @ |x| + |b|, sixteen times under the largest float,
 # no summation order of a constraint value overflows.
 _HUGE = 2.0 ** 1020
-
-
-# Instance attributes that replace a method a stepwise run calls.  Where one
-# is set (perfbench's tracer sets them all), the run takes no table lookup,
-# so each ordinary step makes every call a traced pass counts.
-_HOOKS = ("mirror_step", "dual_norm", "values", "subgradient",
-          "value_and_subgradient")
-
-
-def _hooked(*objects: object) -> bool:
-    return any(name in vars(o) for o in objects for name in _HOOKS)
 
 
 class _AffineRuns:
@@ -678,20 +679,14 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     place of the matrix-vector product wherever a rounding bound certifies
     that the product would give the same violated set and argmax; anywhere
     else, and after a productive step on any other objective, the product
-    is taken.
+    is taken.  The types of the data and the geometry alone pick these
+    paths, so a subclass of either geometry takes the tables only.
 
     With ``record_history``, the report's ``history`` is a
     :class:`StepHistory`, a read-only sequence of one :class:`StepRecord`
     per step.  An ordinary step appends its record; a batch of
     non-productive steps appends one segment holding the block of iterates
     it took, whose records are built on access.
-
-    Where an instance sets its own
-    ``mirror_step``, ``dual_norm``, ``values``, ``subgradient`` or
-    ``value_and_subgradient``, as perfbench's tracer does, neither the
-    tables nor the tracked values are used and every ordinary step calls
-    them; batched steps still skip them, and a wrapper that counts runs by
-    their first step counts them exactly.
     """
     if problem.dimension != prox.dimension:
         raise ValueError("problem and geometry dimensions differ")
@@ -706,17 +701,16 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     mirror = prox.mirror_step
     dual = prox.dual_norm
     isfinite = math.isfinite
+    scan, row = _sources(bank, dual)
+    # A max of affine pieces is evaluated from its stacked pieces' sources.
     pieces = objective._bank if type(objective) is MaxOracle else None
-    plain = not _hooked(prox, objective, bank, *bank.oracles,
-                        *([] if pieces is None else [pieces, *pieces.oracles]))
-    stacked = plain and bank._matrix is not None
-    scan, row = _sources(bank, dual, stacked)
-    tabled = plain and pieces is not None and pieces._matrix is not None
-    piece_sources = _sources(pieces, dual, True) if tabled else None
+    if pieces is not None and pieces._matrix is None:
+        pieces = None
+    piece_sources = None if pieces is None else _sources(pieces, dual)
     evaluate = _make_evaluator(objective, dual, piece_sources)
-    if stacked and type(prox) is EuclideanBall:
+    if bank._matrix is not None and type(prox) is EuclideanBall:
         rows = [row(i, None) for i in range(len(bank.oracles))]
-        if tabled:
+        if pieces is not None:
             rows += [piece_sources[1](l, None) for l in range(len(pieces.oracles))]
         tracker = _BallTracker(bank, prox, scan, rows, eps)
         if tracker.finite:
@@ -724,7 +718,7 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     select = _make_selector(scan, row, eps, config.policy)
     # Productive runs are batched where a gemm row need not give the
     # stepwise objective value: in the Lipschitz regime, without history.
-    produce = tabled and lipschitz and not config.record_history
+    produce = pieces is not None and lipschitz and not config.record_history
     runs = (_AffineRuns(bank, config, *(pieces, piece_sources[1]) if produce else ())
             if type(prox) is EuclideanSpace and bank._matrix is not None
             and config.policy is not Policy.MIN_DUAL_NORM else None)

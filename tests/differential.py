@@ -4,80 +4,60 @@
 runs of constraint steps, and of productive steps on a max of affine
 pieces, on an exact :class:`EuclideanSpace`, and tracks all-affine
 constraint values in place of the stacked scan on an exact
-:class:`EuclideanBall`.  The stepwise reference turns all three off
-without changing the arithmetic: an instance-level override of
-``dual_norm``, which ``run`` honours, turns off the tables and the tracked
-values, and :class:`SteppedSpace` in place of an exact Euclidean space
-turns off the batches.  A run and its reference must agree bit for bit.
+:class:`EuclideanBall`.  The stepwise reference is the same geometry as a
+subclass, :class:`SteppedSpace` or :class:`SteppedBall`, which turns the
+batches and the tracked values off without changing the arithmetic.  The
+tables, which a subclass keeps, are checked against the oracle and
+dual-norm calls they replace by ``test_solver``'s component tests.  A run
+and its reference must agree bit for bit.
 """
 
 import copy
-from unittest import mock
 
 import numpy as np
 
-from mirropt import EuclideanSpace, run
+from mirropt import EuclideanBall, EuclideanSpace, run
 
 
 class SteppedSpace(EuclideanSpace):
     """The same geometry; runs on a subclass take no batches."""
 
 
+class SteppedBall(EuclideanBall):
+    """The same geometry; runs on a subclass track no values."""
+
+
 def stepwise(space):
-    """A copy of the geometry that ``run`` steps through one call at a time."""
+    """A copy of the geometry that ``run`` takes ordinary steps on."""
     if type(space) is EuclideanSpace:
-        space = SteppedSpace(space.anchor, space.theta0)
-    else:
-        space = copy.copy(space)
-    space.dual_norm = space.dual_norm
-    return space
+        return SteppedSpace(space.anchor, space.theta0)
+    if type(space) is EuclideanBall:
+        return SteppedBall(space.center, space.radius, space.theta0, space.anchor)
+    return copy.copy(space)
 
 
-def counted_mirror_steps(space):
-    """Count calls of the instance's mirror_step.
-
-    Setting it on the instance is an override ``run`` honours: table-driven
-    steps are off, and only batched steps skip its calls.
-    """
+def count_calls(space, name):
+    """Count calls of the geometry's method ``name`` through a wrapper set
+    on the instance, which does not change the path ``run`` takes."""
     calls = [0]
-    inner = space.mirror_step
+    inner = getattr(space, name)
 
-    def counted(x, p, h):
+    def wrapper(*args):
         calls[0] += 1
-        return inner(x, p, h)
+        return inner(*args)
 
-    space.mirror_step = counted
+    setattr(space, name, wrapper)
     return calls
 
 
-def run_both(instance, anchor, theta0, config):
-    """Batched and stepwise reports of one run, and the batched run's count
-    of ordinary (unbatched) steps."""
-    space = EuclideanSpace(anchor, theta0)
-    reference = stepwise(space)
-    calls = counted_mirror_steps(space)
-    return run(instance, space, config), run(instance, reference, config), calls[0]
-
-
-def run_tabled(instance, space, config):
+def run_both(instance, space, config, name="mirror_step"):
     """Default and stepwise reports of one run, and how many times the
-    default run called the geometry's dual_norm.
-
-    The count patches the geometry's class, not the instance, so the
-    default run keeps its table-driven steps: it calls dual_norm once per
-    affine member it tables, and once per step that is not table-driven.
-    """
-    calls = [0]
-    inner = type(space).dual_norm
-
-    def counted(self, p):
-        calls[0] += 1
-        return inner(self, p)
-
+    default run called the geometry's ``name``: ``mirror_step`` once per
+    ordinary (unbatched) step off the ball, ``dual_norm`` once per affine
+    member it tables and once per step that is not table-driven."""
     reference = stepwise(space)
-    with mock.patch.object(type(space), "dual_norm", counted):
-        fast = run(instance, space, config)
-    return fast, run(instance, reference, config), calls[0]
+    calls = count_calls(space, name)
+    return run(instance, space, config), run(instance, reference, config), calls[0]
 
 
 def assert_bitwise_equal(first, second):

@@ -20,6 +20,7 @@ from mirropt import (
     ExperimentSettings,
     MaxOracle,
     Oracle,
+    OracleBank,
     Policy,
     ProblemInstance,
     QuadraticOracle,
@@ -43,9 +44,8 @@ from differential import (
     SteppedSpace,
     assert_bitwise_equal,
     assert_same_record,
-    counted_mirror_steps,
+    count_calls,
     run_both,
-    run_tabled,
     stepwise,
 )
 
@@ -225,7 +225,7 @@ def test_batched_runs_equal_stepwise_runs_on_random_instances(policy, regime,
         instance, anchor, theta0 = _random_affine_instance(seed)
         config = RunConfig(0.05, regime=regime, policy=policy,
                            max_iterations=4000, record_history=record_history)
-        batched, stepped, calls = run_both(instance, anchor, theta0, config)
+        batched, stepped, calls = run_both(instance, EuclideanSpace(anchor, theta0), config)
         assert_bitwise_equal(batched, stepped)
         batched_steps += batched.total_steps - calls
     # the opening constraint phases were batched
@@ -239,7 +239,7 @@ def test_batched_run_stops_on_the_criterion_inside_a_batch(policy):
     instance = ProblemInstance(2, AffineOracle([0.0, 1.0]),
                                [AffineOracle([1.0, 0.0], -1.0)])
     config = RunConfig(2.0**-4, policy=policy, record_history=True)
-    batched, stepped, calls = run_both(instance, [100.0, 0.0], 1.0, config)
+    batched, stepped, calls = run_both(instance, EuclideanSpace([100.0, 0.0], 1.0), config)
     assert_bitwise_equal(batched, stepped)
     assert batched.stop_reason is StopReason.CRITERION_MET
     assert batched.total_steps == batched.nonproductive_count == 512
@@ -253,7 +253,7 @@ def test_batched_run_stops_at_the_cap_inside_a_batch(policy, cap):
                                [AffineOracle([1.0, 0.0], -1.0)])
     config = RunConfig(2.0**-4, policy=policy, max_iterations=cap,
                        record_history=True)
-    batched, stepped, calls = run_both(instance, [100.0, 0.0], 10.0, config)
+    batched, stepped, calls = run_both(instance, EuclideanSpace([100.0, 0.0], 10.0), config)
     assert_bitwise_equal(batched, stepped)
     assert batched.stop_reason is StopReason.ITERATION_CAP
     assert batched.total_steps == cap
@@ -272,7 +272,7 @@ def test_batched_run_stops_where_a_value_equals_epsilon(policy, sitting):
     instance = ProblemInstance(2, AffineOracle([-1.0, 0.0]), constraints)
     config = RunConfig(2.0**-4, policy=policy, max_iterations=200,
                        record_history=True)
-    batched, stepped, calls = run_both(instance, [5.0, 0.0], 1.0, config)
+    batched, stepped, calls = run_both(instance, EuclideanSpace([5.0, 0.0], 1.0), config)
     assert_bitwise_equal(batched, stepped)
     kinds = [r.kind for r in batched.history]
     assert kinds[:64] == [StepKind.NONPRODUCTIVE] * 63 + [StepKind.PRODUCTIVE]
@@ -296,7 +296,7 @@ def test_batched_runs_with_near_tied_constraints(policy, offset):
     for regime in Regime:
         config = RunConfig(0.05, regime=regime, policy=policy,
                            max_iterations=3000, record_history=True)
-        batched, stepped, _ = run_both(instance, [20.0, 5.0], 5.0, config)
+        batched, stepped, _ = run_both(instance, EuclideanSpace([20.0, 5.0], 5.0), config)
         assert_bitwise_equal(batched, stepped)
 
 
@@ -318,19 +318,17 @@ def test_batched_run_meets_overflow_as_the_stepwise_run_does(policy, first):
     config = RunConfig(0.05, policy=policy, max_iterations=11_000,
                        record_history=True)
     spaces = [EuclideanSpace([0.0, 0.0], 1e7), SteppedSpace([0.0, 0.0], 1e7)]
-    calls = [counted_mirror_steps(space) for space in spaces]
-    # With no override set, the third run takes table-driven steps as well.
-    spaces.append(EuclideanSpace([0.0, 0.0], 1e7))
+    calls = count_calls(spaces[1], "mirror_step")
     outcomes = []
     for space in spaces:
         try:
             outcomes.append(run(instance, space, config))
         except EvaluationError as error:
             outcomes.append(str(error))
-    batched, stepped, tabled = outcomes
+    batched, stepped = outcomes
     assert isinstance(stepped, str)
-    assert batched == stepped == tabled
-    assert calls[1][0] > 10_000
+    assert batched == stepped
+    assert calls[0] > 10_000
 
 
 def _counted_batches(monkeypatch):
@@ -374,7 +372,7 @@ def test_run_beside_a_constraint_at_epsilon_is_batched_at_most_once(monkeypatch,
     constraints = [AffineOracle([0.0, 1.0], 2.0**-4), AffineOracle([1.0, 0.0], -1.0)]
     instance = ProblemInstance(2, AffineOracle([-1.0, 0.0]), constraints)
     config = RunConfig(2.0**-4, policy=policy, record_history=True)
-    batched, stepped, calls = run_both(instance, [33.0, 0.0], 1.0, config)
+    batched, stepped, calls = run_both(instance, EuclideanSpace([33.0, 0.0], 1.0), config)
     assert_bitwise_equal(batched, stepped)
     assert batched.total_steps == 512
     assert batched.nonproductive_count == 511
@@ -408,7 +406,7 @@ def test_batched_runs_beside_a_zero_constraint_row(policy, regime):
     constraints = [AffineOracle([0.0, 0.0], -1.0), AffineOracle([1.0, 0.0], -1.0)]
     instance = ProblemInstance(2, AffineOracle([0.0, 1.0]), constraints)
     config = RunConfig(2.0**-4, regime=regime, policy=policy, record_history=True)
-    batched, stepped, calls = run_both(instance, [100.0, 0.0], 1.0, config)
+    batched, stepped, calls = run_both(instance, EuclideanSpace([100.0, 0.0], 1.0), config)
     assert_bitwise_equal(batched, stepped)
     assert batched.nonproductive_count == 512
     assert calls < 5
@@ -475,7 +473,7 @@ def test_table_steps_equal_stepwise_steps_on_random_instances(geometry, policy, 
         instance, space = _random_tabled_instance(seed, geometry)
         config = RunConfig(0.05, regime=regime, policy=policy,
                            max_iterations=4000, record_history=record_history)
-        fast, stepped, calls = run_tabled(instance, space, config)
+        fast, stepped, calls = run_both(instance, space, config, "dual_norm")
         assert_bitwise_equal(fast, stepped)
         # every step was a table step or a batched one, but the productive
         # steps on a lone affine objective, which call its oracle
@@ -499,7 +497,8 @@ def test_table_steps_break_piece_ties_and_stop_on_a_zero_piece(policy, regime):
     instance = ProblemInstance(2, objective, [AffineOracle([0.0, -1.0], -1.0)],
                                known_optimum=([-1.0, 0.0], -1.0))
     config = RunConfig(0.05, regime=regime, policy=policy, record_history=True)
-    fast, stepped, calls = run_tabled(instance, EuclideanSpace([0.0, 0.0], 1.0), config)
+    fast, stepped, calls = run_both(instance, EuclideanSpace([0.0, 0.0], 1.0), config,
+                                    "dual_norm")
     assert_bitwise_equal(fast, stepped)
     assert calls == _table_rows(instance) == 4
     assert fast.history[0].grad_dual_norm == 5.0
@@ -515,7 +514,8 @@ def test_table_steps_stop_on_a_zero_constraint_row(policy, regime):
                                [AffineOracle([1.0, 0.0], -1.0),
                                 AffineOracle([0.0, 0.0], 0.5)])
     config = RunConfig(0.05, regime=regime, policy=policy, record_history=True)
-    fast, stepped, calls = run_tabled(instance, EuclideanSpace([20.0, 0.0], 5.0), config)
+    fast, stepped, calls = run_both(instance, EuclideanSpace([20.0, 0.0], 5.0), config,
+                                    "dual_norm")
     assert_bitwise_equal(fast, stepped)
     assert fast.productive_count == 0
     assert calls == _table_rows(instance) == 2
@@ -523,7 +523,6 @@ def test_table_steps_stop_on_a_zero_constraint_row(policy, regime):
     assert fast.total_steps > 300
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("violated", [False, True])
 def test_min_dual_norm_meets_a_row_of_infinite_dual_norm(violated):
     # The first row's squared norm 2^1201 overflows, so its dual norm, in
@@ -541,7 +540,7 @@ def test_min_dual_norm_meets_a_row_of_infinite_dual_norm(violated):
             with pytest.raises(EvaluationError):
                 run(instance, geometry, config)
         return
-    fast, stepped, calls = run_tabled(instance, space, config)
+    fast, stepped, calls = run_both(instance, space, config, "dual_norm")
     assert_bitwise_equal(fast, stepped)
     assert calls == _table_rows(instance) == 4
     assert fast.nonproductive_count > 0
@@ -558,45 +557,103 @@ def test_table_steps_equal_stepwise_steps_on_example_6(regime, policy):
     cap = 180_000 if policy is Policy.AGGREGATE_MAX else 30_000
     config = RunConfig(settings.epsilon, regime=regime, policy=policy,
                        max_iterations=cap)
-    fast, stepped, calls = run_tabled(example.instance,
-                                      EuclideanSpace(settings.x0, settings.theta0), config)
+    fast, stepped, calls = run_both(example.instance,
+                                    EuclideanSpace(settings.x0, settings.theta0), config,
+                                    "dual_norm")
     assert_bitwise_equal(fast, stepped)
     assert calls == _table_rows(example.instance) == 15
     assert fast.productive_count > 1000
 
 
-def test_run_keeps_calling_instance_level_overrides(monkeypatch):
-    # perfbench's tracer counts calls through overrides set on the
-    # instances; where one is set, the run makes every call it would make
-    # without table-driven steps, and only batched steps skip mirror_step
-    example = build_example(6)
-    instance, geometry = example.instance, default_geometry(example)
-    objective = instance.objective
-    calls = {"objective": 0, "mirror": 0}
-    inner_objective = objective.value_and_subgradient
-    inner_mirror = geometry.mirror_step
+def _outcome(call, *args):
+    """The call's result, or EvaluationError where it raised that."""
+    try:
+        return call(*args)
+    except EvaluationError:
+        return EvaluationError
 
-    def counted_objective(x):
-        calls["objective"] += 1
-        return inner_objective(x)
 
-    def counted_mirror(x, p, h):
-        calls["mirror"] += 1
-        return inner_mirror(x, p, h)
+@pytest.mark.parametrize("geometry", _GEOMETRIES)
+def test_tables_equal_the_calls_they_replace(geometry):
+    # The one fast path a stepwise reference keeps: a stacked bank's scan and
+    # rows, and a max-affine objective's value and row, against
+    # OracleBank.values/subgradient, MaxOracle.value_and_subgradient and the
+    # geometry's dual_norm, bit for bit.  Each bank has a zero row and a row
+    # whose squared norm overflows (dual norm inf on the Euclidean
+    # geometries); points up to 1e300 and one with a NaN make the products
+    # overflow to +-inf or NaN, which both sides must reject.
+    raised = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        rows = rng.standard_normal((int(rng.integers(1, 8)), n))
+        rows *= 10.0 ** rng.integers(-3, 4, (rows.shape[0], 1))
+        rows = np.vstack([rows, np.zeros(n), np.full(n, 2.0**600), rows[:1]])
+        rng.shuffle(rows)
+        bank = OracleBank([AffineOracle(a, b)
+                           for a, b in zip(rows, rng.standard_normal(rows.shape[0]))])
+        assert bank._matrix is not None
+        space = {"space": EuclideanSpace(np.zeros(n), 1.0),
+                 "ball": EuclideanBall(np.zeros(n), 1.0, 1.0),
+                 "simplex": EntropySimplex(n, 1.0)}[geometry]
+        dual = space.dual_norm
+        scan, row = solver._sources(bank, dual)
+        objective = MaxOracle(bank.oracles)
+        evaluate = solver._make_evaluator(objective, dual,
+                                          solver._sources(objective._bank, dual))
+        points = [scale * rng.standard_normal(n) for scale in (0.0, 1.0, 1e150, 1e300)]
+        points.append(np.where(np.arange(n) == 0, math.nan, 1.0))
+        # The stepwise calls overflow as they may: products past the largest
+        # float, and the huge row's squared norm.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in points:
+                for i in range(len(rows)):
+                    s = bank.subgradient(i, x)
+                    k, a, norm = row(i, x)
+                    assert k == i and a.tobytes() == s.tobytes()
+                    assert np.float64(norm).tobytes() == np.float64(dual(s)).tobytes()
+                expected = _outcome(bank.values, x)
+                got = _outcome(scan, x)
+                top = _outcome(objective.value_and_subgradient, x)
+                value = _outcome(evaluate, x)
+                if expected is EvaluationError:
+                    assert got is top is value is EvaluationError
+                    raised += 1
+                    continue
+                vals, i, high = got
+                assert vals.tobytes() == expected.tobytes()
+                assert i == expected.argmax() and high == expected[i]
+                value, (_, grad, norm) = value
+                assert np.float64(value).tobytes() == np.float64(top[0]).tobytes()
+                assert grad.tobytes() == top[1].tobytes()
+                assert np.float64(norm).tobytes() == np.float64(dual(top[1])).tobytes()
+    assert raised >= 24
 
-    objective.value_and_subgradient = counted_objective
-    geometry.mirror_step = counted_mirror
+
+def test_an_instance_level_wrapper_leaves_the_fast_paths_on(monkeypatch):
+    # perfbench's tracer wraps dual_norm on the geometry instance: the run
+    # still tables each affine row once and batches ex 6 L's steps
     batches = _counted_batches(monkeypatch)
-    config = RunConfig(example.settings.epsilon, regime=Regime.NONSTANDARD,
-                       policy=Policy.FIRST_VIOLATED)
-    report = run(instance, geometry, config)
-    batched = sum(count for _, count in batches)
-    assert batched > 0
-    # one call per productive step, and one for the output's value
-    assert calls["objective"] == report.productive_count + 1
-    assert calls["mirror"] == report.total_steps - batched
+    example = build_example(6)
+    geometry = default_geometry(example)
+    calls = count_calls(geometry, "dual_norm")
+    config = RunConfig(example.settings.epsilon, policy=Policy.FIRST_VIOLATED)
+    report = run(example.instance, geometry, config)
+    assert calls[0] == _table_rows(example.instance) == 15
+    assert sum(count for _, count in batches) > 0.9 * report.total_steps
     fresh = build_example(6)
     assert_bitwise_equal(report, run(fresh.instance, default_geometry(fresh), config))
+
+
+def test_an_instance_level_wrapper_leaves_the_ball_tracked(monkeypatch):
+    # a max-affine seed: the wrapped run takes one real scan, its first
+    scans = _counted_scans(monkeypatch)
+    instance, ball = _random_ball_instance(0)
+    calls = count_calls(ball, "dual_norm")
+    report = run(instance, ball, RunConfig(0.1))
+    assert calls[0] == _table_rows(instance)
+    assert report.total_steps > 100
+    assert scans[instance.constraint_bank()] == 1
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -673,7 +730,7 @@ def test_productive_batches_equal_stepwise_runs_on_random_instances(
         instance, space = _random_max_affine_instance(seed, near_tie)
         config = RunConfig(0.5, policy=policy, max_iterations=cap,
                            record_history=record_history)
-        fast, stepped, _ = run_tabled(instance, space, config)
+        fast, stepped, _ = run_both(instance, space, config)
         assert_bitwise_equal(fast, stepped)
         productive += fast.productive_count
         stops.add(fast.stop_reason)
@@ -693,7 +750,7 @@ def _productive_run(epsilon, start, cap=10**6, pieces=None, constraints=None):
         2, MaxOracle(pieces or [AffineOracle([1.0, 0.0]), AffineOracle([0.5, 0.0], -100.0)]),
         constraints or [AffineOracle([0.0, 1.0], -1.0)])
     config = RunConfig(epsilon, max_iterations=cap)
-    return run_tabled(instance, EuclideanSpace(start, 1.0), config)
+    return run_both(instance, EuclideanSpace(start, 1.0), config)
 
 
 def test_productive_batch_stops_on_the_criterion_inside_a_batch(monkeypatch):
@@ -750,9 +807,7 @@ def _productive_runs(pieces, constraints, policy=Policy.FIRST_VIOLATED):
     instance = ProblemInstance(2, MaxOracle(pieces), constraints)
     space = EuclideanSpace([0.0, 0.0], 1.0)
     objective = instance.objective._bank
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the dual norm of an overflowing row
-        _, piece_row = solver._sources(objective, space.dual_norm, True)
+    _, piece_row = solver._sources(objective, space.dual_norm)
     return solver._AffineRuns(instance.constraint_bank(), RunConfig(2.0**-4, policy=policy),
                               objective, piece_row)
 
@@ -864,23 +919,20 @@ def _ball_cell(seed, n=200, m=50, pieces=10):
 
 
 def _counted_scans(monkeypatch):
-    """Calls of each bank's stacked product, by bank: the real scans that
-    tracked values stand in for."""
+    """Calls of each bank's stacked product in tracked runs, by bank: the
+    real scans that tracked values stand in for.  A stepwise reference
+    tracks nothing, so its scans are not counted."""
     counts = {}
-    inner = solver._sources
+    inner = solver._BallTracker.__init__
 
-    def counted(bank, dual, tabled):
-        scan, row = inner(bank, dual, tabled)
-        if not tabled:
-            return scan, row
-
+    def counted(self, bank, ball, scan, *args):
         def counted_scan(x):
             counts[bank] = counts.get(bank, 0) + 1
             return scan(x)
 
-        return counted_scan, row
+        inner(self, bank, ball, counted_scan, *args)
 
-    monkeypatch.setattr(solver, "_sources", counted)
+    monkeypatch.setattr(solver._BallTracker, "__init__", counted)
     return counts
 
 
@@ -905,7 +957,7 @@ def test_tracked_ball_runs_equal_stepwise_runs_on_random_instances(
         epsilon = 0.1 if regime is Regime.LIPSCHITZ else 0.05
         config = RunConfig(epsilon, regime=regime, policy=policy, max_iterations=cap,
                            record_history=record_history)
-        fast, stepped, _ = run_tabled(instance, ball, config)
+        fast, stepped, _ = run_both(instance, ball, config)
         assert_bitwise_equal(fast, stepped)
         stops.add(fast.stop_reason)
         counts = tracked[seed % 3]
@@ -941,7 +993,7 @@ def test_tracked_ball_runs_on_a_small_ball_project_every_step(monkeypatch, polic
         instance, ball = _random_ball_instance(seed, radius=0.01, lift=0.1)
         assert np.abs(ball.center).min() > 0.0
         config = RunConfig(0.1, regime=regime, policy=policy)
-        fast, stepped, _ = run_tabled(instance, ball, config)
+        fast, stepped, _ = run_both(instance, ball, config)
         assert_bitwise_equal(fast, stepped)
         if seed % 3 == 0:
             assert scans.pop(instance.constraint_bank()) == 1
@@ -964,7 +1016,7 @@ def test_a_row_held_at_epsilon_takes_the_real_scan_at_every_step(monkeypatch, po
     held = ProblemInstance(n, instance.objective,
                            [*instance.constraints, AffineOracle(np.zeros(n), value)])
     config = RunConfig(0.1, regime=regime, policy=policy)
-    fast, stepped, _ = run_tabled(held, ball, config)
+    fast, stepped, _ = run_both(held, ball, config)
     assert_bitwise_equal(fast, stepped)
     assert fast.total_steps > 100
     assert scans[held.constraint_bank()] == _decisions(fast)
@@ -986,7 +1038,7 @@ def test_tracked_ball_runs_with_near_tied_constraints(monkeypatch, policy, regim
         tied = ProblemInstance(instance.dimension, instance.objective,
                                [*instance.constraints, *twins])
         config = RunConfig(0.05, regime=regime, policy=policy, record_history=True)
-        fast, stepped, _ = run_tabled(tied, ball, config)
+        fast, stepped, _ = run_both(tied, ball, config)
         assert_bitwise_equal(fast, stepped)
         assert scans[tied.constraint_bank()] >= fast.nonproductive_count
 
@@ -996,7 +1048,7 @@ def test_tracked_ball_run_takes_few_real_scans(monkeypatch, policy):
     scans = _counted_scans(monkeypatch)
     instance, ball = _ball_cell(3)
     config = RunConfig(0.05, regime=Regime.NONSTANDARD, policy=policy)
-    fast, stepped, _ = run_tabled(instance, ball, config)
+    fast, stepped, _ = run_both(instance, ball, config)
     assert_bitwise_equal(fast, stepped)
     assert fast.nonproductive_count > 500 and fast.productive_count > 500
     assert scans[instance.constraint_bank()] <= 0.01 * _decisions(fast)
@@ -1241,6 +1293,29 @@ def test_history_is_a_sequence_of_records_over_batched_segments():
             history[k]
     with pytest.raises(TypeError):
         history[1.0]
+
+
+def test_step_records_compare_by_value():
+    # ex 4 L's first 50 steps: records stored by ordinary steps and ones
+    # rebuilt from a batch's block, each point a row view of it
+    example = build_example(4)
+    config = RunConfig(example.settings.epsilon, max_iterations=50, record_history=True)
+    first, second = (run(example.instance, default_geometry(example), config).history
+                     for _ in range(2))
+    built = [k for k in range(50) if first[k] is not first[k]]
+    assert 0 < len(built) < 50
+    for k in range(50):
+        record = first[k]
+        assert record == first[k] == second[k]
+        assert record in first
+        assert first.index(record) == k
+        assert first.count(record) == 1
+    assert first[built[0]] != first[built[0] + 1]
+    moved = dataclasses.replace(record, point=record.point + 1.0)
+    bare = dataclasses.replace(record, point=None)
+    assert moved != record and bare != record and record != bare
+    assert bare == dataclasses.replace(record, point=None)
+    assert record != (record.index, record.point)
 
 
 def alternating_problem_with_optimum():
