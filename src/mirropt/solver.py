@@ -204,6 +204,12 @@ class StepHistory(Sequence):
                            repeat(StepKind.NONPRODUCTIVE), repeat(h), repeat(norm),
                            repeat(constraint), repeat(None), points)
 
+    def ordinary(self) -> Iterator[StepRecord]:
+        """The ordinary (unbatched) steps' records, in step order, with no
+        batched record built.  Productive steps are never batched where
+        history is recorded, so these hold every productive step."""
+        return (entry for entry in self._entries if type(entry) is StepRecord)
+
     def __getitem__(self, key):
         if isinstance(key, slice):
             return [self[k] for k in range(*key.indices(len(self)))]
@@ -664,9 +670,12 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     one matrix-vector product, and each constraint row's subgradient and
     dual norm are looked up in a table built at the start of the run, with
     no call to the oracles or the dual norm; so are a max-affine
-    objective's pieces on productive steps, and any other objective is
-    called.  On an exact :class:`EuclideanSpace`, under every policy but
-    min-dual-norm, a run of non-productive steps on one constraint is also
+    objective's pieces on productive steps.  Any other objective is
+    called; a max of quadratics then takes a certified argmax of its
+    pieces from one stacked product and calls the winning piece alone,
+    falling back to every piece's value where the argmax is not certified
+    (see :class:`OracleBank`), with the member loop's numbers.  On an
+    exact :class:`EuclideanSpace`, under every policy but min-dual-norm, a run of non-productive steps on one constraint is also
     batched by ``_AffineRuns``, each batch as long as the rest of the run
     is computed to last; a batch that the rounding margins cut short ends
     batching for its run.  In the Lipschitz regime without history, a run

@@ -8,15 +8,20 @@ constraint values in place of the stacked scan on an exact
 subclass, :class:`SteppedSpace` or :class:`SteppedBall`, which turns the
 batches and the tracked values off without changing the arithmetic.  The
 tables, which a subclass keeps, are checked against the oracle and
-dual-norm calls they replace by ``test_solver``'s component tests.  A run
-and its reference must agree bit for bit.
+dual-norm calls they replace by ``test_solver``'s component tests.
+
+A max of quadratics finds its winning piece by the certified stacked
+argmax of ``OracleBank``; the reference objective is a
+:class:`SteppedMax` over the same pieces, which takes every piece's value
+through the member loop instead.  A run and its reference must agree bit
+for bit.
 """
 
 import copy
 
 import numpy as np
 
-from mirropt import EuclideanBall, EuclideanSpace, run
+from mirropt import EuclideanBall, EuclideanSpace, MaxOracle, ProblemInstance, run
 
 
 class SteppedSpace(EuclideanSpace):
@@ -25,6 +30,28 @@ class SteppedSpace(EuclideanSpace):
 
 class SteppedBall(EuclideanBall):
     """The same geometry; runs on a subclass track no values."""
+
+
+class SteppedMax(MaxOracle):
+    """The same pieces, each called: the member loop that the certified
+    stacked argmax replaces."""
+
+    def value_and_subgradient(self, x):
+        vals = self._bank.values(x)
+        idx = int(vals.argmax())
+        return float(vals[idx]), self.children[idx].subgradient(x)
+
+
+def stepwise_instance(instance):
+    """The instance with its objective evaluated by the member loop where
+    it is a max with a stacked argmax, else the instance itself."""
+    objective = instance.objective
+    if type(objective) is not MaxOracle or objective._bank._top is None:
+        return instance
+    stepped = SteppedMax(objective.children, lipschitz_value=objective.lipschitz_value,
+                         lipschitz_gradient=objective.lipschitz_gradient)
+    return ProblemInstance(instance.dimension, stepped, instance.constraints,
+                           instance.known_optimum)
 
 
 def stepwise(space):
@@ -54,10 +81,12 @@ def run_both(instance, space, config, name="mirror_step"):
     """Default and stepwise reports of one run, and how many times the
     default run called the geometry's ``name``: ``mirror_step`` once per
     ordinary (unbatched) step off the ball, ``dual_norm`` once per affine
-    member it tables and once per step that is not table-driven."""
+    member it tables and once per step that is not table-driven.  The
+    stepwise run takes the member loop on a max of quadratics."""
     reference = stepwise(space)
     calls = count_calls(space, name)
-    return run(instance, space, config), run(instance, reference, config), calls[0]
+    return (run(instance, space, config),
+            run(stepwise_instance(instance), reference, config), calls[0])
 
 
 def assert_bitwise_equal(first, second):

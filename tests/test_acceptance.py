@@ -88,7 +88,7 @@ def _min_productive_certificate(report, example, geometry) -> float:
     objective = example.instance.objective
     reference_point = example.instance.known_optimum[0]
     best = math.inf
-    for record in report.history:
+    for record in report.history.ordinary():
         if record.kind is StepKind.PRODUCTIVE:
             gap = vf_gap(record.point, reference_point, objective, geometry)
             if gap < best:

@@ -166,6 +166,28 @@ def test_max_oracle_value_matches_children_exactly():
         assert np.array_equal(sub, oracle.children[first].subgradient(x))
 
 
+@given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 8),
+       st.booleans(), st.sampled_from([0.0, 1e-3, 1.0, 1e3, 1e120]))
+def test_max_of_quadratics_equals_its_member_loop(seed, n, count, diagonal, scale):
+    # the certified stacked argmax against every piece's value, bit for bit,
+    # on random PSD pieces (an exact twin on odd seeds) at a random point
+    rng = np.random.default_rng(seed)
+    pieces = []
+    for _ in range(count):
+        a = np.diag(rng.uniform(0.0, 3.0, n)) if diagonal else _random_psd(rng, n)
+        pieces.append(QuadraticOracle(a, rng.standard_normal(n), rng.standard_normal()))
+    if seed % 2:
+        pieces.append(pieces[int(rng.integers(count))])
+    oracle = MaxOracle(pieces)
+    x = scale * rng.standard_normal(n)
+    vals = np.array([c.value(x) for c in pieces])
+    value, grad = oracle.value_and_subgradient(x)
+    first = int(vals.argmax())
+    assert np.float64(value).tobytes() == vals[first].tobytes()
+    assert grad.tobytes() == pieces[first].subgradient(x).tobytes()
+    assert oracle._bank.max_entry(x) == (vals[first], first)
+
+
 def test_quadratic_gradient_matches_finite_differences():
     rng = np.random.default_rng(17)
     step = 1e-6

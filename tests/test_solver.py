@@ -677,6 +677,86 @@ def test_overflowing_stacked_constraint_raises(policy, space):
         run(instance, space([-(2.0**30), -(2.0**30)]), config)
 
 
+# ------------------------------------------------------ a max of quadratics
+
+
+def _counted_argmax(objective):
+    """Counts of the certified and the declined stacked argmaxes that the
+    max of quadratics ``objective`` takes."""
+    counts = {"certified": 0, "fallback": 0}
+    bank = objective._bank
+    inner = bank._top
+
+    def counted(x):
+        idx = inner(x)
+        counts["certified" if idx is not None else "fallback"] += 1
+        return idx
+
+    bank._top = counted
+    return counts
+
+
+@pytest.mark.parametrize("regime, policy, cap", [
+    (Regime.NONSTANDARD, Policy.AGGREGATE_MAX, 10**7),
+    (Regime.NONSTANDARD, Policy.FIRST_VIOLATED, 10**7),
+    (Regime.LIPSCHITZ, Policy.FIRST_VIOLATED, 20_000)])
+def test_example_5_certifies_every_stacked_argmax(regime, policy, cap):
+    # ex 5 N with history, as the acceptance fixture runs it, and ex 5 L
+    # first-violated up to a cap (aggregate-max takes its first productive
+    # step after 10^5 steps): each evaluation of the max of ten diagonal quadratics, one
+    # per productive step and one at the output, is certified, and the run
+    # is the member loop's bit for bit
+    example = build_example(5)
+    counts = _counted_argmax(example.instance.objective)
+    config = RunConfig(example.settings.epsilon, regime=regime, policy=policy,
+                       max_iterations=cap, record_history=True)
+    fast, stepped, _ = run_both(example.instance, default_geometry(example), config)
+    assert_bitwise_equal(fast, stepped)
+    assert counts == {"certified": fast.productive_count + 1, "fallback": 0}
+    assert fast.productive_count > 1000
+
+
+def _random_quadratic_max_instance(seed, geometry, diagonal):
+    """``_random_tabled_instance``'s constraints and geometry with a max of
+    random PSD quadratics, diagonal or dense, the second a twin of the
+    first."""
+    tabled, space = _random_tabled_instance(seed, geometry)
+    rng = np.random.default_rng(seed)
+    n = tabled.dimension
+    pieces = []
+    for _ in range(int(rng.integers(2, 6))):
+        if diagonal:
+            a = np.diag(rng.uniform(0.0, 2.0, n))
+        else:
+            g = rng.standard_normal((n, n))
+            a = g.T @ g / n
+        pieces.append(QuadraticOracle(a, rng.standard_normal(n), rng.standard_normal()))
+    pieces.insert(1, pieces[0])
+    objective = MaxOracle(pieces)
+    feasible = tabled.known_optimum[0]
+    return ProblemInstance(n, objective, tabled.constraints,
+                           known_optimum=(feasible, objective.value(feasible))), space
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "dense"])
+@pytest.mark.parametrize("geometry", _GEOMETRIES)
+def test_max_of_quadratics_runs_equal_member_loop_runs(geometry, diagonal, regime):
+    # the stacked argmax against the member loop in whole runs, every
+    # policy in turn, history on odd seeds
+    certified = 0
+    for seed in range(4):
+        instance, space = _random_quadratic_max_instance(seed, geometry, diagonal)
+        counts = _counted_argmax(instance.objective)
+        config = RunConfig(0.05, regime=regime, policy=list(Policy)[seed],
+                           max_iterations=2000, record_history=bool(seed % 2))
+        fast, stepped, _ = run_both(instance, space, config)
+        assert_bitwise_equal(fast, stepped)
+        assert sum(counts.values()) == fast.productive_count + 1
+        certified += counts["certified"]
+    assert certified > 100
+
+
 # ------------------------------------------------ batched productive runs
 
 
@@ -1278,6 +1358,13 @@ def test_history_is_a_sequence_of_records_over_batched_segments():
     built = [history[k] is not history[k] for k in range(size)]
     assert 0 < sum(built) < size
     assert {records[k].kind for k in range(size) if built[k]} == {StepKind.NONPRODUCTIVE}
+    # the ordinary entries are the kept records, the productive ones among them
+    ordinary = list(history.ordinary())
+    assert [r.index for r in ordinary] == [k for k in range(size) if not built[k]]
+    assert all(record is history[record.index] for record in ordinary)
+    productive = [r.index for r in records if r.kind is StepKind.PRODUCTIVE]
+    assert productive and productive == [r.index for r in ordinary
+                                         if r.kind is StepKind.PRODUCTIVE]
     for k in range(size):
         assert_same_record(history[k], records[k])
     for k in range(1, size + 1):
