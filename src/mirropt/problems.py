@@ -251,10 +251,9 @@ def _stacked_argmax(oracles: Sequence[QuadraticOracle]
     piece j by twice the rounding bound of both sides, v_i - v_j > 2 gamma
     (S_i + S_j), up to roundings that the spare factor of two covers, so the
     members' own values keep v_i > v_j: the member loop, lowest index first,
-    would pick i.
-    Where a result is subnormal an operation may also be off by 2^-1075;
-    ``slack`` (1 + R)^2 bounds that over both sides and both paths, R =
-    max |x_k|.
+    would pick i.  Where a result is subnormal, an operation may also be off
+    by 2^-1075; ``slack`` (1 + R)^2 bounds that over both sides and both
+    paths, R = max |x_k|.
 
     The pieces' magnitude sum T bounds 2 S_j by T max(1, R)^2; only points
     with R <= ``reach`` are taken, where that is at most 2^996 and x*x is
@@ -286,39 +285,34 @@ def _stacked_argmax(oracles: Sequence[QuadraticOracle]
         rows = rows.reshape(2 * p, 3 * n)
         offsets = np.concatenate([2.0 * alpha + 2.0 * c * np.abs(alpha),
                                   2.0 * alpha - 2.0 * c * np.abs(alpha)])
-        absolute, concatenate, dot = np.abs, np.concatenate, np.dot
+        concatenate, dot = np.concatenate, np.dot
 
-        def bounds(x: Array):
-            size = absolute(x)
-            top = size.item(size.argmax())  # NaN where x has one
-            if not top <= reach:
-                return None
+        def bounds(x: Array, size: Array):
             out = dot(rows, concatenate((x * x, x, size)))
             out += offsets
-            return out[:p], out[p:], top
+            return out[:p], out[p:]
     else:
         border = np.zeros((2, p, n + 1, n + 1))
         border[0, :, :n, :n] = a
         border[0, :, :n, n] = border[0, :, n, :n] = -b
         border[0, :, n, n] = 2.0 * alpha
         border[1] = np.abs(border[0])
-        absolute, concatenate, matmul, one = np.abs, np.concatenate, np.matmul, np.ones(1)
+        concatenate, matmul, one = np.concatenate, np.matmul, np.ones(1)
 
-        def bounds(x: Array):
-            size = absolute(x)
-            top = size.item(size.argmax())  # NaN where x has one
-            if not top <= reach:
-                return None
+        def bounds(x: Array, size: Array):
             z = concatenate((x, one, size, one)).reshape(2, 1, n + 1, 1)
             value, magnitude = matmul(z.reshape(2, 1, 1, n + 1),
                                       matmul(border, z)).reshape(2, p)
-            return value + c * magnitude, value - c * magnitude, top
+            return value + c * magnitude, value - c * magnitude
+
+    absolute = np.abs
 
     def argmax(x: Array) -> int | None:
-        parts = bounds(x)
-        if parts is None:
+        size = absolute(x)
+        top = size.item(size.argmax())  # NaN where x has one
+        if not top <= reach:
             return None
-        hi, lo, top = parts
+        hi, lo = bounds(x, size)
         i = int(lo.argmax())
         low = lo.item(i) - slack * (1.0 + top) * (1.0 + top)
         hi[i] = -math.inf
@@ -343,7 +337,8 @@ class OracleBank:
     loop's bit for bit; where the stacked product cannot certify the
     argmax (a near-tie, a non-finite or very large point), it falls back to
     the member loop, whose errors and warnings are therefore unchanged.
-    ``values`` is always the member loop.
+    ``values`` is always the member loop.  A dense stack holds a copy of
+    the members' matrices and one of their absolute values.
     """
 
     def __init__(self, oracles: Sequence[Oracle]) -> None:
