@@ -675,11 +675,12 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     pieces from one stacked product and calls the winning piece alone,
     falling back to every piece's value where the argmax is not certified
     (see :class:`OracleBank`), with the member loop's numbers.  On an
-    exact :class:`EuclideanSpace`, under every policy but min-dual-norm, a run of non-productive steps on one constraint is also
-    batched by ``_AffineRuns``, each batch as long as the rest of the run
-    is computed to last; a batch that the rounding margins cut short ends
-    batching for its run.  In the Lipschitz regime without history, a run
-    of productive steps on a max-affine objective is batched too, on pieces
+    exact :class:`EuclideanSpace`, under every policy but min-dual-norm, a
+    run of non-productive steps on one constraint is also batched by
+    ``_AffineRuns``, each batch as long as the rest of the run is computed
+    to last; a batch that the rounding margins cut short ends batching for
+    its run.  In the Lipschitz regime without history, a run of productive
+    steps on a max-affine objective is batched too, on pieces
     predicted from the piece values and certified by the same margins.  The
     first step of each run and the step after each batch are ordinary
     steps.  On an exact :class:`EuclideanBall` with all-affine constraints,
