@@ -224,19 +224,18 @@ class AbsAffinePlusOracle(Oracle):
         return self.scale * np.abs(points @ self.a) + self.shift
 
 
-def _stacked_argmax(oracles: Sequence[QuadraticOracle]
+def _stacked_argmax(oracles: Sequence[Oracle]
                     ) -> Callable[[Array], int | None] | None:
-    """A certified argmax over quadratics: ``x -> i``, the lowest index
-    attaining the largest member value, or None where the stacked product
-    cannot certify it; None where the data admit no stacked form.
+    """A certified argmax over diagonal quadratics: ``x -> i``, the lowest
+    index attaining the largest member value, or None where the stacked
+    product cannot certify it; None where the data admit no stacked form,
+    that is unless every member is exactly a :class:`QuadraticOracle` with
+    a diagonal matrix (a dense one has no workload to show a stack pays).
 
     All P pieces are taken at once at twice their value, 2 v_j = x^T A_j x -
     2 b_j.x + 2 alpha_j, widened by c times twice their magnitude, 2 S_j =
     |x|^T |A_j| |x| + 2 |b_j|.|x| + 2 |alpha_j|: into hi_j = 2 v_j + 2 c S_j
-    and lo_j = 2 v_j - 2 c S_j.  Where every A_j is diagonal, this is one
-    (2P, 3n) product on (x*x, x, |x|); otherwise a (2, P, n+1, n+1) stack of
-    the bordered matrices [[A_j, -b_j], [-b_j^T, 2 alpha_j]] and their
-    absolute values, taken on (x, 1) and (|x|, 1).
+    and lo_j = 2 v_j - 2 c S_j, by one (2P, 3n) product on (x*x, x, |x|).
 
     Rounding: a dot product of length m, in any summation order, is within
     gamma_m = m u / (1 - m u) times the dot product of the absolute values,
@@ -244,75 +243,59 @@ def _stacked_argmax(oracles: Sequence[QuadraticOracle]
     3).  A member's ``value_and_subgradient`` takes two nested products of
     length n and three more operations, so its value is within gamma_{2n+2}
     S_j of the exact one.  A row of hi or lo is one product of length 3n
-    whose terms are rounded at most four times (dense: two nested products
-    of length n+1 and two operations), so it is within gamma_{3n+4} (1 + c)
-    2 S_j of its exact value.  Take gamma = (3n + 4) 2^-52, almost twice
-    gamma_{3n+4}, and c = 2 gamma.  Then lo_i > hi_j says that piece i beats
-    piece j by twice the rounding bound of both sides, v_i - v_j > 2 gamma
-    (S_i + S_j), up to roundings that the spare factor of two covers, so the
-    members' own values keep v_i > v_j: the member loop, lowest index first,
-    would pick i.  Where a result is subnormal, an operation may also be off
-    by 2^-1075; ``slack`` (1 + R)^2 bounds that over both sides and both
-    paths, R = max |x_k|.
+    whose terms are rounded at most four times, so it is within
+    gamma_{3n+4} (1 + c) 2 S_j of its exact value.  Take gamma = (3n + 4)
+    2^-52, almost twice gamma_{3n+4}, and c = 2 gamma.  Then lo_i > hi_j
+    says that piece i beats piece j by twice the rounding bound of both
+    sides, v_i - v_j > 2 gamma (S_i + S_j), up to roundings that the spare
+    factor of two covers, so the members' own values keep v_i > v_j: the
+    member loop, lowest index first, would pick i.  Where a result is
+    subnormal, an operation may also be off by 2^-1075; ``slack`` (1 + R)^2
+    bounds that over both sides and both paths, R = max |x_k|.
 
     The pieces' magnitude sum T bounds 2 S_j by T max(1, R)^2; only points
     with R <= ``reach`` are taken, where that is at most 2^996 and x*x is
     finite, so no product in either path overflows and this one warns of
     nothing.  A NaN or an infinite entry fails the same test.
     """
-    p, n = len(oracles), oracles[0].dimension
+    if not all(type(o) is QuadraticOracle for o in oracles):
+        return None
     a = np.stack([o.A for o in oracles])
+    p, n = len(oracles), a.shape[1]
+    if np.any(a[:, ~np.eye(n, dtype=bool)]):
+        return None
+    d = np.diagonal(a, axis1=1, axis2=2)
     b = np.stack([o.b for o in oracles])
     alpha = np.array([o.alpha for o in oracles])
     with np.errstate(over="ignore"):  # a sum that overflows: no stacked form
-        total = float((np.abs(a).sum(axis=(1, 2)) + 2.0 * np.abs(b).sum(axis=1)
-                       + 2.0 * np.abs(alpha)).max())
+        magnitude = (np.abs(d).sum(axis=1) + 2.0 * np.abs(b).sum(axis=1)
+                     + 2.0 * np.abs(alpha))
+    total = float(magnitude.max())
     if not total <= 2.0**996:
         return None
     reach = 2.0**500 if total == 0.0 else min(2.0**500, math.sqrt(2.0**996 / total))
     c = 2.0 * (3 * n + 4) * 2.0**-52
-    diagonal = not np.any(a[:, ~np.eye(n, dtype=bool)])
-    d = np.diagonal(a, axis1=1, axis2=2)
-    trace = float(np.abs(d).sum(axis=1).max()) if diagonal else 0.0
+    trace = float(np.abs(d).sum(axis=1).max())
     slack = 2.0**-1071 * (n + 1) * (n + 2 + trace)
 
-    if diagonal:
-        rows = np.empty((2, p, 3 * n))
-        for sign, part in zip((1.0, -1.0), rows):
-            part[:, :n] = d + sign * c * np.abs(d)
-            part[:, n:2 * n] = -2.0 * b
-            part[:, 2 * n:] = sign * 2.0 * c * np.abs(b)
-        rows = rows.reshape(2 * p, 3 * n)
-        offsets = np.concatenate([2.0 * alpha + 2.0 * c * np.abs(alpha),
-                                  2.0 * alpha - 2.0 * c * np.abs(alpha)])
-        concatenate, dot = np.concatenate, np.dot
-
-        def bounds(x: Array, size: Array):
-            out = dot(rows, concatenate((x * x, x, size)))
-            out += offsets
-            return out[:p], out[p:]
-    else:
-        border = np.zeros((2, p, n + 1, n + 1))
-        border[0, :, :n, :n] = a
-        border[0, :, :n, n] = border[0, :, n, :n] = -b
-        border[0, :, n, n] = 2.0 * alpha
-        border[1] = np.abs(border[0])
-        concatenate, matmul, one = np.concatenate, np.matmul, np.ones(1)
-
-        def bounds(x: Array, size: Array):
-            z = concatenate((x, one, size, one)).reshape(2, 1, n + 1, 1)
-            value, magnitude = matmul(z.reshape(2, 1, 1, n + 1),
-                                      matmul(border, z)).reshape(2, p)
-            return value + c * magnitude, value - c * magnitude
-
-    absolute = np.abs
+    rows = np.empty((2, p, 3 * n))
+    for sign, part in zip((1.0, -1.0), rows):
+        part[:, :n] = d + sign * c * np.abs(d)
+        part[:, n:2 * n] = -2.0 * b
+        part[:, 2 * n:] = sign * 2.0 * c * np.abs(b)
+    rows = rows.reshape(2 * p, 3 * n)
+    offsets = np.concatenate([2.0 * alpha + 2.0 * c * np.abs(alpha),
+                              2.0 * alpha - 2.0 * c * np.abs(alpha)])
+    absolute, concatenate, dot = np.abs, np.concatenate, np.dot
 
     def argmax(x: Array) -> int | None:
         size = absolute(x)
         top = size.item(size.argmax())  # NaN where x has one
         if not top <= reach:
             return None
-        hi, lo = bounds(x, size)
+        out = dot(rows, concatenate((x * x, x, size)))
+        out += offsets
+        hi, lo = out[:p], out[p:]
         i = int(lo.argmax())
         low = lo.item(i) - slack * (1.0 + top) * (1.0 + top)
         hi[i] = -math.inf
@@ -329,16 +312,6 @@ class OracleBank:
     :class:`MaxOracle` evaluate through this class, so an aggregate of M
     constraints and a single pre-composed max oracle see bitwise-identical
     numbers.
-
-    When every member is a :class:`QuadraticOracle`, ``max_entry`` first
-    takes a certified argmax of the members' values from one stacked
-    product (``_stacked_argmax``), a diagonal or a dense stack as the data
-    allow, and then the winner's own value, so its result is the member
-    loop's bit for bit; where the stacked product cannot certify the
-    argmax (a near-tie, a non-finite or very large point), it falls back to
-    the member loop, whose errors and warnings are therefore unchanged.
-    ``values`` is always the member loop.  A dense stack holds a copy of
-    the members' matrices and one of their absolute values.
     """
 
     def __init__(self, oracles: Sequence[Oracle]) -> None:
@@ -349,12 +322,12 @@ class OracleBank:
         if len(dims) != 1:
             raise ValueError("oracle family members disagree on dimension")
         self.dimension = dims.pop()
-        self._matrix = self._offsets = self._top = None
         if all(type(o) is AffineOracle for o in self.oracles):
             self._matrix = np.vstack([o.a for o in self.oracles])
             self._offsets = np.array([o.b for o in self.oracles])
-        elif all(type(o) is QuadraticOracle for o in self.oracles):
-            self._top = _stacked_argmax(self.oracles)
+        else:
+            self._matrix = None
+            self._offsets = None
 
     def values(self, x: Array) -> Array:
         """Member values at x.
@@ -379,19 +352,8 @@ class OracleBank:
     def subgradient(self, index: int, x: Array) -> Array:
         return self.oracles[index].subgradient(x)
 
-    def certified_argmax(self, x: Array) -> int | None:
-        """The lowest index of the largest member value at x, where the
-        stacked quadratic form certifies it; None anywhere else."""
-        return None if self._top is None else self._top(x)
-
     def max_entry(self, x: Array) -> tuple[float, int]:
         """Largest value and its lowest attaining 0-based index."""
-        idx = self.certified_argmax(x)
-        if idx is None:
-            return self._loop_max(x)
-        return self.oracles[idx].value(x), idx
-
-    def _loop_max(self, x: Array) -> tuple[float, int]:
         vals = self.values(x)
         idx = int(vals.argmax())
         return float(vals[idx]), idx
@@ -401,9 +363,13 @@ class MaxOracle(Oracle):
     """Pointwise maximum of child oracles.
 
     The reported value and subgradient are those of the lowest-index child
-    attaining the maximum.  Over quadratic children, that child is found
-    by the bank's certified stacked argmax and called once; elsewhere, and
-    wherever the argmax is not certified, every child's value is taken.
+    attaining the maximum.  Where every child is a :class:`QuadraticOracle`
+    with a diagonal matrix, that child is taken from a certified argmax of
+    one stacked product (``_stacked_argmax``) and called alone, so value,
+    subgradient and tie-break are the member loop's bit for bit.  Elsewhere,
+    and wherever the argmax is not certified (a near-tie, a non-finite
+    point or one large enough to overflow), every child's value is taken
+    through :meth:`OracleBank.max_entry`, with its errors and warnings.
     """
 
     def __init__(self, children: Sequence[Oracle], *,
@@ -411,6 +377,7 @@ class MaxOracle(Oracle):
                  lipschitz_gradient: float | None = None) -> None:
         self.children = list(children)
         self._bank = OracleBank(self.children)
+        self._argmax = _stacked_argmax(self.children)
         self.dimension = self._bank.dimension
         self._set_metadata(lipschitz_value, lipschitz_gradient)
         if lipschitz_value is None:
@@ -419,11 +386,11 @@ class MaxOracle(Oracle):
                 self.lipschitz_value = max(bounds)
 
     def value_and_subgradient(self, x: Array) -> tuple[float, Array]:
-        idx = self._bank.certified_argmax(x)
-        if idx is None:
-            val, idx = self._bank._loop_max(x)
-            return val, self._bank.subgradient(idx, x)
-        return self.children[idx].value_and_subgradient(x)
+        idx = None if self._argmax is None else self._argmax(x)
+        if idx is not None:
+            return self.children[idx].value_and_subgradient(x)
+        val, idx = self._bank.max_entry(x)
+        return val, self._bank.subgradient(idx, x)
 
     def values(self, points: Array) -> Array:
         return np.stack([c.values(points) for c in self.children]).max(axis=0)

@@ -671,10 +671,10 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     dual norm are looked up in a table built at the start of the run, with
     no call to the oracles or the dual norm; so are a max-affine
     objective's pieces on productive steps.  Any other objective is
-    called; a max of quadratics then takes a certified argmax of its
-    pieces from one stacked product and calls the winning piece alone,
+    called; a max of diagonal quadratics then takes a certified argmax of
+    its pieces from one stacked product and calls the winning piece alone,
     falling back to every piece's value where the argmax is not certified
-    (see :class:`OracleBank`), with the member loop's numbers.  On an
+    (see :class:`MaxOracle`), with the member loop's numbers.  On an
     exact :class:`EuclideanSpace`, under every policy but min-dual-norm, a
     run of non-productive steps on one constraint is also batched by
     ``_AffineRuns``, each batch as long as the rest of the run is computed

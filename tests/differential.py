@@ -10,18 +10,20 @@ batches and the tracked values off without changing the arithmetic.  The
 tables, which a subclass keeps, are checked against the oracle and
 dual-norm calls they replace by ``test_solver``'s component tests.
 
-A max of quadratics finds its winning piece by the certified stacked
-argmax of ``OracleBank``; the reference objective is a
+A max of diagonal quadratics finds its winning piece by the certified
+stacked argmax of :class:`MaxOracle`; the reference objective is a
 :class:`SteppedMax` over the same pieces, which takes every piece's value
 through the member loop instead.  A run and its reference must agree bit
-for bit.
+for bit.  ``quadratic_pieces`` builds the random pieces that the oracle,
+solver and property tests take.
 """
 
 import copy
 
 import numpy as np
 
-from mirropt import EuclideanBall, EuclideanSpace, MaxOracle, ProblemInstance, run
+from mirropt import (EuclideanBall, EuclideanSpace, MaxOracle, ProblemInstance,
+                     QuadraticOracle, run)
 
 
 class SteppedSpace(EuclideanSpace):
@@ -37,16 +39,31 @@ class SteppedMax(MaxOracle):
     stacked argmax replaces."""
 
     def value_and_subgradient(self, x):
-        vals = self._bank.values(x)
-        idx = int(vals.argmax())
-        return float(vals[idx]), self.children[idx].subgradient(x)
+        val, idx = self._bank.max_entry(x)
+        return val, self._bank.subgradient(idx, x)
+
+
+def quadratic_pieces(rng, n, count, diagonal=True, spread=0):
+    """``count`` random PSD quadratics on R^n, diagonal or dense, each
+    scaled by 10^k for a random integer k in [-spread, spread]."""
+    pieces = []
+    for _ in range(count):
+        if diagonal:
+            a = np.diag(rng.uniform(0.0, 2.0, n))
+        else:
+            g = rng.standard_normal((n, n))
+            a = g.T @ g / n
+        scale = 10.0 ** int(rng.integers(-spread, spread + 1))
+        pieces.append(QuadraticOracle(scale * a, scale * rng.standard_normal(n),
+                                      scale * rng.standard_normal()))
+    return pieces
 
 
 def stepwise_instance(instance):
     """The instance with its objective evaluated by the member loop where
     it is a max with a stacked argmax, else the instance itself."""
     objective = instance.objective
-    if type(objective) is not MaxOracle or objective._bank._top is None:
+    if type(objective) is not MaxOracle or objective._argmax is None:
         return instance
     stepped = SteppedMax(objective.children, lipschitz_value=objective.lipschitz_value,
                          lipschitz_gradient=objective.lipschitz_gradient)

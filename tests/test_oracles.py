@@ -21,6 +21,8 @@ from mirropt import (
 )
 from mirropt.benchmarks import build_example
 
+from differential import quadratic_pieces
+
 
 def _constant(value: float, dimension: int = 2) -> AffineOracle:
     return AffineOracle(np.zeros(dimension), value)
@@ -224,75 +226,52 @@ def test_oracle_bank_max_entry_first_occurrence():
     assert (val, idx) == (5.0, 1)
 
 
-def _quadratic_pieces(rng, n, count, diagonal):
-    """Random PSD quadratics, diagonal or dense, at scales 1e-3 to 1e3."""
-    pieces = []
-    for _ in range(count):
-        if diagonal:
-            a = np.diag(rng.uniform(0.0, 2.0, n))
-        else:
-            g = rng.standard_normal((n, n))
-            a = g.T @ g / n
-        scale = 10.0 ** int(rng.integers(-3, 4))
-        pieces.append(QuadraticOracle(scale * a, scale * rng.standard_normal(n),
-                                      scale * rng.standard_normal()))
-    return pieces
-
-
 def _loop_outcome(oracle, x):
-    """The member loop's max entry and (value, subgradient), as the bank
-    and MaxOracle took them before the stacked argmax, or EvaluationError."""
+    """The member loop's value, subgradient and index, as MaxOracle took
+    them before the stacked argmax, or EvaluationError."""
     bank = oracle._bank
     try:
         vals = bank.values(x)
     except EvaluationError:
         return EvaluationError
     idx = int(vals.argmax())
-    return (float(vals[idx]), idx), (float(vals[idx]), bank.subgradient(idx, x))
+    return float(vals[idx]), bank.subgradient(idx, x), idx
 
 
-def _stacked_outcome(oracle, x):
-    try:
-        return oracle._bank.max_entry(x), oracle.value_and_subgradient(x)
-    except EvaluationError:
-        return EvaluationError
-
-
-def _assert_outcomes_equal(got, expected):
+def _assert_equals_loop(oracle, x, expected):
+    """``oracle.value_and_subgradient(x)`` is the member loop's outcome
+    ``expected``, bit for bit, or raises as it does."""
     if expected is EvaluationError:
-        assert got is EvaluationError
+        with pytest.raises(EvaluationError):
+            oracle.value_and_subgradient(x)
         return
-    (value, idx), (top, grad) = got
-    (value_ref, idx_ref), (top_ref, grad_ref) = expected
-    assert idx == idx_ref
-    assert np.float64(value).tobytes() == np.float64(value_ref).tobytes()
-    assert np.float64(top).tobytes() == np.float64(top_ref).tobytes()
-    assert grad.tobytes() == grad_ref.tobytes()
+    value, grad = oracle.value_and_subgradient(x)
+    assert np.float64(value).tobytes() == np.float64(expected[0]).tobytes()
+    assert grad.tobytes() == expected[1].tobytes()
 
 
 def _certified(oracle, x):
     """The stacked argmax at x, which must warn of nothing."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return oracle._bank.certified_argmax(x)
+        return oracle._argmax(x)
 
 
-@pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "dense"])
-def test_stacked_argmax_equals_the_member_loop(diagonal):
-    # OracleBank.max_entry and MaxOracle.value_and_subgradient over
-    # quadratic pieces against the member loop, bit for bit: random pieces
-    # with an exact twin, an all-zero piece and a piece scaled by 2^600, at
-    # points from 0 to 2^300 (where the big piece overflows) and with a NaN
+def test_stacked_argmax_equals_the_member_loop():
+    # MaxOracle.value_and_subgradient over diagonal quadratic pieces against
+    # the member loop, bit for bit: random pieces with an exact twin, an
+    # all-zero piece and a piece scaled by 2^600, at points from 0 to 2^300
+    # (where the big piece overflows) and with a NaN
     certified = taken = raised = 0
     for seed in range(16):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 6))
-        pieces = _quadratic_pieces(rng, n, int(rng.integers(1, 7)), diagonal)
+        pieces = quadratic_pieces(rng, n, int(rng.integers(1, 7)), spread=3)
         pieces += [pieces[0], QuadraticOracle(np.zeros((n, n))),
                    QuadraticOracle(2.0**600 * np.eye(n))]
         order = rng.permutation(len(pieces))
         oracle = MaxOracle([pieces[k] for k in order])
-        assert oracle._bank._top is not None
+        assert oracle._argmax is not None
         points = [scale * rng.standard_normal(n)
                   for scale in (0.0, 1e-300, 1e-3, 1.0, 1.0, 1e3, 1e100, 2.0**300)]
         points.append(np.where(np.arange(n) == 0, math.nan, 1.0))
@@ -301,37 +280,34 @@ def test_stacked_argmax_equals_the_member_loop(diagonal):
             # the member loop overflows as it may: the big piece past 2^1024
             with np.errstate(over="ignore", invalid="ignore"):
                 expected = _loop_outcome(oracle, x)
-                _assert_outcomes_equal(_stacked_outcome(oracle, x), expected)
+                _assert_equals_loop(oracle, x, expected)
             taken += 1
             if expected is EvaluationError:
                 assert idx is None
                 raised += 1
             elif idx is not None:
-                assert idx == expected[0][1]
+                assert idx == expected[2]
                 certified += 1
     assert raised >= 16
     assert certified >= taken // 2
 
 
-@pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "dense"])
-def test_stacked_argmax_falls_back_on_twins_and_one_ulp(diagonal):
+def test_stacked_argmax_falls_back_on_twins_and_one_ulp():
     # exact twins and pieces one ulp apart are within every rounding bound:
     # the stacked argmax certifies neither, and the member loop decides,
     # the lowest index winning a tie
     rng = np.random.default_rng(3)
     for _ in range(20):
         n = int(rng.integers(1, 5))
-        (piece,) = _quadratic_pieces(rng, n, 1, diagonal)
+        (piece,) = quadratic_pieces(rng, n, 1, spread=3)
         nudged = QuadraticOracle(piece.A, piece.b, np.nextafter(piece.alpha, math.inf))
         below = QuadraticOracle(piece.A, piece.b, piece.alpha - 1e6)
         for pieces in ([below, piece, piece], [piece, nudged], [nudged, piece, below]):
             oracle = MaxOracle(pieces)
             for x in (np.zeros(n), rng.standard_normal(n), 1e3 * rng.standard_normal(n)):
                 assert _certified(oracle, x) is None
-                expected = _loop_outcome(oracle, x)
-                _assert_outcomes_equal(_stacked_outcome(oracle, x), expected)
-        oracle = MaxOracle([below, piece, piece])
-        assert oracle._bank.max_entry(np.zeros(n))[1] == 1
+                _assert_equals_loop(oracle, x, _loop_outcome(oracle, x))
+        assert _loop_outcome(MaxOracle([below, piece, piece]), np.zeros(n))[2] == 1
 
 
 def test_stacked_argmax_on_a_zero_piece():
@@ -346,16 +322,26 @@ def test_stacked_argmax_on_a_zero_piece():
     for pieces in ([zero], [zero, zero], [below, zero, zero]):
         oracle = MaxOracle(pieces)
         for point in (x, np.zeros(2)):
-            _assert_outcomes_equal(_stacked_outcome(oracle, point),
-                                   _loop_outcome(oracle, point))
-    assert MaxOracle([zero, zero])._bank.max_entry(x) == (0.0, 0)
+            _assert_equals_loop(oracle, point, _loop_outcome(oracle, point))
 
 
-@pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "dense"])
-def test_overflowing_quadratic_pieces_raise_as_the_member_loop(diagonal):
+def test_stacked_argmax_declines_a_subnormal_margin():
+    # at x = 2^-537 the stacked product reads x^2 / 2 = 2^-1075 as above
+    # zero, where the member rounds it to zero and ties the zero piece:
+    # only the subnormal slack keeps the argmax from taking the second
+    # piece, whose subgradient differs from the first's
+    oracle = MaxOracle([QuadraticOracle(np.zeros((1, 1))), QuadraticOracle([[1.0]])])
+    x = np.array([2.0**-537])
+    assert _certified(oracle, x) is None
+    expected = _loop_outcome(oracle, x)
+    assert expected[2] == 0
+    _assert_equals_loop(oracle, x, expected)
+
+
+def test_overflowing_quadratic_pieces_raise_as_the_member_loop():
     # a point whose values overflow: the stacked argmax declines without a
     # RuntimeWarning, and the member loop raises EvaluationError
-    a = 2.0**500 * (np.diag([1.0, 0.0]) if diagonal else np.array([[2.0, 1.0], [1.0, 2.0]]))
+    a = 2.0**500 * np.diag([1.0, 0.0])
     oracle = MaxOracle([QuadraticOracle(a), QuadraticOracle(np.eye(2), [1.0, 1.0])])
     x = np.array([2.0**300, 1.0])
     assert _certified(oracle, x) is None
@@ -363,10 +349,8 @@ def test_overflowing_quadratic_pieces_raise_as_the_member_loop(diagonal):
         assert _loop_outcome(oracle, x) is EvaluationError
         with pytest.raises(EvaluationError):
             oracle.value_and_subgradient(x)
-        with pytest.raises(EvaluationError):
-            oracle._bank.max_entry(x)
     # data whose magnitude sum is past 2^996 take no stacked form at all
-    assert MaxOracle([QuadraticOracle(2.0**1000 * np.eye(2))])._bank._top is None
+    assert MaxOracle([QuadraticOracle(2.0**1000 * np.eye(2))])._argmax is None
 
 
 def test_stacked_argmax_declines_a_nan():
@@ -377,12 +361,17 @@ def test_stacked_argmax_declines_a_nan():
         oracle.value_and_subgradient(x)
 
 
-def test_stacked_form_needs_every_member_a_quadratic():
+def test_stacked_form_needs_every_member_a_diagonal_quadratic():
     quadratic = QuadraticOracle(np.eye(2))
-    assert OracleBank([quadratic])._top is not None
-    assert OracleBank([quadratic, AffineOracle([1.0, 0.0])])._top is None
-    assert OracleBank([quadratic, MaxOracle([quadratic])])._top is None
-    assert OracleBank([AffineOracle([1.0, 0.0])]).certified_argmax(np.zeros(2)) is None
+    dense = QuadraticOracle([[2.0, 1.0], [1.0, 2.0]])
+    assert MaxOracle([quadratic])._argmax is not None
+    assert MaxOracle([quadratic, dense])._argmax is None
+    assert MaxOracle([quadratic, AffineOracle([1.0, 0.0])])._argmax is None
+    assert MaxOracle([quadratic, MaxOracle([quadratic])])._argmax is None
+    # a max of dense pieces is the member loop
+    x = np.array([0.5, -2.0])
+    oracle = MaxOracle([dense, quadratic])
+    _assert_equals_loop(oracle, x, _loop_outcome(oracle, x))
 
 
 def test_oracle_bank_rejects_empty_and_mismatched():
