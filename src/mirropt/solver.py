@@ -92,9 +92,10 @@ class RunConfig:
         Keep the run's steps as a :class:`StepHistory`, a read-only sequence
         of one :class:`StepRecord` per step (including the iterate), for
         inspection only: no report field or verification check reads it.
-        A batch of non-productive steps (see :func:`run`) is stored as one
-        segment; its records are built on access, each ``point`` a row view
-        into the block holding the iterates the batch took.
+        A batch of non-productive steps (see :func:`run`), which may span
+        several constraints' runs, is stored as one segment per constraint;
+        its records are built on access, each ``point`` a row view into the
+        block holding the iterates that run took.
     """
 
     epsilon: float
@@ -150,8 +151,9 @@ class StepRecord:
 
 
 class _Segment(NamedTuple):
-    """A batched run of non-productive steps on one constraint: the first
-    step's index, the shared fields, and the iterates, one row per step."""
+    """A batched run of non-productive steps on one constraint, one run of
+    a batch: the first step's index, the shared fields, and the iterates,
+    one row per step."""
 
     index: int
     step_size: float
@@ -165,10 +167,11 @@ class StepHistory(Sequence):
     order, record k being step k.
 
     An ordinary step is stored as its record.  A batch of non-productive
-    steps (see :func:`run`) is stored as one segment, holding its first
-    index, step size, dual norm, constraint and the block of iterates it
-    took; its records are built on access, each ``point`` a row view of the
-    block, so ``h[k] is h[k]`` is false for a batched step.  Indexing takes
+    steps (see :func:`run`) is stored as one segment per constraint run it
+    spans, each holding the run's first index, step size, dual norm,
+    constraint and the block of iterates it took; its records are built on
+    access, each ``point`` a row view of the block, so ``h[k] is h[k]`` is
+    false for a batched step.  Indexing takes
     an int, negative counting from the end, or a slice, which gives a list.
     """
 
@@ -367,30 +370,35 @@ _HUGE = 2.0 ** 1020
 
 
 class _AffineRuns:
-    """Batched steps x - q, q tabled, on an exact Euclidean space: runs of
-    non-productive steps on one constraint and, given a max of stacked
-    affine ``pieces``, of productive steps on predicted pieces.
+    """Batched steps x - q, q tabled, on an exact Euclidean space: chains of
+    runs of non-productive steps, each run on one constraint, and, given a
+    max of stacked affine ``pieces``, runs of productive steps on predicted
+    pieces.
 
-    ``np.cumsum`` builds a batch's iterates by the same subtractions as the
-    stepwise ``x - h * p``, so they are bitwise its iterates.  One matrix
-    product gives their constraint and piece values.  A row is committed
-    only while the stepwise engine provably takes its step there: each
-    comparison it makes holds with a margin above the rounding bound
-    ``gamma * (|A| @ r + |b|)``, where r bounds |x| over the batch, so no
-    summation order of the stepwise matrix-vector product decides otherwise.
+    Both are predicted in floats from one product ``A @ x + b``: a step on
+    row j is x - q_j, q_j = h_j a_j with h_j from the row's tabled dual
+    norm, and lowers row k's value by a_k . q_j.  ``np.cumsum`` builds a
+    batch's iterates by the same subtractions as the stepwise ``x - h *
+    p``, so they are bitwise its iterates.  One matrix product gives their
+    constraint and piece values.  A row is committed only while the
+    stepwise engine provably takes its step there: each comparison it makes
+    holds with a margin above the rounding bound ``gamma * (|A| @ r +
+    |b|)``, where r bounds |x| over the batch, so no summation order of the
+    stepwise matrix-vector product decides otherwise.
     """
 
-    def __init__(self, bank: OracleBank, config: RunConfig,
+    def __init__(self, bank: OracleBank, config: RunConfig, row: Callable,
                  pieces: OracleBank | None = None, piece_row: Callable | None = None) -> None:
         self.first_violated = config.policy is Policy.FIRST_VIOLATED
         self.epsilon = eps = config.epsilon
         self.a = bank._matrix
         self.b = bank._offsets
         m, n = bank._matrix.shape
-        # The rows ``advance`` evaluates: the constraints, then the pieces.
-        banks = [bank] if pieces is None else [bank, pieces]
-        self.stack = np.vstack([o._matrix for o in banks])
-        self.offsets, self.m = np.concatenate([o._offsets for o in banks]), m
+        # The rows ``advance`` evaluates and steps on: the constraints, then
+        # the pieces; their row sources give the tabled dual norms.
+        banks = [(bank, row)] if pieces is None else [(bank, row), (pieces, piece_row)]
+        self.stack = np.vstack([o._matrix for o, _ in banks])
+        self.offsets, self.m = np.concatenate([o._offsets for o, _ in banks]), m
         self.abs_a = np.abs(self.stack)
         # The smallest normal float covers underflow in the products.
         self.abs_b = np.abs(self.offsets) + np.finfo(float).tiny
@@ -398,77 +406,174 @@ class _AffineRuns:
         # difference, which also absorbs the rounding of r and the margins.
         self.gamma = 4.0 * (n + 2) * np.finfo(float).eps
         self.max_rows = max(1, _BLOCK_FLOATS // max(n, self.offsets.shape[0]))
-        self.tables: dict[int, tuple] = {}
+        # A step on row j is x - q_j, q_j = h_j a_j, as the stepwise h * grad;
+        # h_j and the criterion weight 1 / ||a_j||^2 come from the tabled dual
+        # norm.  A zero or non-finite norm ends a prediction before its row.
+        norms = np.array([source(j, None)[2] for o, source in banks
+                          for j in range(o._matrix.shape[0])])
+        with np.errstate(all="ignore"):  # a zero or overflowing row: inf, NaN
+            ends = ~(np.isfinite(norms) & (norms * norms > 0.0))
+            self.h, self.weights = eps / (norms * norms), 1.0 / (norms * norms)
+            self.q = np.where(ends[:, None], 0.0, self.h[:, None] * self.stack)
+            # drops[j][k] = a_k . q_j, within each bank.
+            drops = [(a @ q.T).T.tolist() for a, q in
+                     ((self.stack[:m], self.q[:m]), (self.stack[m:], self.q[m:]))]
+        self.ends = ends.tolist()
+        self.abs_q = np.abs(self.q)
+        # Per constraint, filled on its first chain: see ``_table``.
+        self.drops, self.piece_drops, self.tables = *drops, {}
         # A productive batch asks for twice the rows the last took, plus two;
         # after batches of under two rows, 0, 1, 3, ... steps pass idle.
         self.ask, self.idle, self.backoff, self.pieces = self.max_rows, 0, 0, pieces
         if pieces is None:
             return
-        # A step on piece l is x - q_l, q_l = h_l c_l, and lowers piece j by
-        # c_j . q_l; h_l and 1 / ||c_l||^2 come from the tabled dual norm.  A
-        # zero or non-finite norm ends a prediction before its piece.
-        c = pieces._matrix
-        norms = np.array([piece_row(l, None)[2] for l in range(c.shape[0])])
-        with np.errstate(all="ignore"):  # a zero or overflowing piece: inf, NaN
-            self.ends = (~(np.isfinite(norms) & (norms * norms > 0.0))).tolist()
-            self.h, self.weights = eps / (norms * norms), 1.0 / (norms * norms)
-            self.q = np.where(np.array(self.ends)[:, None], 0.0, self.h[:, None] * c)
-            self.drops = (c @ self.q.T).T.tolist()
-        self.abs_q = np.abs(self.q).max(axis=0)
         # Twin pieces take bitwise the same step: the argmax may pick either.
+        c = pieces._matrix
         bits = c.view(np.uint64)
-        self.same = (bits[:, None] == bits[None]).all(axis=2) & (norms[:, None] == norms)
+        self.same = (bits[:, None] == bits[None]).all(axis=2) & (norms[m:, None] == norms[m:])
 
-    def length(self, x: Array, i: int) -> float:
-        """How many of x, x - q, x - 2q, ... the policy picks i at, in exact
-        arithmetic: a number whose ceiling is the count, NaN if unknown.  A
-        step lowers value j by q . a_j; the rows that can end i's run are the
-        lower rows that rise (first-violated) or the rows that gain on i."""
-        if i not in self.tables:
-            a = self.a[i]
-            with np.errstate(all="ignore"):  # a zero or overflowing row: NaN
-                rates = self.a @ a / (a @ a) * self.epsilon
-            closing = -rates[:i] if self.first_violated else rates[i] - rates
-            ends = np.flatnonzero(closing > 0)
-            self.tables[i] = rates[i], ends, closing[ends]
-        own, ends, closing = self.tables[i]
-        values = self.a @ x + self.b
-        bound = self.epsilon if self.first_violated else values[i]
-        return float(((bound - values[ends]) / closing).min(
-            initial=(values[i] - self.epsilon) / own))
+    def _table(self, i: int) -> tuple | None:
+        """Constraint i's run table: how much a step lowers i, each
+        constraint's drop, and the rows that can end i's run with the rate
+        at which they close on it (the lower rows that rise under
+        first-violated, else the rows that gain on i); None where a step on
+        i ends a prediction."""
+        drops = self.drops[i]
+        own = drops[i]
+        if self.ends[i] or not (math.isfinite(own) and own > 0.0):
+            table = None
+        else:
+            closing = ([(j, -d) for j, d in enumerate(drops[:i])] if self.first_violated
+                       else [(j, own - d) for j, d in enumerate(drops)])
+            closing = [(j, rate) for j, rate in closing if rate > 0.0]
+            table = own, drops, closing
+        self.tables[i] = table
+        return table
 
-    def advance(self, x: Array, q: Array, i: int | Array, rows: int) -> tuple[Array, int]:
-        """The block of iterates x, x - q, ..., x - rows*q (x - q[0], ... for
-        a row per step, on pieces ``i``), and how many leading ones (at most
-        ``rows``) provably select constraint ``i`` (are productive on i[k])."""
+    def predict(self, x: Array, i: int, rows: int) -> list[list[int]]:
+        """The runs of non-productive steps from x on, as [constraint, count]
+        pairs, from constraint i's (which may have ended at x) on: predicted
+        in floats up to ``rows`` steps, a predicted productive step, or a
+        constraint that ends a prediction."""
+        eps, first_violated, tables = self.epsilon, self.first_violated, self.tables
+        values, chain = (self.a @ x + self.b).tolist(), []
+        while rows:
+            table = tables[i] if i in tables else self._table(i)
+            if table is None:
+                break
+            own, drops, closing = table
+            # In exact arithmetic the policy picks i at the first ceil(length)
+            # of the points the run takes.
+            vi = values[i]
+            bound = eps if first_violated else vi
+            length = (vi - eps) / own
+            for j, rate in closing:
+                t = (bound - values[j]) / rate
+                if t < length:
+                    length = t
+            if math.isnan(length):
+                break
+            count = rows if length >= rows else math.ceil(length) if length > 0.0 else 0
+            if count:
+                if chain and chain[-1][0] == i:
+                    chain[-1][1] += count
+                else:
+                    chain.append([i, count])
+                rows -= count
+                values = [v - count * d for v, d in zip(values, drops)]
+            # The policy's choice where the run ends.  Only the first run,
+            # which may have ended at x, can have no step.
+            if first_violated:
+                j = next((j for j, v in enumerate(values) if v > eps), None)
+            else:
+                high = max(values)
+                j = values.index(high) if high > eps else None
+            if j is None or not count and j == i:
+                break
+            i = j
+        return chain
+
+    def chain(self, x: Array, i: int, rows: int, crit_sum: float,
+              target: float) -> tuple:
+        """Batch up to ``rows`` non-productive steps from x, on the runs
+        predicted from constraint i on, that keep ``crit_sum`` below
+        ``target``, where two steps at least, or all ``rows``, are
+        predicted: x and ``crit_sum`` after them, the runs taken as
+        (constraint, iterates) pairs, and whether every row asked was
+        taken."""
+        chain = self.predict(x, i, min(rows, self.max_rows))
+        predicted = sum(count for _, count in chain)
+        if not predicted or predicted < min(rows, 2):
+            return x, crit_sum, [], True
+        labels = np.repeat(*np.array(chain).T)
+        crit = np.concatenate(([crit_sum], self.weights[labels])).cumsum()
+        rows = int(np.searchsorted(crit[1:], target))
+        # Rows on one run are certified against its one constraint.
+        one = rows <= chain[0][1]
+        block, count = self.advance(x, chain[0][0] if one else labels[:rows], rows)
+        taken, start = [], 0
+        for j, length in chain:
+            if start == count:
+                break
+            length = min(length, count - start)
+            taken.append((j, block[start:start + length]))
+            start += length
+        return block[count].copy(), float(crit[count]), taken, count == rows
+
+    def advance(self, x: Array, labels: int | Array, rows: int) -> tuple[Array, int]:
+        """The block of iterates x, x - q_(labels[0]), ..., a row per step,
+        and how many leading ones (at most ``rows``) provably take their
+        step: a step on constraint ``labels[k]`` below m, a productive step
+        on piece ``labels[k] - m`` above; an int labels every row."""
         block = np.empty((rows + 1, x.shape[0]))
         block[0] = x
-        block[1:] = -q
+        one = not isinstance(labels, np.ndarray)
+        if one:
+            block[1:] = -self.q[labels]
+            reach = np.abs(x) + rows * self.abs_q[labels]
+        else:
+            np.negative(self.q[labels], out=block[1:])
+            reach = np.abs(x) + np.bincount(labels, minlength=self.q.shape[0]) @ self.abs_q
         np.cumsum(block, axis=0, out=block)
-        reach = np.abs(x) + rows * (self.abs_q if q.ndim == 2 else np.abs(q))
+        if not rows:
+            return block, 0
         bound = self.abs_a @ reach + self.abs_b
         if not (reach.max() < _HUGE and bound.max() < _HUGE):
             return block, 0  # NaN included: the stepwise engine decides
         slack = self.gamma * bound
         eps, m = self.epsilon, self.m
         values = block[:rows] @ self.stack.T + self.offsets
-        if isinstance(i, np.ndarray):
-            # All constraints at most eps; i[k] or its twin tops the pieces.
+        if one:
+            i = labels
+            if self.first_violated:
+                ok = values[:, i] > eps + slack[i]
+                if i:
+                    ok &= (values[:, :i] <= eps - slack[:i]).all(axis=1)
+            else:
+                # i is above epsilon and the argmax with the lowest index.
+                low = values[:, i] - slack[i]
+                values += slack
+                values[:, i] = eps
+                ok = low > values[:, :m].max(axis=1)
+            return block, rows if ok.all() else int(ok.argmin())
+        k = np.arange(rows)
+        if labels[0] >= m:
+            # All constraints at most eps; the piece or its twin tops the pieces.
             ok = (values[:, :m] <= eps - slack[:m]).all(axis=1)
-            low = values[np.arange(rows), m + i] - slack[m + i]
+            low = values[k, labels] - slack[labels]
             values += slack
             pieces = values[:, m:]
-            pieces[self.same[i]] = -math.inf
+            pieces[self.same[labels - m]] = -math.inf
             ok &= low > pieces.max(axis=1)
         elif self.first_violated:
-            ok = values[:, i] > eps + slack[i]
-            if i:
-                ok &= (values[:, :i] <= eps - slack[:i]).all(axis=1)
+            # The label is above epsilon, the constraints before it are not:
+            # it is the first that is not at most eps.
+            ok = values[k, labels] > eps + slack[labels]
+            ok &= (values[:, :m] <= eps - slack[:m]).argmin(axis=1) == labels
         else:
-            # i is above epsilon and the argmax with the lowest index.
-            low = values[:, i] - slack[i]
+            low = values[k, labels] - slack[labels]
             values += slack
-            values[:, i] = eps
+            values[k, labels] = eps
             ok = low > values[:, :m].max(axis=1)
         return block, rows if ok.all() else int(ok.argmin())
 
@@ -481,18 +586,19 @@ class _AffineRuns:
             self.idle -= 1
             return 0, x, crit_sum, weighted, weight_sum
         # Predict: the piece values in floats; ties go to the lowest index.
-        values, labels = (self.stack @ x + self.offsets)[self.m:].tolist(), []
+        m, ends, drops = self.m, self.ends, self.piece_drops
+        values, labels = (self.stack @ x + self.offsets)[m:].tolist(), []
         for _ in range(min(rows, self.ask, self.max_rows)):
             l = values.index(max(values))
-            if self.ends[l]:
+            if ends[m + l]:
                 break
-            labels.append(l)
-            values = list(map(sub, values, self.drops[l]))
+            labels.append(m + l)
+            values = list(map(sub, values, drops[l]))
         labels = np.array(labels, dtype=np.intp)
         crit = np.concatenate(([crit_sum], self.weights[labels])).cumsum()
         labels = labels[:np.searchsorted(crit[1:], target)]
         rows = labels.shape[0]
-        block, count = self.advance(x, self.q[labels], labels, rows)
+        block, count = self.advance(x, labels, rows)
         self.ask = 2 * count + 2
         self.backoff = 2 * self.backoff + 1 if count < 2 else 0
         self.idle = self.backoff // 2
@@ -675,28 +781,30 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     its pieces from one stacked product and calls the winning piece alone,
     falling back to every piece's value where the argmax is not certified
     (see :class:`MaxOracle`), with the member loop's numbers.  On an
-    exact :class:`EuclideanSpace`, under every policy but min-dual-norm, a
-    run of non-productive steps on one constraint is also batched by
-    ``_AffineRuns``, each batch as long as the rest of the run is computed
-    to last; a batch that the rounding margins cut short ends batching for
-    its run.  In the Lipschitz regime without history, a run of productive
-    steps on a max-affine objective is batched too, on pieces
-    predicted from the piece values and certified by the same margins.  The
-    first step of each run and the step after each batch are ordinary
-    steps.  On an exact :class:`EuclideanBall` with all-affine constraints,
-    ``_BallTracker`` updates the constraint values in O(M) along each step
-    on a constraint row or a max-affine piece, and the policy reads them in
-    place of the matrix-vector product wherever a rounding bound certifies
-    that the product would give the same violated set and argmax; anywhere
-    else, and after a productive step on any other objective, the product
-    is taken.  The types of the data and the geometry alone pick these
+    exact :class:`EuclideanSpace`, under every policy but min-dual-norm,
+    non-productive steps are also batched by ``_AffineRuns``: a batch
+    chains the rest of a constraint's run and the runs the policy is
+    computed to take after it, on other constraints, up to the first
+    predicted productive step; a batch that the rounding margins cut short
+    ends batching until the constraint changes.  In the Lipschitz regime
+    without history, a run of productive steps on a max-affine objective
+    is batched too, on pieces predicted from the piece values and certified
+    by the same margins.  The first step of each run and the step after
+    each batch are ordinary steps.  On an exact :class:`EuclideanBall`
+    with all-affine constraints, ``_BallTracker`` updates the constraint
+    values in O(M) along each step on a constraint row or a max-affine
+    piece, and the policy reads them in place of the matrix-vector product
+    wherever a rounding bound certifies that the product would give the
+    same violated set and argmax; anywhere else, and after a productive
+    step on any other objective, the product is taken.  The types of the data and the geometry alone pick these
     paths, so a subclass of either geometry takes the tables only.
 
     With ``record_history``, the report's ``history`` is a
     :class:`StepHistory`, a read-only sequence of one :class:`StepRecord`
     per step.  An ordinary step appends its record; a batch of
-    non-productive steps appends one segment holding the block of iterates
-    it took, whose records are built on access.
+    non-productive steps appends one segment per constraint run it spans,
+    each holding the block of iterates that run took, whose records are
+    built on access.
     """
     if problem.dimension != prox.dimension:
         raise ValueError("problem and geometry dimensions differ")
@@ -729,7 +837,7 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     # Productive runs are batched where a gemm row need not give the
     # stepwise objective value: in the Lipschitz regime, without history.
     produce = pieces is not None and lipschitz and not config.record_history
-    runs = (_AffineRuns(bank, config, *(pieces, piece_sources[1]) if produce else ())
+    runs = (_AffineRuns(bank, config, row, *(pieces, piece_sources[1]) if produce else ())
             if type(prox) is EuclideanSpace and bank._matrix is not None
             and config.policy is not Policy.MIN_DUAL_NORM else None)
 
@@ -799,8 +907,7 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
                 stop = StopReason.INFEASIBLE_CONSTRAINT
                 break
             h = eps / (norm * norm)
-            weight = 1.0 / (norm * norm)
-            crit_sum += weight
+            crit_sum += 1.0 / (norm * norm)
             if history is not None:
                 history._append(StepRecord(steps, StepKind.NONPRODUCTIVE, h, norm,
                                            idx0 + 1, None, x))
@@ -819,20 +926,18 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
             last = None
         elif idx0 != last:
             last, batching = idx0, runs is not None
-        elif batching and (length := runs.length(x, idx0)) > 1:
-            # Batch the steps the run is computed to take, two at least, as
-            # far as neither the criterion nor the cap ends the loop: the
-            # step that may is left to the next ordinary step.
-            rows = math.ceil(min(length, runs.max_rows, max_steps - steps))
-            crit = np.concatenate(([crit_sum], np.full(rows, weight))).cumsum()
-            rows = int(np.searchsorted(crit[1:], stop_target))
-            block, count = runs.advance(x, h * grad, idx0, rows)
-            if history is not None and count:  # the copy drops the rows not taken
-                history._add_segment(steps, h, norm, idx0 + 1, block[:count].copy())
-            steps += count
-            crit_sum = float(crit[count])
-            x = block[count].copy()
-            batching = count == rows
+        elif batching:
+            # Chain the steps the run and the runs after it are computed to
+            # take, as far as neither the criterion nor the cap ends the
+            # loop: the step that may is left to the next ordinary step.
+            x, crit_sum, taken, batching = runs.chain(
+                x, idx0, max_steps - steps, crit_sum, stop_target)
+            for last, points in taken:
+                if history is not None:  # the copy drops the rows not taken
+                    norm = row(last, None)[2]
+                    history._add_segment(steps, eps / (norm * norm), norm, last + 1,
+                                         points.copy())
+                steps += len(points)
 
     if stop in (StopReason.ZERO_OBJECTIVE_GRADIENT, StopReason.INFEASIBLE_CONSTRAINT):
         out = x

@@ -1,10 +1,11 @@
 """Differential-test helpers: the stepwise reference engine and one comparer.
 
 ``run`` takes table-driven steps on affine data on every geometry, batches
-runs of constraint steps, and of productive steps on a max of affine
-pieces, on an exact :class:`EuclideanSpace`, and tracks all-affine
-constraint values in place of the stacked scan on an exact
-:class:`EuclideanBall`.  The stepwise reference is the same geometry as a
+constraint steps, one batch spanning the runs on several constraints,
+and productive steps on a max of affine pieces, on an exact
+:class:`EuclideanSpace`, and tracks all-affine constraint values in
+place of the stacked scan on an exact :class:`EuclideanBall`.  A batch
+is recorded as one history segment per constraint run.  The stepwise reference is the same geometry as a
 subclass, :class:`SteppedSpace` or :class:`SteppedBall`, which turns the
 batches and the tracked values off without changing the arithmetic.  The
 tables, which a subclass keeps, are checked against the oracle and

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mirropt import (
     AbsAffinePlusOracle,
@@ -18,13 +18,17 @@ from mirropt import (
     EuclideanBall,
     EuclideanSpace,
     MaxOracle,
+    Policy,
+    ProblemInstance,
     QuadraticOracle,
+    Regime,
+    RunConfig,
     SqrtQuadraticOracle,
     bregman_divergence,
     mirror_step,
 )
 
-from differential import quadratic_pieces
+from differential import assert_bitwise_equal, quadratic_pieces, run_both
 
 SUBGRADIENT_SLACK = 1e-9
 
@@ -243,3 +247,30 @@ def test_simplex_mirror_step_stays_feasible(n, seed, h):
     z = mirror_step(x, p, h, simplex)
     assert simplex.contains(z)
     assert z.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 8),
+       st.sampled_from([Policy.AGGREGATE_MAX, Policy.MAX_VIOLATION, Policy.FIRST_VIOLATED]),
+       st.sampled_from(list(Regime)), st.booleans(), st.booleans())
+def test_random_affine_banks_run_as_the_stepwise_engine(seed, n, m, policy, regime,
+                                                        record_history, staircase):
+    # batched chains on EuclideanSpace against the stepwise engine, bit for
+    # bit, on random affine constraints with row norms over four decades;
+    # a staircase bank (nonnegative rows, raised by the objective) makes
+    # first-violated chain across constraints
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-2, 2, (m, 1))
+    anchor = 10.0 * rng.standard_normal(n)
+    if staircase:
+        rows, anchor = np.abs(rows), np.abs(anchor)
+        objective = AffineOracle(-np.abs(rng.standard_normal(n)))
+    else:
+        objective = MaxOracle([AffineOracle(rng.standard_normal(n)) for _ in range(3)])
+    constraints = [AffineOracle(a, -rng.uniform(0.0, 0.5)) for a in rows]
+    instance = ProblemInstance(n, objective, constraints)
+    config = RunConfig(0.05, regime=regime, policy=policy, max_iterations=1500,
+                       record_history=record_history)
+    space = EuclideanSpace(anchor, float(np.linalg.norm(anchor)) + 0.5)
+    batched, stepped, _ = run_both(instance, space, config)
+    assert_bitwise_equal(batched, stepped)

@@ -337,8 +337,8 @@ def _counted_batches(monkeypatch):
     batches = []
     inner = solver._AffineRuns.advance
 
-    def counted(self, x, q, i, rows):
-        block, count = inner(self, x, q, i, rows)
+    def counted(self, x, labels, rows):
+        block, count = inner(self, x, labels, rows)
         batches.append((rows, count))
         return block, count
 
@@ -346,15 +346,16 @@ def _counted_batches(monkeypatch):
     return batches
 
 
-@pytest.mark.parametrize("example_id, policy", [
-    (4, Policy.FIRST_VIOLATED), (4, Policy.AGGREGATE_MAX),
-    (1, Policy.AGGREGATE_MAX)])
-def test_batches_take_every_row_they_ask_for(monkeypatch, example_id, policy):
-    # each batch is as long as the run is computed to last, so the rounding
-    # margins refuse none of its rows
+@pytest.mark.parametrize("example_id, regime, policy", [
+    (4, Regime.LIPSCHITZ, Policy.FIRST_VIOLATED), (4, Regime.LIPSCHITZ, Policy.AGGREGATE_MAX),
+    (1, Regime.LIPSCHITZ, Policy.AGGREGATE_MAX), (1, Regime.LIPSCHITZ, Policy.FIRST_VIOLATED),
+    (5, Regime.NONSTANDARD, Policy.FIRST_VIOLATED)])
+def test_batches_take_every_row_they_ask_for(monkeypatch, example_id, regime, policy):
+    # each chain is as long as its runs are computed to last, so the
+    # rounding margins refuse none of its rows
     batches = _counted_batches(monkeypatch)
     example = build_example(example_id)
-    config = RunConfig(example.settings.epsilon, policy=policy)
+    config = RunConfig(example.settings.epsilon, regime=regime, policy=policy)
     report = run(example.instance, default_geometry(example), config)
     assert report.stop_reason is StopReason.CRITERION_MET
     assert batches
@@ -387,17 +388,23 @@ def test_run_beside_a_constraint_at_epsilon_is_batched_at_most_once(monkeypatch,
 
 @pytest.mark.parametrize("policy", _BATCHED_POLICIES)
 def test_run_tables_of_zero_and_overflowing_rows_raise_no_warning(policy):
-    # a zero row and a row whose products overflow get no batches (NaN),
-    # the others a finite length, and computing them warns of nothing
+    # a zero row and a row whose products overflow predict no chain, the
+    # others finite ones, which end before the zero row or the overflowing
+    # one; predicting warns of nothing and divides by no zero
     rows = [[0.0, 0.0], [2.0**996, -(2.0**996)], [2.0**-20, 2.0**-20], [1.0, 0.0]]
     bank = ProblemInstance(2, AffineOracle([0.0, 1.0]),
-                           [AffineOracle(a, 1.0) for a in rows]).constraint_bank()
-    runs = solver._AffineRuns(bank, RunConfig(0.05, policy=policy))
+                           [AffineOracle(a, 1.0 + (k > 1)) for k, a in enumerate(rows)]
+                           ).constraint_bank()
+    _, row = solver._sources(bank, EuclideanSpace(np.zeros(2), 1.0).dual_norm)
+    runs = solver._AffineRuns(bank, RunConfig(0.05, policy=policy), row)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lengths = [runs.length(np.zeros(2), i) for i in range(len(rows))]
-    assert math.isnan(lengths[0]) and math.isnan(lengths[1])
-    assert all(math.isfinite(length) for length in lengths[2:])
+        for x in ([0.0, 0.0], [1.0, 1.0], [2.0**22, -(2.0**22)]):
+            chains = [runs.predict(np.array(x), i, 10**9) for i in range(len(rows))]
+            assert chains[0] == chains[1] == []
+            assert any(chains[2:])
+            for chain in chains[2:]:
+                assert all(j >= 2 and 0 < count < 10**9 for j, count in chain)
 
 
 @pytest.mark.parametrize("regime", list(Regime))
@@ -411,6 +418,212 @@ def test_batched_runs_beside_a_zero_constraint_row(policy, regime):
     assert_bitwise_equal(batched, stepped)
     assert batched.nonproductive_count == 512
     assert calls < 5
+
+
+def _counted_chains(monkeypatch):
+    """Per ``_AffineRuns.chain`` call that took a step: the constraints of
+    its runs, their lengths, and whether it took every row it asked for."""
+    chains = []
+    inner = solver._AffineRuns.chain
+
+    def counted(self, *args):
+        result = inner(self, *args)
+        taken, complete = result[2:]
+        if taken:
+            chains.append(([i for i, _ in taken], [len(points) for _, points in taken],
+                           complete))
+        return result
+
+    monkeypatch.setattr(solver._AffineRuns, "chain", counted)
+    return chains
+
+
+def test_example_1_first_violated_chains_its_staircase(monkeypatch):
+    # between productive steps ex 1 L first-violated climbs the constraints
+    # in runs of 1 to 10: 1324 chains, 661 of them over several
+    # constraints, leave 4007 of the 261800 steps ordinary (15676 with a
+    # batch per run)
+    chains = _counted_chains(monkeypatch)
+    example = build_example(1)
+    config = RunConfig(example.settings.epsilon, policy=Policy.FIRST_VIOLATED)
+    report = run(example.instance, default_geometry(example), config)
+    assert report.total_steps == 261_800
+    assert len(chains) == 1324
+    assert sum(len(constraints) > 1 for constraints, _, _ in chains) == 661
+    assert all(complete for *_, complete in chains)
+    taken = sum(sum(lengths) for _, lengths, _ in chains)
+    assert report.total_steps - taken == 4007
+    # the policy's staircase: each chain climbs to higher constraints
+    assert all(constraints == sorted(set(constraints)) for constraints, _, _ in chains)
+
+
+def _staircase():
+    """Constraints x_1 + k x_2 <= 0, k = 1..4, and the objective -x_1 - x_2,
+    from (3.1, 5.07): a step on row k lowers every row, the higher ones
+    least, so first-violated climbs the rows one run at a time."""
+    constraints = [AffineOracle([1.0, float(k)], 0.0) for k in range(1, 5)]
+    instance = ProblemInstance(2, AffineOracle([-1.0, -1.0]), constraints)
+    return instance, EuclideanSpace([3.1, 5.07], 4.0)
+
+
+@pytest.mark.parametrize("record_history", [False, True])
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_a_chain_descends_a_staircase_of_constraints(monkeypatch, policy, record_history):
+    chains = _counted_chains(monkeypatch)
+    instance, space = _staircase()
+    config = RunConfig(2.0**-4, policy=policy, max_iterations=400,
+                       record_history=record_history)
+    batched, stepped, _ = run_both(instance, space, config)
+    assert_bitwise_equal(batched, stepped)
+    if policy is Policy.FIRST_VIOLATED:
+        assert chains[0] == ([0, 1, 2, 3], [128, 16, 10, 7], True)
+    else:
+        assert chains[0] == ([3, 0], [343, 29], True)
+
+
+def test_a_multi_constraint_chain_is_read_back_step_by_step():
+    # every record of the staircase's chains, by index from both ends and
+    # by slice, against the stepwise run's
+    instance, space = _staircase()
+    config = RunConfig(2.0**-4, policy=Policy.FIRST_VIOLATED, max_iterations=400,
+                       record_history=True)
+    batched, stepped, _ = run_both(instance, space, config)
+    history, records = batched.history, list(stepped.history)
+    size = len(records)
+    built = [k for k in range(size) if history[k] is not history[k]]
+    # the chain's four runs: one segment each
+    assert built[:161] == list(range(2, 163))
+    assert [history[k].constraint_index for k in (2, 129, 130, 145, 146, 155, 156, 162)] == [
+        1, 1, 2, 2, 3, 3, 4, 4]
+    for k in range(size):
+        assert_same_record(history[k], records[k])
+        assert_same_record(history[k - size], records[k])
+    for part in (slice(120, 170), slice(-300, -100, 3), slice(None, None, -7)):
+        for a, b in zip(history[part], records[part], strict=True):
+            assert_same_record(a, b)
+
+
+def _dyadic_pair(second):
+    """Constraints x_1 <= 1 and ``second`` . x <= 1, the objective -x_1 - x_2,
+    and the space at (5, 3): with eps = 1/16 every step is dyadic."""
+    instance = ProblemInstance(2, AffineOracle([-1.0, -1.0]),
+                               [AffineOracle([1.0, 0.0], -1.0), AffineOracle(second, -1.0)])
+    return instance, EuclideanSpace([5.0, 3.0], 4.0)
+
+
+@pytest.mark.parametrize("record_history", [False, True])
+@pytest.mark.parametrize("second", [[0.0, 1.0], [2.0, 0.0]], ids=["sitting", "cleared"])
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_a_chain_is_cut_where_its_label_switch_sits_at_epsilon(monkeypatch, policy, second,
+                                                                 record_history):
+    # the run on x_1 <= 1 ends after 63 steps with x_1 - 1 = eps exactly,
+    # and first-violated turns to the second constraint; the prediction
+    # switches there too, but without margin, so the chain is cut at the
+    # switch: its 61 rows on the first constraint make one segment, and
+    # batching ends.  Steps on x_2 leave x_1 - 1 sitting at eps, so the
+    # margins refuse the next run's one chain too; steps on 2 x_1 clear it,
+    # and that run is chained from its second step on
+    batches = _counted_batches(monkeypatch)
+    instance, space = _dyadic_pair(second)
+    config = RunConfig(2.0**-4, policy=policy, max_iterations=200,
+                       record_history=record_history)
+    batched, stepped, _ = run_both(instance, space, config)
+    assert_bitwise_equal(batched, stepped)
+    if policy is not Policy.FIRST_VIOLATED:
+        return
+    sitting = second == [0.0, 1.0]
+    # the second run lowers its value from 2, or 9/8, to eps
+    second_run = 31 if sitting else 17
+    assert batches[:2] == [(61 + second_run, 61),
+                           (second_run - 2, 0 if sitting else second_run - 2)]
+    history = batched.history if record_history else run(
+        instance, space, dataclasses.replace(config, record_history=True)).history
+    built = [k for k in range(64 + second_run) if history[k] is not history[k]]
+    assert built == list(range(2, 63)) + ([] if sitting else list(range(65, 63 + second_run)))
+    assert [history[k].constraint_index for k in (61, 62, 63, 64, 65, 62 + second_run)] == [
+        1, 1, 2, 2, 2, 2]
+    assert history[63 + second_run].kind is StepKind.PRODUCTIVE
+
+
+def _weighted_pair(anchor):
+    """Constraints 2 x_2 <= 1 (criterion weight 1/4) and x_1 <= 1 (weight
+    1), from (11 + 1/64, 5/2 + 1/64), where their values are 4 + 1/32 and
+    10 + 1/64, with eps = 1/16.  First-violated takes 64 steps on the
+    first, then turns to the second; the others take 97 on the second,
+    then alternate.  The space has the given radius."""
+    instance = ProblemInstance(2, AffineOracle([-1.0, -1.0]),
+                               [AffineOracle([0.0, 2.0], -1.0), AffineOracle([1.0, 0.0], -1.0)])
+    return instance, EuclideanSpace([11.0 + 2.0**-6, 2.5 + 2.0**-6], anchor)
+
+
+@pytest.mark.parametrize("record_history", [False, True])
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_the_criterion_fires_inside_a_later_run_of_a_chain(monkeypatch, policy,
+                                                            record_history):
+    # theta0 = 1/2: the criterion needs 128
+    chains = _counted_chains(monkeypatch)
+    instance, space = _weighted_pair(0.5)
+    config = RunConfig(2.0**-4, policy=policy, record_history=record_history)
+    batched, stepped, calls = run_both(instance, space, config)
+    assert_bitwise_equal(batched, stepped)
+    assert batched.stop_reason is StopReason.CRITERION_MET
+    assert batched.total_steps == batched.nonproductive_count
+    # one chain, from the second step to the one before the last
+    (constraints, lengths, _), = chains
+    assert len(constraints) >= 2 and sum(lengths) == batched.total_steps - 3
+    assert calls == 3
+    if policy is Policy.FIRST_VIOLATED:
+        # 64 steps of weight 1/4, then 112 of weight 1 reach 128
+        assert constraints == [0, 1] and batched.total_steps == 64 + 112
+    else:
+        assert constraints[:3] == [1, 0, 1]
+
+
+@pytest.mark.parametrize("record_history", [False, True])
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_the_cap_falls_inside_a_later_run_of_a_chain(monkeypatch, policy, record_history):
+    chains = _counted_chains(monkeypatch)
+    instance, space = _weighted_pair(100.0)
+    config = RunConfig(2.0**-4, policy=policy, max_iterations=110,
+                       record_history=record_history)
+    batched, stepped, calls = run_both(instance, space, config)
+    assert_bitwise_equal(batched, stepped)
+    assert batched.stop_reason is StopReason.ITERATION_CAP
+    assert batched.total_steps == 110 and calls == 2
+    (constraints, lengths, _), = chains
+    assert len(constraints) >= 2 and sum(lengths) == 108
+
+
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_chains_stay_within_the_block_budget(monkeypatch, policy):
+    # every block holds at most max_rows + 1 iterates and every label and
+    # step array at most _BLOCK_FLOATS floats, on a wide space where the
+    # budget cuts the chains; the tables call the dual norm once per row
+    blocks = []
+    inner = solver._AffineRuns.advance
+
+    def checked(self, x, labels, rows):
+        assert rows <= self.max_rows
+        if isinstance(labels, np.ndarray):
+            assert labels.size * x.size <= solver._BLOCK_FLOATS
+        block, count = inner(self, x, labels, rows)
+        assert block.shape[0] <= self.max_rows + 1
+        assert block.size <= solver._BLOCK_FLOATS + x.size
+        blocks.append(block.shape[0])
+        return block, count
+
+    monkeypatch.setattr(solver._AffineRuns, "advance", checked)
+    n = 3000
+    staircase, _ = _staircase()
+    pad = [0.0] * (n - 2)
+    constraints = [AffineOracle(list(c.a) + pad, c.b) for c in staircase.constraints]
+    instance = ProblemInstance(n, AffineOracle([-1.0, -1.0] + pad), constraints)
+    config = RunConfig(2.0**-4, policy=policy, max_iterations=400, record_history=True)
+    space = EuclideanSpace([3.1, 5.07] + pad, 4.0)
+    batched, stepped, calls = run_both(instance, space, config, name="dual_norm")
+    assert_bitwise_equal(batched, stepped)
+    assert calls == _table_rows(instance) + batched.productive_count
+    assert max(blocks) == solver._BLOCK_FLOATS // n + 1
 
 
 # ------------------------------------------------------- table-driven steps
@@ -877,9 +1090,10 @@ def _productive_runs(pieces, constraints, policy=Policy.FIRST_VIOLATED):
     """``_AffineRuns`` batching productive steps on ``pieces``."""
     instance = ProblemInstance(2, MaxOracle(pieces), constraints)
     space = EuclideanSpace([0.0, 0.0], 1.0)
-    objective = instance.objective._bank
+    bank, objective = instance.constraint_bank(), instance.objective._bank
+    _, row = solver._sources(bank, space.dual_norm)
     _, piece_row = solver._sources(objective, space.dual_norm)
-    return solver._AffineRuns(instance.constraint_bank(), RunConfig(2.0**-4, policy=policy),
+    return solver._AffineRuns(bank, RunConfig(2.0**-4, policy=policy), row,
                               objective, piece_row)
 
 
@@ -910,7 +1124,7 @@ def test_productive_tables_of_zero_and_overflowing_pieces_raise_no_warning(polic
         for x in ([0.0, 0.0], [1.0, 1.0], [2.0**22, 2.0**22]):
             runs = _productive_runs([AffineOracle(a, 1.0) for a in rows],
                                     [AffineOracle([0.0, 1.0], -1.0)], policy)
-            assert runs.ends == [True, True, False, False]
+            assert runs.ends[runs.m:] == [True, True, False, False]
             count, *_ = runs.produce(np.array(x), 1000, 0.0, math.inf, np.zeros(2), 0.0)
             assert count == 0
 
