@@ -586,15 +586,15 @@ class _AffineRuns:
             self.idle -= 1
             return 0, x, crit_sum, weighted, weight_sum
         # Predict: the piece values in floats; ties go to the lowest index.
-        m, ends, drops = self.m, self.ends, self.piece_drops
+        m, ends, drops = self.m, self.ends[self.m:], self.piece_drops
         values, labels = (self.stack @ x + self.offsets)[m:].tolist(), []
         for _ in range(min(rows, self.ask, self.max_rows)):
             l = values.index(max(values))
-            if ends[m + l]:
+            if ends[l]:
                 break
-            labels.append(m + l)
+            labels.append(l)
             values = list(map(sub, values, drops[l]))
-        labels = np.array(labels, dtype=np.intp)
+        labels = m + np.array(labels, dtype=np.intp)  # the pieces' stack rows
         crit = np.concatenate(([crit_sum], self.weights[labels])).cumsum()
         labels = labels[:np.searchsorted(crit[1:], target)]
         rows = labels.shape[0]
