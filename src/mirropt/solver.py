@@ -171,8 +171,8 @@ class StepHistory(Sequence):
     spans, each holding the run's first index, step size, dual norm,
     constraint and the block of iterates it took; its records are built on
     access, each ``point`` a row view of the block, so ``h[k] is h[k]`` is
-    false for a batched step.  Indexing takes
-    an int, negative counting from the end, or a slice, which gives a list.
+    false for a batched step.  Indexing takes an int, negative counting
+    from the end, or a slice, which gives a list.
     """
 
     __slots__ = ("_entries", "_starts")
@@ -796,8 +796,9 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     piece, and the policy reads them in place of the matrix-vector product
     wherever a rounding bound certifies that the product would give the
     same violated set and argmax; anywhere else, and after a productive
-    step on any other objective, the product is taken.  The types of the data and the geometry alone pick these
-    paths, so a subclass of either geometry takes the tables only.
+    step on any other objective, the product is taken.  The types of the
+    data and the geometry alone pick these paths, so a subclass of either
+    geometry takes the tables only.
 
     With ``record_history``, the report's ``history`` is a
     :class:`StepHistory`, a read-only sequence of one :class:`StepRecord`

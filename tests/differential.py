@@ -5,11 +5,12 @@ constraint steps, one batch spanning the runs on several constraints,
 and productive steps on a max of affine pieces, on an exact
 :class:`EuclideanSpace`, and tracks all-affine constraint values in
 place of the stacked scan on an exact :class:`EuclideanBall`.  A batch
-is recorded as one history segment per constraint run.  The stepwise reference is the same geometry as a
-subclass, :class:`SteppedSpace` or :class:`SteppedBall`, which turns the
-batches and the tracked values off without changing the arithmetic.  The
-tables, which a subclass keeps, are checked against the oracle and
-dual-norm calls they replace by ``test_solver``'s component tests.
+is recorded as one history segment per constraint run.  The stepwise
+reference is the same geometry as a subclass, :class:`SteppedSpace` or
+:class:`SteppedBall`, which turns the batches and the tracked values off
+without changing the arithmetic.  The tables, which a subclass keeps,
+are checked against the oracle and dual-norm calls they replace by
+``test_solver``'s component tests.
 
 A max of diagonal quadratics finds its winning piece by the certified
 stacked argmax of :class:`MaxOracle`; the reference objective is a
