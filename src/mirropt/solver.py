@@ -22,8 +22,9 @@ import math
 import time
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
+from functools import cache
 from itertools import repeat
-from operator import index, sub
+from operator import index
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -286,7 +287,7 @@ def _sources(bank: OracleBank, dual: Callable[[Array], float]):
     """
     matrix, offsets = bank._matrix, bank._offsets
     if matrix is None:
-        values, sub = bank.values, bank.subgradient
+        values, subgradient = bank.values, bank.subgradient
 
         def scan(x: Array):
             vals = values(x)
@@ -294,7 +295,7 @@ def _sources(bank: OracleBank, dual: Callable[[Array], float]):
             return vals, i, vals.item(i)
 
         def row(i: int, x: Array):
-            s = sub(i, x)
+            s = subgradient(i, x)
             return i, s, dual(s)
 
         return scan, row
@@ -369,6 +370,39 @@ _BLOCK_FLOATS = 1 << 14
 _HUGE = 2.0 ** 1020
 
 
+@cache
+def _piece_predictor(count: int) -> Callable[[list, int, list, list], list[int]]:
+    """The productive-step predictor over ``count`` pieces: ``(values, k,
+    ends, drops) -> labels``, the pieces of up to k steps from the piece
+    values, stopping before a piece with ``ends[l]`` set; a step on piece l
+    subtracts ``drops[l]`` from the values.
+
+    Straight-line code, generated once per piece count: the values are
+    locals, the argmax is ``count - 1`` strict comparisons, so the lowest
+    index wins ties, as ``values.index(max(values))`` picks (a NaN first
+    value included), and a step is one float subtraction per piece, as a
+    loop over the list would make.
+    """
+    names = [f"v{j}" for j in range(count)]
+    lines = ["def predict(values, k, ends, drops):",
+             f"    {', '.join(names)}, = values",
+             "    labels = []",
+             "    append = labels.append",
+             "    for _ in range(k):",
+             "        l, top = 0, v0"]
+    lines += [f"        if {v} > top: l, top = {j}, {v}"
+              for j, v in enumerate(names) if j]
+    lines += ["        if ends[l]:",
+              "            break",
+              "        append(l)",
+              f"        {', '.join(f'd{j}' for j in range(count))}, = drops[l]"]
+    lines += [f"        {v} -= d{j}" for j, v in enumerate(names)]
+    lines.append("    return labels")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["predict"]
+
+
 class _AffineRuns:
     """Batched steps x - q, q tabled, on an exact Euclidean space: chains of
     runs of non-productive steps, each run on one constraint, and, given a
@@ -380,11 +414,14 @@ class _AffineRuns:
     norm, and lowers row k's value by a_k . q_j.  ``np.cumsum`` builds a
     batch's iterates by the same subtractions as the stepwise ``x - h *
     p``, so they are bitwise its iterates.  One matrix product gives their
-    constraint and piece values.  A row is committed only while the
-    stepwise engine provably takes its step there: each comparison it makes
-    holds with a margin above the rounding bound ``gamma * (|A| @ r +
-    |b|)``, where r bounds |x| over the batch, so no summation order of the
-    stepwise matrix-vector product decides otherwise.
+    constraint and piece values, one column per iterate, so every check
+    reduces a column.  A row is committed only while the stepwise engine
+    provably takes its step there: each comparison it makes holds with a
+    margin above the rounding bound ``gamma * (|A| @ r + |b|)``, where r
+    bounds |x| over the batch, so no summation order of the stepwise
+    matrix-vector product decides otherwise.  A productive batch's pieces
+    are predicted by ``_piece_predictor``'s straight-line code, generated
+    once per piece count.
     """
 
     def __init__(self, bank: OracleBank, config: RunConfig, row: Callable,
@@ -427,6 +464,7 @@ class _AffineRuns:
         self.ask, self.idle, self.backoff, self.pieces = self.max_rows, 0, 0, pieces
         if pieces is None:
             return
+        self.predict_pieces = _piece_predictor(pieces._matrix.shape[0])
         # Twin pieces take bitwise the same step: the argmax may pick either.
         c = pieces._matrix
         bits = c.view(np.uint64)
@@ -542,39 +580,45 @@ class _AffineRuns:
             return block, 0  # NaN included: the stepwise engine decides
         slack = self.gamma * bound
         eps, m = self.epsilon, self.m
-        values = block[:rows] @ self.stack.T + self.offsets
+        # One column per row of the block: the reductions below run along
+        # contiguous memory, across the rows' constraints and pieces.
+        values = self.stack @ block[:rows].T
+        values += self.offsets[:, None]
+        at_most = (eps - slack[:m])[:, None]  # a constraint provably at most eps
         if one:
             i = labels
             if self.first_violated:
-                ok = values[:, i] > eps + slack[i]
+                ok = values[i] > eps + slack[i]
                 if i:
-                    ok &= (values[:, :i] <= eps - slack[:i]).all(axis=1)
+                    ok &= (values[:i] <= at_most[:i]).all(axis=0)
             else:
                 # i is above epsilon and the argmax with the lowest index.
-                low = values[:, i] - slack[i]
-                values += slack
-                values[:, i] = eps
-                ok = low > values[:, :m].max(axis=1)
+                low = values[i] - slack[i]
+                top = values[:m]
+                top += slack[:m, None]
+                top[i] = eps
+                ok = low > top.max(axis=0)
             return block, rows if ok.all() else int(ok.argmin())
         k = np.arange(rows)
+        own, own_slack = values[labels, k], slack[labels]
         if labels[0] >= m:
             # All constraints at most eps; the piece or its twin tops the pieces.
-            ok = (values[:, :m] <= eps - slack[:m]).all(axis=1)
-            low = values[k, labels] - slack[labels]
-            values += slack
-            pieces = values[:, m:]
-            pieces[self.same[labels - m]] = -math.inf
-            ok &= low > pieces.max(axis=1)
+            ok = (values[:m] <= at_most).all(axis=0)
+            pieces = values[m:]
+            pieces += slack[m:, None]
+            # same is symmetric: column k marks the twins of the block row k's piece.
+            pieces[self.same[:, labels - m]] = -math.inf
+            ok &= own - own_slack > pieces.max(axis=0)
         elif self.first_violated:
             # The label is above epsilon, the constraints before it are not:
             # it is the first that is not at most eps.
-            ok = values[k, labels] > eps + slack[labels]
-            ok &= (values[:, :m] <= eps - slack[:m]).argmin(axis=1) == labels
+            ok = own > eps + own_slack
+            ok &= (values[:m] <= at_most).argmin(axis=0) == labels
         else:
-            low = values[k, labels] - slack[labels]
-            values += slack
-            values[k, labels] = eps
-            ok = low > values[:, :m].max(axis=1)
+            top = values[:m]
+            top += slack[:m, None]
+            top[labels, k] = eps
+            ok = own - own_slack > top.max(axis=0)
         return block, rows if ok.all() else int(ok.argmin())
 
     def produce(self, x: Array, rows: int, crit_sum: float, target: float,
@@ -586,14 +630,10 @@ class _AffineRuns:
             self.idle -= 1
             return 0, x, crit_sum, weighted, weight_sum
         # Predict: the piece values in floats; ties go to the lowest index.
-        m, ends, drops = self.m, self.ends[self.m:], self.piece_drops
-        values, labels = (self.stack @ x + self.offsets)[m:].tolist(), []
-        for _ in range(min(rows, self.ask, self.max_rows)):
-            l = values.index(max(values))
-            if ends[l]:
-                break
-            labels.append(l)
-            values = list(map(sub, values, drops[l]))
+        m = self.m
+        labels = self.predict_pieces((self.stack @ x + self.offsets)[m:].tolist(),
+                                     min(rows, self.ask, self.max_rows),
+                                     self.ends[m:], self.piece_drops)
         labels = m + np.array(labels, dtype=np.intp)  # the pieces' stack rows
         crit = np.concatenate(([crit_sum], self.weights[labels])).cumsum()
         labels = labels[:np.searchsorted(crit[1:], target)]
@@ -788,9 +828,11 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     predicted productive step; a batch that the rounding margins cut short
     ends batching until the constraint changes.  In the Lipschitz regime
     without history, a run of productive steps on a max-affine objective
-    is batched too, on pieces predicted from the piece values and certified
-    by the same margins.  The first step of each run and the step after
-    each batch are ordinary steps.  On an exact :class:`EuclideanBall`
+    is batched too, on pieces predicted from the piece values by
+    straight-line code generated once per piece count, and certified by
+    the same margins; a batch's constraint and piece values are one column
+    per iterate, reduced column by column.  The first step of each run
+    and the step after each batch are ordinary steps.  On an exact :class:`EuclideanBall`
     with all-affine constraints, ``_BallTracker`` updates the constraint
     values in O(M) along each step on a constraint row or a max-affine
     piece, and the policy reads them in place of the matrix-vector product

@@ -252,13 +252,17 @@ def test_simplex_mirror_step_stays_feasible(n, seed, h):
 @settings(max_examples=60)
 @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 8),
        st.sampled_from([Policy.AGGREGATE_MAX, Policy.MAX_VIOLATION, Policy.FIRST_VIOLATED]),
-       st.sampled_from(list(Regime)), st.booleans(), st.booleans())
+       st.sampled_from(list(Regime)), st.booleans(), st.booleans(), st.integers(1, 8),
+       st.booleans())
 def test_random_affine_banks_run_as_the_stepwise_engine(seed, n, m, policy, regime,
-                                                        record_history, staircase):
+                                                        record_history, staircase,
+                                                        count, twin):
     # batched chains on EuclideanSpace against the stepwise engine, bit for
     # bit, on random affine constraints with row norms over four decades;
     # a staircase bank (nonnegative rows, raised by the objective) makes
-    # first-violated chain across constraints
+    # first-violated chain across constraints; otherwise the objective is a
+    # max of ``count`` affine pieces, one of them maybe twice, so that
+    # productive batches run the predictor generated for each piece count
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-2, 2, (m, 1))
     anchor = 10.0 * rng.standard_normal(n)
@@ -266,7 +270,10 @@ def test_random_affine_banks_run_as_the_stepwise_engine(seed, n, m, policy, regi
         rows, anchor = np.abs(rows), np.abs(anchor)
         objective = AffineOracle(-np.abs(rng.standard_normal(n)))
     else:
-        objective = MaxOracle([AffineOracle(rng.standard_normal(n)) for _ in range(3)])
+        pieces = [rng.standard_normal(n) for _ in range(count)]
+        if twin:
+            pieces.insert(int(rng.integers(0, count + 1)), pieces[int(rng.integers(0, count))])
+        objective = MaxOracle([AffineOracle(a) for a in pieces])
     constraints = [AffineOracle(a, -rng.uniform(0.0, 0.5)) for a in rows]
     instance = ProblemInstance(n, objective, constraints)
     config = RunConfig(0.05, regime=regime, policy=policy, max_iterations=1500,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import operator
 import warnings
 from collections.abc import Sequence
 from unittest import mock
@@ -349,7 +350,8 @@ def _counted_batches(monkeypatch):
 @pytest.mark.parametrize("example_id, regime, policy", [
     (4, Regime.LIPSCHITZ, Policy.FIRST_VIOLATED), (4, Regime.LIPSCHITZ, Policy.AGGREGATE_MAX),
     (1, Regime.LIPSCHITZ, Policy.AGGREGATE_MAX), (1, Regime.LIPSCHITZ, Policy.FIRST_VIOLATED),
-    (5, Regime.NONSTANDARD, Policy.FIRST_VIOLATED)])
+    (5, Regime.NONSTANDARD, Policy.FIRST_VIOLATED),
+    (6, Regime.LIPSCHITZ, Policy.AGGREGATE_MAX), (6, Regime.LIPSCHITZ, Policy.FIRST_VIOLATED)])
 def test_batches_take_every_row_they_ask_for(monkeypatch, example_id, regime, policy):
     # each chain is as long as its runs are computed to last, so the
     # rounding margins refuse none of its rows
@@ -1127,6 +1129,59 @@ def test_productive_tables_of_zero_and_overflowing_pieces_raise_no_warning(polic
             assert runs.ends[runs.m:] == [True, True, False, False]
             count, *_ = runs.produce(np.array(x), 1000, 0.0, math.inf, np.zeros(2), 0.0)
             assert count == 0
+
+
+def _listed_pieces(values, k, ends, drops):
+    """The productive-step prediction as a loop over the list of values."""
+    labels = []
+    for _ in range(k):
+        l = values.index(max(values))
+        if ends[l]:
+            break
+        labels.append(l)
+        values = list(map(operator.sub, values, drops[l]))
+    return labels
+
+
+@pytest.mark.parametrize("count", [*range(1, 13), 50])
+def test_piece_predictor_returns_the_list_loops_labels(count):
+    # the generated straight-line predictor against the loop over the list
+    # of values, on random values, exact ties, signed zeros, infinities and
+    # NaN, pieces that end a prediction on either side of the argmax, and k = 0
+    predict = solver._piece_predictor(count)
+    assert solver._piece_predictor(count) is predict
+    rng = np.random.default_rng(count)
+    specials = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
+    no_ends = [False] * count
+    cases = []
+    for _ in range(20):
+        drops = rng.standard_normal((count, count)) / 10.0
+        drops[np.diag_indices(count)] = rng.uniform(0.5, 1.0, count)
+        cases.append((rng.standard_normal(count), drops, no_ends))
+        ties = rng.integers(0, 2, (count, count)).astype(float)
+        cases.append((rng.integers(-1, 2, count).astype(float), ties, no_ends))
+        cases.append((rng.choice([0.0, -0.0], count), rng.choice([0.0, -0.0], (count, count)),
+                      no_ends))
+        cases.append((rng.choice(specials, count), rng.choice(specials, (count, count)),
+                      no_ends))
+        cases.append((rng.standard_normal(count), drops,
+                      (rng.uniform(size=count) < 0.3).tolist()))
+    # A NaN first value wins; after it, a NaN never does.
+    cases.append(([math.nan] + [1.0] * (count - 1), np.zeros((count, count)), no_ends))
+    cases.append(([0.0] + [math.nan] * (count - 1), np.zeros((count, count)), no_ends))
+    # Pieces that end a prediction just before and just after the argmax.
+    top = count // 2
+    values = np.zeros(count)
+    values[top] = 1.0
+    around = [abs(j - top) == 1 for j in range(count)]
+    cases.append((values, np.eye(count), around))
+    assert _listed_pieces(values.tolist(), 5, around, np.eye(count).tolist())[0] == top
+    for values, drops, ends in cases:
+        values, drops = np.asarray(values).tolist(), np.asarray(drops).tolist()
+        for k in (0, 1, 7, 40):
+            expected = _listed_pieces(values, k, ends, drops)
+            assert predict(values, k, ends, drops) == expected
+    assert predict([0.0] * count, 0, no_ends, np.eye(count).tolist()) == []
 
 
 @pytest.mark.parametrize("policy", [Policy.AGGREGATE_MAX, Policy.FIRST_VIOLATED])
