@@ -94,9 +94,9 @@ class RunConfig:
         of one :class:`StepRecord` per step (including the iterate), for
         inspection only: no report field or verification check reads it.
         A batch of non-productive steps (see :func:`run`), which may span
-        several constraints' runs, is stored as one segment per constraint;
-        its records are built on access, each ``point`` a row view into the
-        block holding the iterates that run took.
+        several constraints' runs, is stored as one segment per constraint
+        of its first iterate, step and count; its records are built on
+        access, their points rebuilt bit for bit.
     """
 
     epsilon: float
@@ -153,14 +153,37 @@ class StepRecord:
 
 class _Segment(NamedTuple):
     """A batched run of non-productive steps on one constraint, one run of
-    a batch: the first step's index, the shared fields, and the iterates,
-    one row per step."""
+    a batch: the first step's index, the shared fields, the first iterate,
+    the step -q_j that each later iterate adds (a read-only row of the
+    batch kernel's shared table) and the number of steps."""
 
     index: int
     step_size: float
     grad_dual_norm: float
     constraint_index: int
-    points: Array
+    first: Array
+    step: Array
+    count: int
+
+    def rows(self, rows: int) -> Array:
+        """The run's first ``rows`` iterates, one per row: the cumulative
+        sum over the first iterate and ``rows - 1`` steps, which adds them in
+        the order the batch's own cumulative sum did, so bit for bit."""
+        block = np.empty((rows, self.first.shape[0]))
+        block[0] = self.first
+        block[1:] = self.step
+        return np.cumsum(block, axis=0, out=block)
+
+    def records(self, steps: range) -> Iterator[StepRecord]:
+        """The records of ``steps``, ascending indices of this run, from one
+        rebuild of its iterates up to the last of them."""
+        start = self.index
+        points = self.rows(steps[-1] - start + 1)[steps.start - start::steps.step]
+        # One map over the rows: a Python loop iterates ex 2 N's history
+        # about a quarter slower.
+        return map(StepRecord, steps, repeat(StepKind.NONPRODUCTIVE),
+                   repeat(self.step_size), repeat(self.grad_dual_norm),
+                   repeat(self.constraint_index), repeat(None), points)
 
 
 class StepHistory(Sequence):
@@ -170,10 +193,16 @@ class StepHistory(Sequence):
     An ordinary step is stored as its record.  A batch of non-productive
     steps (see :func:`run`) is stored as one segment per constraint run it
     spans, each holding the run's first index, step size, dual norm,
-    constraint and the block of iterates it took; its records are built on
-    access, each ``point`` a row view of the block, so ``h[k] is h[k]`` is
-    false for a batched step.  Indexing takes an int, negative counting
-    from the end, or a slice, which gives a list.
+    constraint, first iterate, the step every later iterate adds and the
+    number of steps: 2 n floats whatever the run's length, the step a view
+    of a table the run shares.  A segment's records are built on access
+    from its iterates, rebuilt by the batch's own cumulative sum, so bit
+    for bit: a pass over the history rebuilds each segment once, ``h[k]``
+    only up to step k, and a slice each segment it reaches once.  A built
+    record's ``point`` is a row of that fresh rebuild, so writing into it
+    changes no later record, and ``h[k] is h[k]`` is false for a batched
+    step.  Indexing takes an int, negative counting from the end, or a
+    slice, which gives a list.
     """
 
     __slots__ = ("_entries", "_starts")
@@ -186,27 +215,23 @@ class StepHistory(Sequence):
         self._entries.append(record)
 
     def _add_segment(self, start: int, step_size: float, grad_dual_norm: float,
-                     constraint_index: int, points: Array) -> None:
-        self._entries.append(
-            _Segment(start, step_size, grad_dual_norm, constraint_index, points))
+                     constraint_index: int, first: Array, step: Array,
+                     count: int) -> None:
+        self._entries.append(_Segment(start, step_size, grad_dual_norm,
+                                      constraint_index, first, step, count))
 
     def __len__(self) -> int:
         if not self._entries:
             return 0
         last = self._entries[-1]
-        return last.index + (1 if type(last) is StepRecord else len(last.points))
+        return last.index + (1 if type(last) is StepRecord else last.count)
 
     def __iter__(self) -> Iterator[StepRecord]:
         for entry in self._entries:
             if type(entry) is StepRecord:
                 yield entry
-                continue
-            # One map over the block: a Python loop iterates ex 2 N's
-            # history about a quarter slower.
-            start, h, norm, constraint, points = entry
-            yield from map(StepRecord, range(start, start + len(points)),
-                           repeat(StepKind.NONPRODUCTIVE), repeat(h), repeat(norm),
-                           repeat(constraint), repeat(None), points)
+            else:
+                yield from entry.records(range(entry.index, entry.index + entry.count))
 
     def ordinary(self) -> Iterator[StepRecord]:
         """The ordinary (unbatched) steps' records, in step order, with no
@@ -214,24 +239,41 @@ class StepHistory(Sequence):
         history is recorded, so these hold every productive step."""
         return (entry for entry in self._entries if type(entry) is StepRecord)
 
+    def _walk(self, steps: range) -> Iterator[StepRecord]:
+        """The records of ``steps``, a nonempty ascending range of step
+        indices, from one walk over the entries that hold them."""
+        entries, starts = self._entries, self._starts
+        if len(starts) < len(entries):
+            starts.extend(entry.index for entry in entries[len(starts):])
+        position = bisect_right(starts, steps[0]) - 1
+        while steps:
+            entry = entries[position]
+            position += 1
+            if type(entry) is StepRecord:
+                if steps[0] == entry.index:
+                    yield entry
+                    steps = steps[1:]
+                continue
+            inside = len(range(steps.start, entry.index + entry.count, steps.step))
+            if inside:
+                yield from entry.records(steps[:inside])
+                steps = steps[inside:]
+
     def __getitem__(self, key):
-        if isinstance(key, slice):
-            return [self[k] for k in range(*key.indices(len(self)))]
         size = len(self)
+        if isinstance(key, slice):
+            steps = range(*key.indices(size))
+            if not steps:
+                return []
+            if steps.step > 0:
+                return list(self._walk(steps))
+            return list(self._walk(steps[::-1]))[::-1]
         k = index(key)
         if k < 0:
             k += size
         if not 0 <= k < size:
             raise IndexError("history index out of range")
-        entries, starts = self._entries, self._starts
-        if len(starts) < len(entries):
-            starts.extend(entry.index for entry in entries[len(starts):])
-        entry = entries[bisect_right(starts, k) - 1]
-        if type(entry) is StepRecord:
-            return entry
-        start, h, norm, constraint, points = entry
-        return StepRecord(k, StepKind.NONPRODUCTIVE, h, norm, constraint, None,
-                          points[k - start])
+        return next(self._walk(range(k, k + 1)))
 
     def __repr__(self) -> str:
         return f"StepHistory({len(self)} steps, {len(self._entries)} entries)"
@@ -243,8 +285,9 @@ class SolverReport:
 
     ``history`` is the run's :class:`StepHistory`, a read-only sequence of
     :class:`StepRecord`, one per step, where ``record_history`` is set;
-    a batched step's record is built on each access, so ``history[k] is
-    history[k]`` is false for it.
+    a batched step's record and point are built on each access, so
+    ``history[k] is history[k]`` is false for it.  ``output_point`` is the
+    report's own array, never a record's point.
 
     ``certificate`` is min <s_k, x_k - x*> / ||s_k||_* over the productive
     iterates and an exact solution the run stops at (gap 0), inf if none,
@@ -451,12 +494,16 @@ class _AffineRuns:
         with np.errstate(all="ignore"):  # a zero or overflowing row: inf, NaN
             ends = ~(np.isfinite(norms) & (norms * norms > 0.0))
             self.h, self.weights = eps / (norms * norms), 1.0 / (norms * norms)
-            self.q = np.where(ends[:, None], 0.0, self.h[:, None] * self.stack)
+            q = np.where(ends[:, None], 0.0, self.h[:, None] * self.stack)
             # drops[j][k] = a_k . q_j, within each bank.
-            drops = [(a @ q.T).T.tolist() for a, q in
-                     ((self.stack[:m], self.q[:m]), (self.stack[m:], self.q[m:]))]
+            drops = [(a @ qs.T).T.tolist() for a, qs in
+                     ((self.stack[:m], q[:m]), (self.stack[m:], q[m:]))]
         self.ends = ends.tolist()
-        self.abs_q = np.abs(self.q)
+        self.abs_q = np.abs(q)
+        # The steps -q_j that a block's cumulative sum adds; history
+        # segments keep views of their rows, so it is read-only.
+        self.steps = np.negative(q)
+        self.steps.flags.writeable = False
         # Per constraint, filled on its first chain: see ``_table``.
         self.drops, self.piece_drops, self.tables = *drops, {}
         # A productive batch asks for twice the rows the last took, plus two;
@@ -565,13 +612,12 @@ class _AffineRuns:
         on piece ``labels[k] - m`` above; an int labels every row."""
         block = np.empty((rows + 1, x.shape[0]))
         block[0] = x
+        block[1:] = self.steps[labels]
         one = not isinstance(labels, np.ndarray)
         if one:
-            block[1:] = -self.q[labels]
             reach = np.abs(x) + rows * self.abs_q[labels]
         else:
-            np.negative(self.q[labels], out=block[1:])
-            reach = np.abs(x) + np.bincount(labels, minlength=self.q.shape[0]) @ self.abs_q
+            reach = np.abs(x) + np.bincount(labels, minlength=self.steps.shape[0]) @ self.abs_q
         np.cumsum(block, axis=0, out=block)
         if not rows:
             return block, 0
@@ -846,8 +892,9 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     :class:`StepHistory`, a read-only sequence of one :class:`StepRecord`
     per step.  An ordinary step appends its record; a batch of
     non-productive steps appends one segment per constraint run it spans,
-    each holding the block of iterates that run took, whose records are
-    built on access.
+    each holding the run's first iterate, a view of its tabled step and
+    its count, 2 n floats however long the run; its records are built on
+    access, the iterates rebuilt by the batch's own cumulative sum.
     """
     if problem.dimension != prox.dimension:
         raise ValueError("problem and geometry dimensions differ")
@@ -976,10 +1023,10 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
             x, crit_sum, taken, batching = runs.chain(
                 x, idx0, max_steps - steps, crit_sum, stop_target)
             for last, points in taken:
-                if history is not None:  # the copy drops the rows not taken
+                if history is not None:  # the rows are rebuilt from the first
                     norm = row(last, None)[2]
                     history._add_segment(steps, eps / (norm * norm), norm, last + 1,
-                                         points.copy())
+                                         points[0].copy(), runs.steps[last], len(points))
                 steps += len(points)
 
     if stop in (StopReason.ZERO_OBJECTIVE_GRADIENT, StopReason.INFEASIBLE_CONSTRAINT):
@@ -989,7 +1036,8 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     else:
         out = best_point if best_point is not None else x
 
-    out = np.asarray(out, dtype=np.float64)
+    # A copy: the point may be an iterate a history record holds.
+    out = np.array(out, dtype=np.float64)
     out_objective = objective.value(out)
     out_violation, _ = bank.max_entry(out)
     return SolverReport(

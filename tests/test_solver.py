@@ -49,6 +49,7 @@ from differential import (
     quadratic_pieces,
     run_both,
     stepwise,
+    stepwise_instance,
 )
 
 
@@ -1644,7 +1645,7 @@ def test_history_is_a_sequence_of_records_over_batched_segments():
 
 def test_step_records_compare_by_value():
     # ex 4 L's first 50 steps: records stored by ordinary steps and ones
-    # rebuilt from a batch's block, each point a row view of it
+    # built from a segment, each point a row of its rebuilt iterates
     example = build_example(4)
     config = RunConfig(example.settings.epsilon, max_iterations=50, record_history=True)
     first, second = (run(example.instance, default_geometry(example), config).history
@@ -1663,6 +1664,104 @@ def test_step_records_compare_by_value():
     assert moved != record and bare != record and record != bare
     assert bare == dataclasses.replace(record, point=None)
     assert record != (record.index, record.point)
+
+
+def _example_history(example_id, regime, policy, geometry=default_geometry):
+    """An example's report with history and its stepwise reference."""
+    example = build_example(example_id)
+    config = RunConfig(example.settings.epsilon, regime=regime, policy=policy,
+                       record_history=True)
+    space = geometry(example)
+    return (run(example.instance, space, config),
+            run(stepwise_instance(example.instance), stepwise(space), config))
+
+
+def _segments(history):
+    return [entry for entry in history._entries if isinstance(entry, solver._Segment)]
+
+
+@pytest.mark.parametrize("example_id, regime, policy", [
+    (4, Regime.LIPSCHITZ, Policy.FIRST_VIOLATED), (6, Regime.NONSTANDARD, Policy.AGGREGATE_MAX)])
+def test_history_segments_hold_two_points_each(example_id, regime, policy):
+    # a segment keeps its first iterate and a read-only view of the run's
+    # one step table, not the iterates it took: 2 n floats however long
+    report, stepped = _example_history(example_id, regime, policy)
+    assert_bitwise_equal(report, stepped)
+    history = report.history
+    segments = _segments(history)
+    batched = len(history) - sum(1 for _ in history.ordinary())
+    assert segments and batched > 10 * len(segments)
+    held = sum(field.nbytes for segment in segments for field in segment
+               if isinstance(field, np.ndarray))
+    assert held <= 2 * report.output_point.nbytes * len(segments)
+    assert len({id(segment.step.base) for segment in segments}) == 1
+    assert not any(segment.step.flags.writeable for segment in segments)
+
+
+def test_history_reads_rebuild_each_segment_once(monkeypatch):
+    # ex 4 L first-violated: a pass and a slice rebuild each segment they
+    # reach once, and one record only up to its own step
+    report, stepped = _example_history(4, Regime.LIPSCHITZ, Policy.FIRST_VIOLATED)
+    history, records = report.history, list(stepped.history)
+    segments = _segments(history)
+    assert len(segments) > 2
+    rebuilds = []
+    inner = solver._Segment.rows
+
+    def counted(self, rows):
+        rebuilds.append((self.index, rows))
+        return inner(self, rows)
+
+    monkeypatch.setattr(solver._Segment, "rows", counted)
+    for a, b in zip(history, records, strict=True):
+        assert_same_record(a, b)
+    assert rebuilds == [(segment.index, segment.count) for segment in segments]
+    first, last = segments[0], segments[-1]
+    low, high = first.index + 1, last.index + last.count - 1
+    for part in (slice(low, high), slice(low, high, 5), slice(high - 1, low - 1, -3)):
+        rebuilds.clear()
+        got = history[part]
+        assert len(got) == len(records[part])
+        for a, b in zip(got, records[part]):
+            assert_same_record(a, b)
+        reached = [index for index, _ in rebuilds]
+        assert len(reached) == len(set(reached)) > 2
+    rebuilds.clear()
+    assert_same_record(history[first.index + 2], records[first.index + 2])
+    assert rebuilds == [(first.index, 3)]
+
+
+def test_writing_into_a_batched_record_leaves_the_history_as_it_was():
+    # ex 4 L first-violated: step 2 is batched, and its point is a fresh row
+    report, stepped = _example_history(4, Regime.LIPSCHITZ, Policy.FIRST_VIOLATED)
+    history = report.history
+    assert history[2] is not history[2]
+    point = history[2].point
+    point[0] += 1.0
+    assert history[2] == stepped.history[2]
+    # and the rows of a slice and of a pass
+    batched = {k for segment in _segments(history)
+               for k in range(segment.index, segment.index + segment.count)}
+    for record in history[1:-1]:
+        if record.index in batched:
+            record.point[:] = 0.0
+    for record in history:
+        if record.index in batched:
+            record.point[-1] += 1.0
+    assert_bitwise_equal(report, stepped)
+
+
+def test_output_point_is_not_a_history_point():
+    # ex 6 N first-violated outputs its best productive iterate, whose
+    # record the history keeps: writing into the output leaves it alone
+    report, _ = _example_history(6, Regime.NONSTANDARD, Policy.FIRST_VIOLATED)
+    out = report.output_point
+    holders = {record.index: record.point.copy() for record in report.history.ordinary()
+               if np.array_equal(record.point, out)}
+    assert holders
+    out += 1.0
+    for k, point in holders.items():
+        assert report.history[k].point.tobytes() == point.tobytes()
 
 
 def alternating_problem_with_optimum():
