@@ -1666,12 +1666,12 @@ def test_step_records_compare_by_value():
     assert record != (record.index, record.point)
 
 
-def _example_history(example_id, regime, policy, geometry=default_geometry):
+def _example_history(example_id, regime, policy):
     """An example's report with history and its stepwise reference."""
     example = build_example(example_id)
     config = RunConfig(example.settings.epsilon, regime=regime, policy=policy,
                        record_history=True)
-    space = geometry(example)
+    space = default_geometry(example)
     return (run(example.instance, space, config),
             run(stepwise_instance(example.instance), stepwise(space), config))
 
