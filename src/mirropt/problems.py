@@ -307,11 +307,13 @@ def _stacked_argmax(oracles: Sequence[Oracle]
 class OracleBank:
     """Ordered family of oracles evaluated together at one point.
 
-    When every member is affine the values are computed through one stacked
-    matrix-vector product.  Both the solver's constraint scan and
-    :class:`MaxOracle` evaluate through this class, so an aggregate of M
-    constraints and a single pre-composed max oracle see bitwise-identical
-    numbers.
+    :meth:`scan` is the one evaluation of a bank: one stacked
+    matrix-vector product where every member is affine, the member loop
+    otherwise, and one finiteness check for both.  ``values`` and
+    ``max_entry`` are views of it, and the solver's constraint and piece
+    scans call it, as :class:`MaxOracle` does through ``max_entry``; so an
+    aggregate of M constraints and a single pre-composed max oracle see
+    bitwise-identical numbers by construction (acceptance criterion 8).
     """
 
     def __init__(self, oracles: Sequence[Oracle]) -> None:
@@ -329,34 +331,40 @@ class OracleBank:
             self._matrix = None
             self._offsets = None
 
-    def values(self, x: Array) -> Array:
-        """Member values at x.
+    def scan(self, x: Array, out: Array | None = None) -> tuple[Array, int, float]:
+        """Member values at x, the lowest index of their maximum, and that
+        maximum.
 
-        A non-finite member value raises :class:`EvaluationError`, so every
-        selection policy rejects a broken member, -inf included, whatever
-        summation order an overflowing stacked product takes.
+        A stacked bank writes its values into ``out`` when given one; the
+        member loop returns a fresh array.  A non-finite member value
+        raises :class:`EvaluationError`, so every selection policy rejects
+        a broken member, -inf included, whatever summation order an
+        overflowing stacked product takes.
         """
         if self._matrix is not None:
-            vals = self._matrix @ x + self._offsets
-            # argmin and argmax both return the first NaN; with the argmin
-            # entry finite, only the argmax entry can be +inf.
-            if not (math.isfinite(vals[vals.argmin()])
-                    and math.isfinite(vals[vals.argmax()])):
-                raise EvaluationError("oracle produced a non-finite value")
-            return vals
-        vals = [o.value(x) for o in self.oracles]
-        if not all(map(math.isfinite, vals)):
+            vals = np.dot(self._matrix, x, out=out)
+            vals += self._offsets
+        else:
+            vals = np.array([o.value(x) for o in self.oracles], dtype=np.float64)
+        i = int(vals.argmax())
+        high = vals.item(i)
+        # argmin and argmax both return the first NaN; with the argmin
+        # entry finite, only the argmax entry can be +inf.
+        if not (math.isfinite(high) and math.isfinite(vals.item(vals.argmin()))):
             raise EvaluationError("oracle produced a non-finite value")
-        return np.array(vals)
+        return vals, i, high
+
+    def values(self, x: Array) -> Array:
+        """Member values at x, a fresh array; see :meth:`scan`."""
+        return self.scan(x)[0]
 
     def subgradient(self, index: int, x: Array) -> Array:
         return self.oracles[index].subgradient(x)
 
     def max_entry(self, x: Array) -> tuple[float, int]:
         """Largest value and its lowest attaining 0-based index."""
-        vals = self.values(x)
-        idx = int(vals.argmax())
-        return float(vals[idx]), idx
+        _, i, high = self.scan(x)
+        return high, i
 
 
 class MaxOracle(Oracle):

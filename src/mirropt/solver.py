@@ -22,7 +22,7 @@ import math
 import time
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
-from functools import cache
+from functools import cache, partial
 from itertools import repeat
 from operator import index
 from dataclasses import dataclass
@@ -190,12 +190,14 @@ class StepHistory(Sequence):
     """A run's steps: a read-only sequence of :class:`StepRecord` in step
     order, record k being step k.
 
-    An ordinary step is stored as its record.  A batch of non-productive
-    steps (see :func:`run`) is stored as one segment per constraint run it
-    spans, each holding the run's first index, step size, dual norm,
-    constraint, first iterate, the step every later iterate adds and the
-    number of steps: 2 n floats whatever the run's length, the step a view
-    of a table the run shares.  A segment's records are built on access
+    An ordinary step is stored as its record, whose ``point`` is the
+    iterate itself, made read-only when recorded, so writing into it
+    raises ``ValueError``.  A batch of non-productive steps (see
+    :func:`run`) is stored as one segment per constraint run it spans,
+    each holding the run's first index, step size, dual norm, constraint,
+    first iterate, the step every later iterate adds and the number of
+    steps: 2 n floats whatever the run's length, the step a view of a
+    table the run shares.  A segment's records are built on access
     from its iterates, rebuilt by the batch's own cumulative sum, so bit
     for bit: a pass over the history rebuilds each segment once, ``h[k]``
     only up to step k, and a slice each segment it reaches once.  A built
@@ -212,6 +214,7 @@ class StepHistory(Sequence):
         self._starts: list[int] = []  # the entries' first indices, for bisection
 
     def _append(self, record: StepRecord) -> None:
+        record.point.setflags(write=False)  # the iterate, kept as recorded
         self._entries.append(record)
 
     def _add_segment(self, start: int, step_size: float, grad_dual_norm: float,
@@ -227,11 +230,7 @@ class StepHistory(Sequence):
         return last.index + (1 if type(last) is StepRecord else last.count)
 
     def __iter__(self) -> Iterator[StepRecord]:
-        for entry in self._entries:
-            if type(entry) is StepRecord:
-                yield entry
-            else:
-                yield from entry.records(range(entry.index, entry.index + entry.count))
+        return self._walk(range(len(self))) if self._entries else iter(())
 
     def ordinary(self) -> Iterator[StepRecord]:
         """The ordinary (unbatched) steps' records, in step order, with no
@@ -320,22 +319,17 @@ def _sources(bank: OracleBank, dual: Callable[[Array], float]):
     """A bank's scan ``x -> (values, argmax, max)`` and row source
     ``(i, x) -> (i, subgradient, dual norm)``.
 
+    The scan is :meth:`OracleBank.scan` into one buffer per call of this
+    function, so a stacked bank's values are overwritten by its next scan.
     Where the bank is stacked (``OracleBank._matrix`` set), each member is
     affine, with a constant subgradient a, so its row ``(i, a, dual norm of
-    a)`` is a constant of the run, tabled once.  The scan is then one
-    matrix-vector product into a preallocated buffer, checked as
-    ``OracleBank.values`` checks it, and the row is a lookup; both are bit
-    for bit what the oracle and dual-norm calls return.  Otherwise the scan
-    is ``bank.values`` and the row calls the member and the dual norm.
+    a)`` is a constant of the run, tabled once and looked up, bit for bit
+    what the oracle and dual-norm calls return.  Otherwise the row calls
+    the member and the dual norm.
     """
-    matrix, offsets = bank._matrix, bank._offsets
-    if matrix is None:
-        values, subgradient = bank.values, bank.subgradient
-
-        def scan(x: Array):
-            vals = values(x)
-            i = int(vals.argmax())
-            return vals, i, vals.item(i)
+    scan = partial(bank.scan, out=np.empty(len(bank.oracles)))
+    if bank._matrix is None:
+        subgradient = bank.subgradient
 
         def row(i: int, x: Array):
             s = subgradient(i, x)
@@ -345,21 +339,6 @@ def _sources(bank: OracleBank, dual: Callable[[Array], float]):
 
     with np.errstate(over="ignore"):  # a norm that overflows reads inf
         rows = [(i, member.a, dual(member.a)) for i, member in enumerate(bank.oracles)]
-    vals = np.empty(matrix.shape[0])
-    argmax, argmin, item = vals.argmax, vals.argmin, vals.item
-    dot, add, isfinite = np.dot, np.add, math.isfinite
-
-    def scan(x: Array):
-        dot(matrix, x, out=vals)
-        add(vals, offsets, out=vals)
-        i = argmax()
-        high = item(i)
-        # As in OracleBank.values: a finite argmin entry rules out NaN and
-        # -inf, a finite argmax entry +inf.
-        if not (isfinite(high) and isfinite(item(argmin()))):
-            raise EvaluationError("oracle produced a non-finite value")
-        return vals, i, high
-
     return scan, lambda i, x: rows[i]
 
 
@@ -858,39 +837,40 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
 
     Affine data take table-driven steps on every geometry and under every
     policy; the trajectory, counts and history are bitwise those of the
-    stepwise engine.  Where the constraints are all affine, scanning them is
-    one matrix-vector product, and each constraint row's subgradient and
-    dual norm are looked up in a table built at the start of the run, with
-    no call to the oracles or the dual norm; so are a max-affine
-    objective's pieces on productive steps.  Any other objective is
-    called; a max of diagonal quadratics then takes a certified argmax of
-    its pieces from one stacked product and calls the winning piece alone,
-    falling back to every piece's value where the argmax is not certified
-    (see :class:`MaxOracle`), with the member loop's numbers.  On an
-    exact :class:`EuclideanSpace`, under every policy but min-dual-norm,
-    non-productive steps are also batched by ``_AffineRuns``: a batch
-    chains the rest of a constraint's run and the runs the policy is
-    computed to take after it, on other constraints, up to the first
-    predicted productive step; a batch that the rounding margins cut short
-    ends batching until the constraint changes.  In the Lipschitz regime
-    without history, a run of productive steps on a max-affine objective
-    is batched too, on pieces predicted from the piece values by
-    straight-line code generated once per piece count, and certified by
-    the same margins; a batch's constraint and piece values are one column
-    per iterate, reduced column by column.  The first step of each run
-    and the step after each batch are ordinary steps.  On an exact :class:`EuclideanBall`
-    with all-affine constraints, ``_BallTracker`` updates the constraint
-    values in O(M) along each step on a constraint row or a max-affine
-    piece, and the policy reads them in place of the matrix-vector product
-    wherever a rounding bound certifies that the product would give the
-    same violated set and argmax; anywhere else, and after a productive
-    step on any other objective, the product is taken.  The types of the
-    data and the geometry alone pick these paths, so a subclass of either
-    geometry takes the tables only.
+    stepwise engine.  The constraints are scanned by :meth:`OracleBank.scan`
+    into a buffer of the run's, one matrix-vector product where they are all
+    affine; each such constraint row's subgradient and dual norm are then
+    looked up in a table built at the start of the run, with no call to the
+    oracles or the dual norm; so are a max-affine objective's pieces on
+    productive steps.  Any other objective is called; a max of diagonal
+    quadratics then takes a certified argmax of its pieces from one stacked
+    product and calls the winning piece alone, falling back to every piece's
+    value where the argmax is not certified (see :class:`MaxOracle`), with
+    the member loop's numbers.  On an exact :class:`EuclideanSpace`, under
+    every policy but min-dual-norm, non-productive steps are also batched by
+    ``_AffineRuns``: a batch chains the rest of a constraint's run and the
+    runs the policy is computed to take after it, on other constraints, up
+    to the first predicted productive step; a batch that the rounding
+    margins cut short ends batching until the constraint changes.  In the
+    Lipschitz regime without history, a run of productive steps on a
+    max-affine objective is batched too, on pieces predicted from the piece
+    values by straight-line code generated once per piece count, and
+    certified by the same margins; a batch's constraint and piece values are
+    one column per iterate, reduced column by column.  The first step of
+    each run and the step after each batch are ordinary steps.  On an exact
+    :class:`EuclideanBall` with all-affine constraints, ``_BallTracker``
+    updates the constraint values in O(M) along each step on a constraint
+    row or a max-affine piece, and the policy reads them in place of the
+    matrix-vector product wherever a rounding bound certifies that the
+    product would give the same violated set and argmax; anywhere else, and
+    after a productive step on any other objective, the product is taken.
+    The types of the data and the geometry alone pick these paths, so a
+    subclass of either geometry takes the tables only.
 
     With ``record_history``, the report's ``history`` is a
     :class:`StepHistory`, a read-only sequence of one :class:`StepRecord`
-    per step.  An ordinary step appends its record; a batch of
+    per step.  An ordinary step appends its record, its iterate made
+    read-only; a batch of
     non-productive steps appends one segment per constraint run it spans,
     each holding the run's first iterate, a view of its tabled step and
     its count, 2 n floats however long the run; its records are built on

@@ -224,11 +224,11 @@ def test_criterion_4_regime_separation(reference_cells, capped_lipschitz_cells):
             if capped.stop_reason is not StopReason.ITERATION_CAP:
                 problems.append(
                     f"{label}: stopped {capped.stop_reason.value} at "
-                    f"{capped.total_steps} steps below the 10^6 cap (the "
-                    f"172820 forced constraint-clearing steps plus the "
-                    f"stationary productive cycle pin the total near this "
-                    f"count, so the recorded >10^6 reference for this cell "
-                    f"is not reachable from the recorded problem data)"
+                    f"{capped.total_steps} steps below the 10^6 cap "
+                    f"({capped.nonproductive_count} non-productive and "
+                    f"{capped.productive_count} productive, so the recorded "
+                    f">10^6 reference for this cell is not reachable from "
+                    f"the recorded problem data)"
                 )
             completing, _ = reference_cells[
                 (example_id, Regime.NONSTANDARD, policy)]

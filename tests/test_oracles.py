@@ -220,6 +220,53 @@ def test_oracle_bank_mixed_path_is_exact_loop():
     assert np.array_equal(bank.values(x), np.array([o.value(x) for o in oracles]))
 
 
+def _banks(rows, offsets):
+    """A stacked bank of affine rows and a member-loop bank of the same
+    rows after a zero quadratic."""
+    affine = [AffineOracle(a, b) for a, b in zip(rows, offsets)]
+    return OracleBank(affine), OracleBank([QuadraticOracle(np.zeros((2, 2))), *affine])
+
+
+def test_oracle_bank_scan_contract():
+    # scan returns the values, an int argmax and a float max; values is a
+    # fresh array a later scan leaves alone; a stacked bank writes into
+    # out, the member loop returns a fresh array
+    stacked, looped = _banks([[1.0, 2.0], [-3.0, 0.5], [1.0, 2.0]], [0.25, 0.0, 0.25])
+    x, y = np.array([0.5, -1.0]), np.array([2.0, 1.0])
+    for bank in (stacked, looped):
+        kept = bank.values(x)
+        held = kept.copy()
+        vals, i, high = bank.scan(y)
+        assert kept.tobytes() == held.tobytes()
+        assert type(i) is int and type(high) is float
+        assert (i, high) == (int(vals.argmax()), float(vals.max()))
+        assert bank.max_entry(y) == (high, i)
+        assert vals.tobytes() == np.array([o.value(y) for o in bank.oracles]).tobytes()
+    out = np.empty(3)
+    assert stacked.scan(x, out=out)[0] is out
+    assert out.tobytes() == stacked.values(x).tobytes()
+    out = np.empty(4)
+    first = looped.scan(x, out=out)[0]
+    assert first is not out and looped.scan(x, out=out)[0] is not first
+
+
+@pytest.mark.parametrize("bad, row, x", [
+    ("nan", [1.0, 1.0], [math.nan, 1.0]),
+    ("+inf", [2.0**1000, 0.0], [2.0**100, 2.0**100]),
+    ("-inf", [-(2.0**1000), 0.0], [2.0**100, 2.0**100])])
+def test_oracle_bank_scan_rejects_a_nonfinite_value_from_both_kinds(bad, row, x):
+    # the row's value is the named one, through the stacked product and the
+    # member loop: NaN at a point with a NaN, where every value is NaN, and
+    # an overflow beside a finite value
+    x = np.array(x)
+    for bank in _banks([[1.0, 0.0], row], [0.0, 0.0]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert str(bank.oracles[-1].value(x)) == bad.lstrip("+")
+            for evaluate in (bank.scan, bank.values, bank.max_entry):
+                with pytest.raises(EvaluationError, match="non-finite value"):
+                    evaluate(x)
+
+
 def test_oracle_bank_max_entry_first_occurrence():
     bank = OracleBank([_constant(2.0), _constant(5.0), _constant(5.0)])
     val, idx = bank.max_entry(np.zeros(2))

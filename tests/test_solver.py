@@ -847,6 +847,21 @@ def test_tables_equal_the_calls_they_replace(geometry):
     assert raised >= 24
 
 
+def test_scans_of_one_bank_keep_separate_buffers():
+    # each _sources call scans into its own buffer, which its next scan
+    # overwrites; two scans of one bank, interleaved, keep their own values
+    bank = OracleBank([AffineOracle([1.0, -2.0], 0.5), AffineOracle([3.0, 1.0])])
+    dual = EuclideanSpace(np.zeros(2), 1.0).dual_norm
+    (first, _), (second, _) = solver._sources(bank, dual), solver._sources(bank, dual)
+    x, y = np.array([1.0, 2.0]), np.array([-4.0, 0.5])
+    a, b = first(x)[0], second(y)[0]
+    assert a is not b
+    assert a.tobytes() == bank.values(x).tobytes()
+    assert b.tobytes() == bank.values(y).tobytes()
+    assert first(y)[0] is a and a.tobytes() == b.tobytes()
+    assert second(x)[0] is b and b.tobytes() == bank.values(x).tobytes()
+
+
 def test_an_instance_level_wrapper_leaves_the_fast_paths_on(monkeypatch):
     # perfbench's tracer wraps dual_norm on the geometry instance: the run
     # still tables each affine row once and batches ex 6 L's steps
@@ -1748,6 +1763,18 @@ def test_writing_into_a_batched_record_leaves_the_history_as_it_was():
     for record in history:
         if record.index in batched:
             record.point[-1] += 1.0
+    assert_bitwise_equal(report, stepped)
+
+
+def test_writing_into_an_ordinary_record_raises():
+    # ex 4 L first-violated: step 0 is ordinary, its record the one the
+    # history keeps, and its point the iterate, read-only once recorded
+    report, stepped = _example_history(4, Regime.LIPSCHITZ, Policy.FIRST_VIOLATED)
+    history = report.history
+    assert history[0] is history[0]
+    with pytest.raises(ValueError):
+        history[0].point[0] += 1.0
+    assert not any(record.point.flags.writeable for record in history.ordinary())
     assert_bitwise_equal(report, stepped)
 
 
