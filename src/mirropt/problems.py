@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import Array, ProxGeometry, as_vector
+from .geometry import Array, as_vector
 
 __all__ = [
     "EvaluationError",
@@ -31,7 +31,6 @@ __all__ = [
     "OracleBank",
     "ProblemInstance",
     "max_violation",
-    "estimate_lipschitz",
 ]
 
 
@@ -474,41 +473,3 @@ def max_violation(problem, x) -> tuple[float, int]:
     val, idx = bank.max_entry(x)
     return val, idx + 1
 
-
-def estimate_lipschitz(oracle: Oracle, center, radius: float, samples: int = 1000,
-                       *, seed: int = 0, structure: ProxGeometry | None = None) -> float:
-    """Sampled estimate of max ||subgradient|| over a Euclidean ball.
-
-    Draws points uniformly from the ball and returns the largest subgradient
-    dual norm seen (l2, or the dual norm of ``structure`` when given).  A
-    lower estimate of the true constant, not a certified bound.
-    """
-    center = as_vector(center, oracle.dimension, "center")
-    radius = float(radius)
-    if not math.isfinite(radius) or radius < 0.0:
-        raise ValueError("radius must be finite and nonnegative")
-    samples = int(samples)
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    n = oracle.dimension
-    best = 0.0
-    for _ in range(samples):
-        direction = rng.standard_normal(n)
-        nrm = math.sqrt(float(direction @ direction))
-        if nrm == 0.0:
-            point = center
-        else:
-            # Uniform in the ball: radius scaled by U^(1/n).
-            r = radius * rng.uniform() ** (1.0 / n)
-            point = center + direction * (r / nrm)
-        sub = oracle.subgradient(point)
-        if structure is None:
-            dn = math.sqrt(float(sub @ sub))
-        else:
-            dn = structure.dual_norm(sub)
-        if not math.isfinite(dn):
-            raise EvaluationError("oracle produced a non-finite subgradient")
-        if dn > best:
-            best = dn
-    return best

@@ -31,7 +31,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import Array, EuclideanBall, EuclideanSpace, ProxGeometry, as_vector
+from .geometry import (Array, EntropySimplex, EuclideanBall, EuclideanSpace, ProxGeometry,
+                       as_vector)
 from .problems import (EvaluationError, MaxOracle, Oracle, OracleBank,
                        ProblemInstance)
 
@@ -342,13 +343,14 @@ def _sources(bank: OracleBank, dual: Callable[[Array], float]):
     return scan, lambda i, x: rows[i]
 
 
-def _make_selector(scan: Callable, row: Callable, epsilon: float,
-                   policy: Policy) -> Callable[[Array], tuple | None]:
+def _make_selector(scan: Callable, row: Callable, epsilon: float, policy: Policy,
+                   norms: Array | None = None) -> Callable[[Array], tuple | None]:
     """Build the per-iteration constraint choice for one policy.
 
     The returned callable maps an iterate to ``None`` (no constraint above
     epsilon, step is productive) or the ``row`` of the constraint the step
-    descends on.  ``scan`` and ``row`` are a bank's, from ``_sources``.
+    descends on.  ``scan`` and ``row`` are a bank's, from ``_sources``;
+    ``norms``, where given, are its tabled rows' dual norms.
     """
     if policy is Policy.FIRST_VIOLATED:
 
@@ -357,6 +359,21 @@ def _make_selector(scan: Callable, row: Callable, epsilon: float,
             if high <= epsilon:
                 return None
             return row(int((vals > epsilon).argmax()), x)
+
+    elif policy is Policy.MIN_DUAL_NORM and norms is not None:
+        # The first violated row in one stable order of the norms, so ties
+        # go to the lowest index; a non-finite norm sorts last, and any
+        # violated row with one is a broken subgradient.
+        order = np.argsort(norms, kind="stable")
+        broken = np.flatnonzero(~np.isfinite(norms))
+
+        def select(x: Array):
+            vals, _, high = scan(x)
+            if high <= epsilon:
+                return None
+            if broken.size and (vals[broken] > epsilon).any():
+                raise EvaluationError("constraint produced a non-finite subgradient")
+            return row(int(order[int((vals[order] > epsilon).argmax())]), x)
 
     elif policy is Policy.MIN_DUAL_NORM:
 
@@ -390,6 +407,16 @@ _BLOCK_FLOATS = 1 << 14
 # Below this bound on |A| @ |x| + |b|, sixteen times under the largest float,
 # no summation order of a constraint value overflows.
 _HUGE = 2.0 ** 1020
+# The entropy simplex's support scan (``_SupportScan``): the fewest entries
+# of a constraint matrix that takes it, the floor of a support coordinate,
+# the scans between two checks of the support, the share of its coordinates
+# still at the floor below which it is rebuilt, and the share of the
+# dimension above which the stacked product is taken instead.
+_SUPPORT_MIN_SIZE = 100_000
+_SUPPORT_FLOOR = 1e-7
+_SUPPORT_CHECK = 64
+_SUPPORT_SHRINK = 0.7
+_SUPPORT_SHARE = 0.5
 
 
 @cache
@@ -675,6 +702,29 @@ class _AffineRuns:
                 float(weight_sum[count]))
 
 
+def _decided(v: Array, bound: float, epsilon: float, ranked: bool,
+             gap: Array) -> tuple[int, float] | None:
+    """The argmax and maximum of v where every policy decides on v as on
+    any values within ``bound`` of it, else None: every value more than
+    ``bound`` from epsilon, so the violated set is the same, and, where
+    ``ranked`` and a value is above epsilon, the largest more than twice
+    ``bound`` above the others, so the argmax is too.  ``gap`` is a buffer
+    of v's size; NaN, inf or an infinite bound decides nothing."""
+    i = int(v.argmax())
+    high = v.item(i)
+    np.subtract(v, epsilon, out=gap)
+    np.abs(gap, out=gap)
+    if not (math.isfinite(bound) and math.isfinite(high)
+            and math.isfinite(v.item(v.argmin())) and np.minimum.reduce(gap) > bound):
+        return None
+    if high <= epsilon or not ranked:
+        return i, high
+    v[i] = -math.inf
+    second = v.max()
+    v[i] = high
+    return (i, high) if second < high - 2.0 * bound else None
+
+
 class _BallTracker:
     """Constraint values tracked in O(M) per step on an exact Euclidean ball.
 
@@ -742,21 +792,9 @@ class _BallTracker:
         """The selector's scan at x: the tracked values where certified."""
         if x is self.x:
             v = self.values
-            bound = self.e + self.e0
-            i = v.argmax()
-            high = v.item(i)
-            gap = self.gap
-            np.subtract(v, self.epsilon, out=gap)
-            np.abs(gap, out=gap)
-            if (math.isfinite(bound) and math.isfinite(high)
-                    and math.isfinite(v.item(v.argmin())) and gap.min() > bound):
-                if high <= self.epsilon:
-                    return v, i, high
-                v[i] = -math.inf
-                second = v.max()
-                v[i] = high
-                if second < high - 2.0 * bound:
-                    return v, i, high
+            decided = _decided(v, self.e + self.e0, self.epsilon, True, self.gap)
+            if decided is not None:
+                return v, *decided
         vals, i, high = self.real(x)
         np.copyto(self.values, vals)
         self.x, self.e = x, self.e0
@@ -783,6 +821,79 @@ class _BallTracker:
             e = t * e + (1.0 - t) * self.e0
         self.x, self.e = x_new, e + self.base
         return x_new
+
+
+class _SupportScan:
+    """Constraint values on an exact entropy simplex from the columns of
+    the iterate's support.
+
+    Entropic steps put the iterate's mass on few coordinates.  The support
+    S holds the coordinates at or above ``_SUPPORT_FLOOR``, with a
+    contiguous copy of ``A[:, S]``, and a scan takes w = A[:, S] x[S] + b
+    and the tail t = sum x[~S], read off as ``x.sum() - x[S].sum()`` plus
+    its rounding bound.  Where x >= 0, both products are within gamma
+    (|a_j| sum x + |b_j|) of exact, |a_j| the row's largest entry, and the
+    dropped columns move row j by at most |a_j| t; so w is within E =
+    gamma (rmax sum x + bmax) + rmax t of the stacked product, the
+    constant gamma four times the products' rounding bound, which also
+    covers the rounding of E and of the comparisons.  Where ``_decided``
+    certifies w against E, the selector reads it.  Anywhere else, and for
+    a negative, non-finite or possibly overflowing value, the stacked
+    product is taken, and S is rebuilt where its tail holds more than a
+    fresh one leaves, n floors.  Every ``_SUPPORT_CHECK`` scans S is also
+    rebuilt where fewer than ``_SUPPORT_SHRINK`` of its coordinates are
+    still at the floor; while more than ``_SUPPORT_SHARE`` of all
+    coordinates are, every scan is the stacked product.
+    """
+
+    def __init__(self, bank: OracleBank, scan: Callable, epsilon: float,
+                 ranked: bool) -> None:
+        self.matrix, self.offsets = bank._matrix, bank._offsets
+        m, n = self.matrix.shape
+        self.real, self.epsilon, self.ranked = scan, epsilon, ranked
+        self.gamma = 4.0 * (n + 2) * np.finfo(float).eps
+        self.rmax = float(np.abs(self.matrix).max())
+        # The smallest normal float covers underflow in the products.
+        self.bmax = float(np.abs(self.offsets).max()) + np.finfo(float).tiny
+        self.values, self.gap = np.empty(m), np.empty(m)
+        # A fresh support leaves a tail of under n floors.
+        self.stale = n * _SUPPORT_FLOOR
+        self.support = self.columns = None
+        self.wait = 0  # scans until the support is next checked
+
+    def _rebuild(self, x: Array) -> None:
+        support = np.flatnonzero(x >= _SUPPORT_FLOOR)
+        self.wait = _SUPPORT_CHECK
+        if support.shape[0] > _SUPPORT_SHARE * x.shape[0]:
+            self.support = self.columns = None
+        else:
+            self.support, self.columns = support, np.take(self.matrix, support, axis=1)
+
+    def scan(self, x: Array):
+        """The selector's scan at x: the reduced product where certified."""
+        self.wait -= 1
+        if self.wait <= 0:
+            self.wait = _SUPPORT_CHECK
+            if (self.support is None or np.count_nonzero(x >= _SUPPORT_FLOOR)
+                    < _SUPPORT_SHRINK * self.support.shape[0]):
+                self._rebuild(x)
+        if self.columns is not None:
+            head = x[self.support]
+            w = np.dot(self.columns, head, out=self.values)
+            w += self.offsets
+            total = float(np.add.reduce(x))
+            # The tail's mass t, up to the rounding of the two sums.
+            tail = total - float(np.add.reduce(head)) + self.gamma * total
+            top = self.rmax * total + self.bmax
+            # Below _HUGE (so not NaN) no summation order overflows.
+            if top < _HUGE and np.minimum.reduce(x) >= 0.0:
+                bound = self.gamma * top + self.rmax * tail
+                decided = _decided(w, bound, self.epsilon, self.ranked, self.gap)
+                if decided is not None:
+                    return w, *decided
+            if tail > self.stale:
+                self._rebuild(x)
+        return self.real(x)
 
 
 def _metadata_bound(problem: ProblemInstance, theta0: float, epsilon: float,
@@ -842,7 +953,10 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     affine; each such constraint row's subgradient and dual norm are then
     looked up in a table built at the start of the run, with no call to the
     oracles or the dual norm; so are a max-affine objective's pieces on
-    productive steps.  Any other objective is called; a max of diagonal
+    productive steps.  Min-dual-norm then takes the first violated row in
+    one stable order of the tabled norms, the lowest index among ties, as
+    the loop over violated rows that other banks take.  Any other
+    objective is called; a max of diagonal
     quadratics then takes a certified argmax of its pieces from one stacked
     product and calls the winning piece alone, falling back to every piece's
     value where the argmax is not certified (see :class:`MaxOracle`), with
@@ -864,8 +978,18 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     matrix-vector product wherever a rounding bound certifies that the
     product would give the same violated set and argmax; anywhere else, and
     after a productive step on any other objective, the product is taken.
-    The types of the data and the geometry alone pick these paths, so a
-    subclass of either geometry takes the tables only.
+    On an exact :class:`EntropySimplex`, under every policy, all-affine
+    constraints with at least ``_SUPPORT_MIN_SIZE`` matrix entries are
+    scanned by ``_SupportScan`` over the iterate's support, the
+    coordinates at or above ``_SUPPORT_FLOOR``, from a copy of their
+    columns; the policy reads these values where a bound on the left-out
+    mass and on both products' rounding certifies the product's violated
+    set and, for the argmax policies, its argmax.  Anywhere else, while
+    the support holds more than half the coordinates, and for a negative,
+    non-finite or possibly overflowing value, the product is taken, so a
+    non-finite value raises where it did.  The types of the data and the
+    geometry alone pick these paths, so a subclass of any of these
+    geometries takes the tables only.
 
     With ``record_history``, the report's ``history`` is a
     :class:`StepHistory`, a read-only sequence of one :class:`StepRecord`
@@ -896,14 +1020,20 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
         pieces = None
     piece_sources = None if pieces is None else _sources(pieces, dual)
     evaluate = _make_evaluator(objective, dual, piece_sources)
-    if bank._matrix is not None and type(prox) is EuclideanBall:
+    norms = None
+    if bank._matrix is not None:
         rows = [row(i, None) for i in range(len(bank.oracles))]
-        if pieces is not None:
-            rows += [piece_sources[1](l, None) for l in range(len(pieces.oracles))]
-        tracker = _BallTracker(bank, prox, scan, rows, eps)
-        if tracker.finite:
-            scan, mirror = tracker.scan, tracker.step
-    select = _make_selector(scan, row, eps, config.policy)
+        norms = np.array([norm for _, _, norm in rows])
+        if type(prox) is EuclideanBall:
+            if pieces is not None:
+                rows += [piece_sources[1](l, None) for l in range(len(pieces.oracles))]
+            tracker = _BallTracker(bank, prox, scan, rows, eps)
+            if tracker.finite:
+                scan, mirror = tracker.scan, tracker.step
+        elif type(prox) is EntropySimplex and bank._matrix.size >= _SUPPORT_MIN_SIZE:
+            scan = _SupportScan(bank, scan, eps, config.policy in (
+                Policy.AGGREGATE_MAX, Policy.MAX_VIOLATION)).scan
+    select = _make_selector(scan, row, eps, config.policy, norms)
     # Productive runs are batched where a gemm row need not give the
     # stepwise objective value: in the Lipschitz regime, without history.
     produce = pieces is not None and lipschitz and not config.record_history

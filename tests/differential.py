@@ -3,12 +3,14 @@
 ``run`` takes table-driven steps on affine data on every geometry, batches
 constraint steps, one batch spanning the runs on several constraints,
 and productive steps on a max of affine pieces, on an exact
-:class:`EuclideanSpace`, and tracks all-affine constraint values in
-place of the stacked scan on an exact :class:`EuclideanBall`.  A batch
-is recorded as one history segment per constraint run.  The stepwise
-reference is the same geometry as a subclass, :class:`SteppedSpace` or
-:class:`SteppedBall`, which turns the batches and the tracked values off
-without changing the arithmetic.  The tables, which a subclass keeps,
+:class:`EuclideanSpace`, tracks all-affine constraint values in place of
+the stacked scan on an exact :class:`EuclideanBall`, and scans large
+all-affine banks over the iterate's support on an exact
+:class:`EntropySimplex`.  A batch is recorded as one history segment per
+constraint run.  The stepwise reference is the same geometry as a
+subclass, :class:`SteppedSpace`, :class:`SteppedBall` or
+:class:`SteppedSimplex`, which turns the batches, the tracked values and
+the support scan off without changing the arithmetic.  The tables, which a subclass keeps,
 are checked against the oracle and dual-norm calls they replace by
 ``test_solver``'s component tests.
 
@@ -24,8 +26,8 @@ import copy
 
 import numpy as np
 
-from mirropt import (EuclideanBall, EuclideanSpace, MaxOracle, ProblemInstance,
-                     QuadraticOracle, run)
+from mirropt import (EntropySimplex, EuclideanBall, EuclideanSpace, MaxOracle,
+                     ProblemInstance, QuadraticOracle, run)
 
 
 class SteppedSpace(EuclideanSpace):
@@ -34,6 +36,11 @@ class SteppedSpace(EuclideanSpace):
 
 class SteppedBall(EuclideanBall):
     """The same geometry; runs on a subclass track no values."""
+
+
+class SteppedSimplex(EntropySimplex):
+    """The same geometry; runs on a subclass take the stacked product at
+    every scan."""
 
 
 class SteppedMax(MaxOracle):
@@ -79,6 +86,8 @@ def stepwise(space):
         return SteppedSpace(space.anchor, space.theta0)
     if type(space) is EuclideanBall:
         return SteppedBall(space.center, space.radius, space.theta0, space.anchor)
+    if type(space) is EntropySimplex:
+        return SteppedSimplex(space.dimension, space.theta0)
     return copy.copy(space)
 
 

@@ -9,14 +9,12 @@ import pytest
 from mirropt import (
     AbsAffinePlusOracle,
     AffineOracle,
-    EntropySimplex,
     EvaluationError,
     MaxOracle,
     OracleBank,
     ProblemInstance,
     QuadraticOracle,
     SqrtQuadraticOracle,
-    estimate_lipschitz,
     max_violation,
 )
 from mirropt.benchmarks import build_example
@@ -474,47 +472,3 @@ def test_problem_instance_accepts_boundary_optimum():
     assert instance.known_optimum[1] == 0.0
     assert instance.n_constraints == 1
 
-
-def test_estimate_lipschitz_affine_is_exact():
-    oracle = AffineOracle([3.0, 4.0])
-    est = estimate_lipschitz(oracle, np.zeros(2), 10.0, samples=5)
-    assert est == 5.0
-
-
-def test_estimate_lipschitz_quadratic_approaches_supremum():
-    # grad of ||x||^2 / 2 has norm ||x|| <= 2 on the radius-2 ball
-    oracle = QuadraticOracle(np.eye(2))
-    est = estimate_lipschitz(oracle, np.zeros(2), 2.0, samples=4000, seed=3)
-    assert 1.9 <= est <= 2.0
-
-
-def test_estimate_lipschitz_regression_baseline():
-    # frozen output for the first benchmark objective; guards the sampling
-    # scheme (ball draw, seed handling) against accidental change
-    objective = build_example(1).instance.objective
-    est = estimate_lipschitz(objective, np.ones(10), 1.0, samples=2000, seed=0)
-    assert est == pytest.approx(0.44208121973885, rel=1e-12)
-    # sampled estimates never exceed the exact constant
-    assert est <= objective.lipschitz_value
-
-
-def test_estimate_lipschitz_validation():
-    oracle = AffineOracle([1.0])
-    with pytest.raises(ValueError):
-        estimate_lipschitz(oracle, [0.0], -1.0)
-    with pytest.raises(ValueError):
-        estimate_lipschitz(oracle, [0.0], 1.0, samples=0)
-
-
-def test_estimate_lipschitz_respects_structure_norm():
-    # max-norm dual: the simplex geometry reports max|a_i|, not ||a||_2
-    oracle = AffineOracle([3.0, 4.0])
-    simplex = EntropySimplex(2, 1.0)
-    est = estimate_lipschitz(oracle, [0.5, 0.5], 0.1, samples=3, structure=simplex)
-    assert est == 4.0
-
-
-def test_estimate_lipschitz_zero_radius_uses_center():
-    oracle = QuadraticOracle(np.eye(2))
-    est = estimate_lipschitz(oracle, [3.0, 4.0], 0.0, samples=10)
-    assert est == 5.0

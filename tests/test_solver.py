@@ -5,6 +5,7 @@ import math
 import operator
 import warnings
 from collections.abc import Sequence
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -1434,6 +1435,299 @@ def test_tracked_values_stay_within_their_bound(monkeypatch, regime):
     assert checked[0] == _decisions(report) - 1
     # the bound stays far inside the margins the choices need
     assert worst[0] < 1e-9
+
+
+# ------------------------------------------------ support scan on the simplex
+
+
+def _simplex_cell(seed, n=200, m=50, pieces=10, extra=()):
+    """The benchmark's synthetic simplex problem at a smaller size: rows
+    that are low where a Dirichlet-sparse point x* has its mass, violated
+    at the uniform start and feasible at x*, then ``extra`` constraints,
+    and a max of affine pieces of dual norm 2, on which the two regimes
+    step differently; x* as known optimum."""
+    rng = np.random.default_rng(seed)
+    x_star = rng.dirichlet(np.full(n, 0.05))
+    a = (0.3 * rng.standard_normal((m, n))
+         - rng.uniform(0.5, 2.0, (m, 1)) * (x_star / x_star.max()))
+    a *= rng.uniform(1.0, 1.2, (m, 1)) / np.abs(a).max(axis=1, keepdims=True)
+    b = -(a @ x_star) - rng.uniform(0.005, 0.05, m)
+    c = rng.standard_normal((pieces, n))
+    c *= 2.0 / np.abs(c).max(axis=1, keepdims=True)
+    objective = MaxOracle([AffineOracle(row, offset)
+                           for row, offset in zip(c, rng.uniform(-0.1, 0.1, pieces))])
+    constraints = [*(AffineOracle(row, offset) for row, offset in zip(a, b)), *extra]
+    instance = ProblemInstance(n, objective, constraints,
+                               known_optimum=(x_star, objective.value(x_star)))
+    return instance, EntropySimplex(n, 2.0)
+
+
+def _counted_products(monkeypatch):
+    """Calls of ``OracleBank.scan`` by bank: the stacked products runs take."""
+    counts = {}
+    inner = OracleBank.scan
+
+    def counted(self, x, out=None):
+        counts[self] = counts.get(self, 0) + 1
+        return inner(self, x, out)
+
+    monkeypatch.setattr(OracleBank, "scan", counted)
+    return counts
+
+
+def _support_runs(instance, simplex, config, products):
+    """The run, its stepwise reference, and the stacked constraint
+    products each took."""
+    bank = instance.constraint_bank()
+    products.pop(bank, None)  # the instance's check of its known optimum
+    fast = run(instance, simplex, config)
+    taken = products.pop(bank, 0)
+    stepped = run(instance, stepwise(simplex), config)
+    return fast, stepped, taken, products.pop(bank, 0)
+
+
+@pytest.mark.parametrize("record_history", [False, True])
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("policy", list(Policy))
+def test_support_scans_equal_stepwise_runs_on_sparse_simplex_instances(
+        monkeypatch, policy, regime, record_history):
+    # the size rule is tested apart: here the 50 x 200 banks take the scan
+    monkeypatch.setattr(solver, "_SUPPORT_MIN_SIZE", 0)
+    products = _counted_products(monkeypatch)
+    for seed in (0, 1):
+        instance, simplex = _simplex_cell(seed)
+        config = RunConfig(0.05, regime=regime, policy=policy,
+                           record_history=record_history)
+        fast, stepped, taken, full = _support_runs(instance, simplex, config, products)
+        assert_bitwise_equal(fast, stepped)
+        assert fast.stop_reason is StopReason.CRITERION_MET
+        assert fast.productive_count > 500 and fast.nonproductive_count > 500
+        # the reference takes the product at every choice and for the
+        # output; the support scan leaves most of them out
+        assert full == _decisions(stepped) + 1
+        assert taken < 0.7 * full
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_support_scan_takes_banks_of_its_size_only(monkeypatch, policy):
+    products = _counted_products(monkeypatch)
+    for m, n in ((200, 500), (50, 200)):
+        instance, simplex = _simplex_cell(2, n=n, m=m)
+        reduced = m * n >= solver._SUPPORT_MIN_SIZE
+        assert reduced == (m == 200)
+        config = RunConfig(0.05, regime=Regime.NONSTANDARD, policy=policy)
+        fast, stepped, taken, full = _support_runs(instance, simplex, config, products)
+        assert_bitwise_equal(fast, stepped)
+        assert full == _decisions(stepped) + 1
+        assert taken < 0.7 * full if reduced else taken == full
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_support_scan_decides_as_the_stacked_product(monkeypatch, policy):
+    # wherever the selector reads the reduced product, the stacked one has
+    # the same violated set and, under the argmax policies, the same
+    # argmax; the two differ by at most the tail a fresh support leaves,
+    # n floors times the largest entry, 1.2
+    monkeypatch.setattr(solver, "_SUPPORT_MIN_SIZE", 0)
+    instance, simplex = _simplex_cell(4)
+    bank = instance.constraint_bank()
+    inner = solver._SupportScan.scan
+    read = [0]
+
+    def checked_scan(self, x):
+        vals, i, high = inner(self, x)
+        if vals is self.values:
+            full = np.dot(bank._matrix, x) + bank._offsets
+            assert np.array_equal(full > 0.05, vals > 0.05)
+            if policy in (Policy.AGGREGATE_MAX, Policy.MAX_VIOLATION):
+                assert full.argmax() == i
+            assert np.abs(full - vals).max() <= 1.2 * self.stale
+            read[0] += 1
+        return vals, i, high
+
+    monkeypatch.setattr(solver._SupportScan, "scan", checked_scan)
+    report = run(instance, simplex, RunConfig(0.05, policy=policy))
+    assert read[0] > 0.3 * _decisions(report)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1.0], ids=["duplicate", "one-ulp"])
+@pytest.mark.parametrize("policy", list(Policy))
+def test_support_scans_with_near_tied_constraints(monkeypatch, policy, offset):
+    # each row has a twin, equal or one ulp higher in b: while a twin pair
+    # tops the violated rows no margin separates the two, so under the
+    # argmax policies the stacked product decides between them
+    monkeypatch.setattr(solver, "_SUPPORT_MIN_SIZE", 0)
+    products = _counted_products(monkeypatch)
+    cell, simplex = _simplex_cell(7)
+    twins = [AffineOracle(c.a, np.nextafter(c.b, math.inf) if offset else c.b)
+             for c in cell.constraints]
+    tied = ProblemInstance(200, cell.objective, [*cell.constraints, *twins])
+    inner = solver._SupportScan.scan
+    violated = [0]  # choices of a violated row from the support's values
+
+    def counted_scan(self, x):
+        vals, i, high = inner(self, x)
+        violated[0] += vals is self.values and high > 0.05
+        return vals, i, high
+
+    monkeypatch.setattr(solver._SupportScan, "scan", counted_scan)
+    config = RunConfig(0.05, regime=Regime.NONSTANDARD, policy=policy,
+                       record_history=True)
+    fast, stepped, taken, full = _support_runs(tied, simplex, config, products)
+    assert_bitwise_equal(fast, stepped)
+    assert taken < 0.7 * full
+    if policy in (Policy.AGGREGATE_MAX, Policy.MAX_VIOLATION):
+        assert violated[0] == 0
+    else:
+        assert violated[0] > 100
+
+
+@pytest.mark.parametrize("ranked", [False, True])
+@pytest.mark.parametrize("case", ["left-out", "negative", "nan", "huge"])
+def test_support_scan_takes_the_stacked_product_where_unsure(case, ranked):
+    # 40 coordinates of 0.025 hold the support, and x_j, under the floor, is
+    # 5e-8: the row e_j at eps - 2e-8 is violated by 3e-8, though over the
+    # support it sits 2e-8 under eps; -0.01, off the simplex, where the
+    # bound does not hold; or NaN, which the stacked product raises at.  A
+    # row of 2^1021 is past the largest values the scan takes.  With x_j =
+    # 0 the scan reads the support's values, but for that row.
+    n, j, eps = 200, 150, 0.05
+    if case == "huge":
+        rows = [AffineOracle(2.0**1021 * np.eye(n)[0], -(2.0**1021))]
+    else:
+        rows = [AffineOracle(np.ones(n), -1.0), AffineOracle(np.eye(n)[j], eps - 2e-8)]
+    bank = OracleBank(rows)
+    support = solver._SupportScan(bank, partial(bank.scan, out=np.empty(len(rows))),
+                                  eps, ranked)
+    x = np.zeros(n)
+    x[:40] = 0.025
+    x[j] = {"left-out": 5e-8, "negative": -0.01, "nan": math.nan, "huge": 0.0}[case]
+    if case == "nan":
+        with pytest.raises(EvaluationError):
+            support.scan(x)
+    else:
+        vals, i, high = support.scan(x)
+        assert vals is not support.values
+        assert np.array_equal(vals, bank.values(x)) and i == int(vals.argmax())
+    assert support.columns.shape == (len(rows), 40)
+    x[j] = 0.0
+    vals, i, high = support.scan(x)
+    assert (vals is support.values) == (case != "huge")
+    if case != "huge":
+        assert (i, high) == (1, eps - 2e-8) and abs(vals[0]) < 1e-12
+
+
+def test_support_scan_follows_mass_that_leaves_its_support():
+    # the mass moves from coordinates 0-39 to 100-139: the first scan there
+    # takes the stacked product and rebuilds the support, the next reads it
+    n, eps = 200, 0.05
+    bank = OracleBank([AffineOracle(np.ones(n), -1.0), AffineOracle(np.eye(n)[120], 0.0)])
+    support = solver._SupportScan(bank, partial(bank.scan, out=np.empty(2)), eps, True)
+    x = np.zeros(n)
+    x[:40] = 0.025
+    assert support.scan(x)[0] is support.values
+    moved = np.roll(x, 100)
+    assert support.scan(moved)[0] is not support.values
+    assert np.array_equal(support.support, np.arange(100, 140))
+    vals, i, high = support.scan(moved)
+    assert vals is support.values and (i, high) == (1, 0.025)
+
+
+class _NaNWhereSparse(Oracle):
+    """Test double: ``objective``, whose value is NaN where fewer than
+    ``count`` coordinates of x are above 1e-9."""
+
+    def __init__(self, objective, count) -> None:
+        self.dimension = objective.dimension
+        self.objective, self.count = objective, count
+
+    def value_and_subgradient(self, x):
+        value, grad = self.objective.value_and_subgradient(x)
+        return (math.nan if np.count_nonzero(x > 1e-9) < self.count else value), grad
+
+
+def _simplex_outcomes(monkeypatch, instance, config):
+    """Per side, on the 200-coordinate simplex: the run's report or
+    EvaluationError, its mirror steps and its stacked constraint products."""
+    monkeypatch.setattr(solver, "_SUPPORT_MIN_SIZE", 0)
+    products = _counted_products(monkeypatch)
+    bank = instance.constraint_bank()
+    simplex = EntropySimplex(200, 2.0)
+    sides = []
+    for geometry in (simplex, stepwise(simplex)):
+        steps = count_calls(geometry, "mirror_step")
+        products.pop(bank, None)
+        outcome = _outcome(run, instance, geometry, config)
+        sides.append((outcome, steps[0], products.get(bank, 0)))
+    return sides
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("row", ["2^600", "overflow"])
+@pytest.mark.parametrize("policy", list(Policy))
+def test_support_scan_meets_huge_rows_as_the_stacked_product_does(monkeypatch, policy,
+                                                                  row):
+    # A row on x*'s heaviest coordinate k that is never violated: 2^600
+    # (x_k - 0.9), whose rounding bound covers every other value, and
+    # -1.5 * 2^1023 (x_k + 1), past the largest value the support scan
+    # takes and -inf once x_k passes 1/3, where the stacked product raises.
+    # Every choice takes the stacked product, and the second row raises at
+    # the same step on both sides.
+    cell, _ = _simplex_cell(5)
+    k = int(cell.known_optimum[0].argmax())
+    e_k = np.eye(200)[k]
+    if row == "2^600":
+        huge = AffineOracle(2.0**600 * e_k, -0.9 * 2.0**600)
+    else:
+        huge = AffineOracle(-1.5 * 2.0**1023 * e_k, -1.5 * 2.0**1023)
+    instance = ProblemInstance(200, cell.objective, [*cell.constraints, huge])
+    config = RunConfig(0.05, regime=Regime.NONSTANDARD, policy=policy)
+    (fast, steps, taken), (stepped, stepped_steps, _) = _simplex_outcomes(
+        monkeypatch, instance, config)
+    assert steps == stepped_steps > 100
+    if row == "2^600":
+        assert_bitwise_equal(fast, stepped)
+        assert taken == _decisions(fast) + 1
+    else:
+        assert fast is stepped is EvaluationError
+        assert taken == steps + 1
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("policy", list(Policy))
+def test_a_nan_objective_raises_at_the_same_step_under_the_support_scan(
+        monkeypatch, policy, regime):
+    # NaN from the first productive step on fewer than 80 coordinates:
+    # after the support scan has started
+    cell, _ = _simplex_cell(5)
+    instance = ProblemInstance(200, _NaNWhereSparse(cell.objective, 80), cell.constraints)
+    config = RunConfig(0.05, regime=regime, policy=policy)
+    (fast, steps, taken), (stepped, stepped_steps, _) = _simplex_outcomes(
+        monkeypatch, instance, config)
+    assert fast is stepped is EvaluationError
+    assert steps == stepped_steps > 1000
+    # the selector read the reduced product at a share of the steps
+    assert taken < 0.9 * steps
+
+
+def test_min_dual_norm_table_order_equals_the_row_loop():
+    # the stable order of the tabled norms against the loop over violated
+    # rows, on random values, with tied, zero and non-finite norms
+    rng = np.random.default_rng(7)
+    norms = np.array([2.0, 1.0, 1.0, 0.0, 3.0, math.inf, 1.0, math.nan, 2.0])
+    rows = [(i, None, norm) for i, norm in enumerate(norms)]
+    row = lambda i, x: rows[i]
+    kinds = set()
+    for _ in range(400):
+        vals = rng.choice([0.0, 1.0], norms.shape[0]) * rng.uniform(0.0, 2.0, norms.shape[0])
+        scan = lambda x: (vals, int(vals.argmax()), float(vals.max()))
+        loop, table = [_outcome(solver._make_selector(scan, row, 0.5, Policy.MIN_DUAL_NORM,
+                                                      tabled), None)
+                       for tabled in (None, norms)]
+        assert loop == table
+        kinds.add(table if table is None or table is EvaluationError else table[0])
+    # productive, raised, and rows 1 (a tie won), 2, 3 (zero), 6 and 0 or 8
+    assert {None, EvaluationError, 1, 2, 3} <= kinds
 
 
 # ------------------------------------------------------------------- config
