@@ -472,4 +472,3 @@ def max_violation(problem, x) -> tuple[float, int]:
     x = as_vector(x, bank.dimension, "x")
     val, idx = bank.max_entry(x)
     return val, idx + 1
-

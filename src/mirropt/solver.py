@@ -837,10 +837,10 @@ class _SupportScan:
     gamma (rmax sum x + bmax) + rmax t of the stacked product, the
     constant gamma four times the products' rounding bound, which also
     covers the rounding of E and of the comparisons.  Where ``_decided``
-    certifies w against E, the selector reads it.  Anywhere else, and for
-    a negative, non-finite or possibly overflowing value, the stacked
-    product is taken, and S is rebuilt where its tail holds more than a
-    fresh one leaves, n floors.  Every ``_SUPPORT_CHECK`` scans S is also
+    certifies w against E, the selector reads it.  Anywhere else, for an
+    x with a negative or non-finite coordinate, and where a value could
+    overflow, the stacked product is taken, and S is rebuilt where its
+    tail holds more than a fresh one leaves, n floors.  Every ``_SUPPORT_CHECK`` scans S is also
     rebuilt where fewer than ``_SUPPORT_SHRINK`` of its coordinates are
     still at the floor; while more than ``_SUPPORT_SHARE`` of all
     coordinates are, every scan is the stacked product.
@@ -985,9 +985,9 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     columns; the policy reads these values where a bound on the left-out
     mass and on both products' rounding certifies the product's violated
     set and, for the argmax policies, its argmax.  Anywhere else, while
-    the support holds more than half the coordinates, and for a negative,
-    non-finite or possibly overflowing value, the product is taken, so a
-    non-finite value raises where it did.  The types of the data and the
+    the support holds more than half the coordinates, for an iterate with
+    a negative or non-finite coordinate and where a value could overflow,
+    the product is taken, so a non-finite value raises where it did.  The types of the data and the
     geometry alone pick these paths, so a subclass of any of these
     geometries takes the tables only.
 

@@ -10,9 +10,9 @@ all-affine banks over the iterate's support on an exact
 constraint run.  The stepwise reference is the same geometry as a
 subclass, :class:`SteppedSpace`, :class:`SteppedBall` or
 :class:`SteppedSimplex`, which turns the batches, the tracked values and
-the support scan off without changing the arithmetic.  The tables, which a subclass keeps,
-are checked against the oracle and dual-norm calls they replace by
-``test_solver``'s component tests.
+the support scan off without changing the arithmetic.  The tables, which
+a subclass keeps, are checked against the oracle and dual-norm calls
+they replace by ``test_solver``'s component tests.
 
 A max of diagonal quadratics finds its winning piece by the certified
 stacked argmax of :class:`MaxOracle`; the reference objective is a

@@ -1440,12 +1440,12 @@ def test_tracked_values_stay_within_their_bound(monkeypatch, regime):
 # ------------------------------------------------ support scan on the simplex
 
 
-def _simplex_cell(seed, n=200, m=50, pieces=10, extra=()):
+def _simplex_cell(seed, n=200, m=50, pieces=10):
     """The benchmark's synthetic simplex problem at a smaller size: rows
     that are low where a Dirichlet-sparse point x* has its mass, violated
-    at the uniform start and feasible at x*, then ``extra`` constraints,
-    and a max of affine pieces of dual norm 2, on which the two regimes
-    step differently; x* as known optimum."""
+    at the uniform start and feasible at x*, and a max of affine pieces of
+    dual norm 2, on which the two regimes step differently; x* as known
+    optimum."""
     rng = np.random.default_rng(seed)
     x_star = rng.dirichlet(np.full(n, 0.05))
     a = (0.3 * rng.standard_normal((m, n))
@@ -1456,7 +1456,7 @@ def _simplex_cell(seed, n=200, m=50, pieces=10, extra=()):
     c *= 2.0 / np.abs(c).max(axis=1, keepdims=True)
     objective = MaxOracle([AffineOracle(row, offset)
                            for row, offset in zip(c, rng.uniform(-0.1, 0.1, pieces))])
-    constraints = [*(AffineOracle(row, offset) for row, offset in zip(a, b)), *extra]
+    constraints = [AffineOracle(row, offset) for row, offset in zip(a, b)]
     instance = ProblemInstance(n, objective, constraints,
                                known_optimum=(x_star, objective.value(x_star)))
     return instance, EntropySimplex(n, 2.0)
