@@ -840,10 +840,11 @@ class _SupportScan:
     certifies w against E, the selector reads it.  Anywhere else, for an
     x with a negative or non-finite coordinate, and where a value could
     overflow, the stacked product is taken, and S is rebuilt where its
-    tail holds more than a fresh one leaves, n floors.  Every ``_SUPPORT_CHECK`` scans S is also
-    rebuilt where fewer than ``_SUPPORT_SHRINK`` of its coordinates are
-    still at the floor; while more than ``_SUPPORT_SHARE`` of all
-    coordinates are, every scan is the stacked product.
+    tail holds more than a fresh one leaves, n floors.  Every
+    ``_SUPPORT_CHECK`` scans S is also rebuilt where fewer than
+    ``_SUPPORT_SHRINK`` of its coordinates are still at the floor; while
+    more than ``_SUPPORT_SHARE`` of all coordinates are, every scan is the
+    stacked product.
     """
 
     def __init__(self, bank: OracleBank, scan: Callable, epsilon: float,
@@ -956,9 +957,9 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     productive steps.  Min-dual-norm then takes the first violated row in
     one stable order of the tabled norms, the lowest index among ties, as
     the loop over violated rows that other banks take.  Any other
-    objective is called; a max of diagonal
-    quadratics then takes a certified argmax of its pieces from one stacked
-    product and calls the winning piece alone, falling back to every piece's
+    objective is called; a max of diagonal quadratics then takes a
+    certified argmax of its pieces from one stacked product and calls the
+    winning piece alone, falling back to every piece's
     value where the argmax is not certified (see :class:`MaxOracle`), with
     the member loop's numbers.  On an exact :class:`EuclideanSpace`, under
     every policy but min-dual-norm, non-productive steps are also batched by
@@ -987,9 +988,9 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     set and, for the argmax policies, its argmax.  Anywhere else, while
     the support holds more than half the coordinates, for an iterate with
     a negative or non-finite coordinate and where a value could overflow,
-    the product is taken, so a non-finite value raises where it did.  The types of the data and the
-    geometry alone pick these paths, so a subclass of any of these
-    geometries takes the tables only.
+    the product is taken, so a non-finite value raises where it did.  The
+    types of the data and the geometry alone pick these paths, so a
+    subclass of any of these geometries takes the tables only.
 
     With ``record_history``, the report's ``history`` is a
     :class:`StepHistory`, a read-only sequence of one :class:`StepRecord`
