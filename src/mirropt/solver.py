@@ -20,11 +20,9 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from functools import cache, partial
 from itertools import repeat
-from operator import index
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -48,7 +46,6 @@ __all__ = [
     "run",
     "vf_gap",
     "iteration_bound",
-    "corollary_bound",
 ]
 
 
@@ -91,13 +88,13 @@ class RunConfig:
     max_iterations : int
         Safety cap; reaching it is reported, not raised.
     record_history : bool
-        Keep the run's steps as a :class:`StepHistory`, a read-only sequence
-        of one :class:`StepRecord` per step (including the iterate), for
+        Keep the run's steps as a :class:`StepHistory`, read by passes of
+        one :class:`StepRecord` per step (including the iterate), for
         inspection only: no report field or verification check reads it.
         A batch of non-productive steps (see :func:`run`), which may span
         several constraints' runs, is stored as one segment per constraint
-        of its first iterate, step and count; its records are built on
-        access, their points rebuilt bit for bit.
+        of its first iterate, step and count.  Every pass builds fresh
+        records, a segment's points rebuilt bit for bit.
     """
 
     epsilon: float
@@ -166,57 +163,47 @@ class _Segment(NamedTuple):
     step: Array
     count: int
 
-    def rows(self, rows: int) -> Array:
-        """The run's first ``rows`` iterates, one per row: the cumulative
-        sum over the first iterate and ``rows - 1`` steps, which adds them in
+    def records(self) -> Iterator[StepRecord]:
+        """The run's records, its iterates rebuilt by the cumulative sum
+        over the first iterate and ``count - 1`` steps, which adds them in
         the order the batch's own cumulative sum did, so bit for bit."""
-        block = np.empty((rows, self.first.shape[0]))
+        block = np.empty((self.count, self.first.shape[0]))
         block[0] = self.first
         block[1:] = self.step
-        return np.cumsum(block, axis=0, out=block)
-
-    def records(self, steps: range) -> Iterator[StepRecord]:
-        """The records of ``steps``, ascending indices of this run, from one
-        rebuild of its iterates up to the last of them."""
-        start = self.index
-        points = self.rows(steps[-1] - start + 1)[steps.start - start::steps.step]
+        np.cumsum(block, axis=0, out=block)
         # One map over the rows: a Python loop iterates ex 2 N's history
         # about a quarter slower.
-        return map(StepRecord, steps, repeat(StepKind.NONPRODUCTIVE),
-                   repeat(self.step_size), repeat(self.grad_dual_norm),
-                   repeat(self.constraint_index), repeat(None), points)
+        return map(StepRecord, range(self.index, self.index + self.count),
+                   repeat(StepKind.NONPRODUCTIVE), repeat(self.step_size),
+                   repeat(self.grad_dual_norm), repeat(self.constraint_index),
+                   repeat(None), block)
 
 
-class StepHistory(Sequence):
-    """A run's steps: a read-only sequence of :class:`StepRecord` in step
-    order, record k being step k.
+class StepHistory:
+    """A run's steps, read by passes: ``len``, iteration over one
+    :class:`StepRecord` per step in step order, and :meth:`ordinary`.
 
-    An ordinary step is stored as its record, whose ``point`` is the
-    iterate itself, made read-only when recorded, so writing into it
-    raises ``ValueError``.  A batch of non-productive steps (see
-    :func:`run`) is stored as one segment per constraint run it spans,
-    each holding the run's first index, step size, dual norm, constraint,
-    first iterate, the step every later iterate adds and the number of
-    steps: 2 n floats whatever the run's length, the step a view of a
-    table the run shares.  A segment's records are built on access
-    from its iterates, rebuilt by the batch's own cumulative sum, so bit
-    for bit: a pass over the history rebuilds each segment once, ``h[k]``
-    only up to step k, and a slice each segment it reaches once.  A built
-    record's ``point`` is a row of that fresh rebuild, so writing into it
-    changes no later record, and ``h[k] is h[k]`` is false for a batched
-    step.  Indexing takes an int, negative counting from the end, or a
-    slice, which gives a list.
+    An ordinary step is stored as the tuple of its record's fields, its
+    ``point`` the iterate itself, made read-only when recorded, so writing
+    into it raises ``ValueError``.  A batch of non-productive steps (see
+    :func:`run`) is stored as one segment per constraint run it spans, each
+    holding the run's first index, step size, dual norm, constraint, first
+    iterate, the step every later iterate adds and the number of steps: 2 n
+    floats whatever the run's length, the step a view of a table the run
+    shares.  Every pass builds fresh records, a segment's from its
+    iterates, rebuilt once per pass by the batch's own cumulative sum, so
+    bit for bit.  A record holds no stored state but an ordinary step's
+    read-only point, so writing into one changes no later pass.
     """
 
-    __slots__ = ("_entries", "_starts")
+    __slots__ = ("_entries",)
 
     def __init__(self) -> None:
-        self._entries: list[StepRecord | _Segment] = []
-        self._starts: list[int] = []  # the entries' first indices, for bisection
+        self._entries: list[tuple | _Segment] = []
 
-    def _append(self, record: StepRecord) -> None:
-        record.point.setflags(write=False)  # the iterate, kept as recorded
-        self._entries.append(record)
+    def _append(self, entry: tuple) -> None:
+        entry[-1].setflags(write=False)  # the iterate, kept as recorded
+        self._entries.append(entry)
 
     def _add_segment(self, start: int, step_size: float, grad_dual_norm: float,
                      constraint_index: int, first: Array, step: Array,
@@ -228,52 +215,20 @@ class StepHistory(Sequence):
         if not self._entries:
             return 0
         last = self._entries[-1]
-        return last.index + (1 if type(last) is StepRecord else last.count)
+        return last[0] + (1 if type(last) is tuple else last.count)
 
     def __iter__(self) -> Iterator[StepRecord]:
-        return self._walk(range(len(self))) if self._entries else iter(())
+        for entry in self._entries:
+            if type(entry) is tuple:
+                yield StepRecord(*entry)
+            else:
+                yield from entry.records()
 
     def ordinary(self) -> Iterator[StepRecord]:
         """The ordinary (unbatched) steps' records, in step order, with no
         batched record built.  Productive steps are never batched where
         history is recorded, so these hold every productive step."""
-        return (entry for entry in self._entries if type(entry) is StepRecord)
-
-    def _walk(self, steps: range) -> Iterator[StepRecord]:
-        """The records of ``steps``, a nonempty ascending range of step
-        indices, from one walk over the entries that hold them."""
-        entries, starts = self._entries, self._starts
-        if len(starts) < len(entries):
-            starts.extend(entry.index for entry in entries[len(starts):])
-        position = bisect_right(starts, steps[0]) - 1
-        while steps:
-            entry = entries[position]
-            position += 1
-            if type(entry) is StepRecord:
-                if steps[0] == entry.index:
-                    yield entry
-                    steps = steps[1:]
-                continue
-            inside = len(range(steps.start, entry.index + entry.count, steps.step))
-            if inside:
-                yield from entry.records(steps[:inside])
-                steps = steps[inside:]
-
-    def __getitem__(self, key):
-        size = len(self)
-        if isinstance(key, slice):
-            steps = range(*key.indices(size))
-            if not steps:
-                return []
-            if steps.step > 0:
-                return list(self._walk(steps))
-            return list(self._walk(steps[::-1]))[::-1]
-        k = index(key)
-        if k < 0:
-            k += size
-        if not 0 <= k < size:
-            raise IndexError("history index out of range")
-        return next(self._walk(range(k, k + 1)))
+        return (StepRecord(*entry) for entry in self._entries if type(entry) is tuple)
 
     def __repr__(self) -> str:
         return f"StepHistory({len(self)} steps, {len(self._entries)} entries)"
@@ -283,11 +238,10 @@ class StepHistory(Sequence):
 class SolverReport:
     """Outcome of one solver run.
 
-    ``history`` is the run's :class:`StepHistory`, a read-only sequence of
-    :class:`StepRecord`, one per step, where ``record_history`` is set;
-    a batched step's record and point are built on each access, so
-    ``history[k] is history[k]`` is false for it.  ``output_point`` is the
-    report's own array, never a record's point.
+    ``history`` is the run's :class:`StepHistory`, where ``record_history``
+    is set: each pass over it builds one fresh :class:`StepRecord` per
+    step.  ``output_point`` is the report's own array, never a record's
+    point.
 
     ``certificate`` is min <s_k, x_k - x*> / ||s_k||_* over the productive
     iterates and an exact solution the run stops at (gap 0), inf if none,
@@ -993,13 +947,12 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     subclass of any of these geometries takes the tables only.
 
     With ``record_history``, the report's ``history`` is a
-    :class:`StepHistory`, a read-only sequence of one :class:`StepRecord`
-    per step.  An ordinary step appends its record, its iterate made
-    read-only; a batch of
-    non-productive steps appends one segment per constraint run it spans,
-    each holding the run's first iterate, a view of its tabled step and
-    its count, 2 n floats however long the run; its records are built on
-    access, the iterates rebuilt by the batch's own cumulative sum.
+    :class:`StepHistory`, whose passes build one :class:`StepRecord` per
+    step.  An ordinary step appends its record's fields, its iterate made
+    read-only; a batch of non-productive steps appends one segment per
+    constraint run it spans, each holding the run's first iterate, a view
+    of its tabled step and its count, 2 n floats however long the run; a
+    pass rebuilds its iterates by the batch's own cumulative sum.
     """
     if problem.dimension != prox.dimension:
         raise ValueError("problem and geometry dimensions differ")
@@ -1094,8 +1047,7 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
                     if gap < certificate:
                         certificate = gap
             if history is not None:
-                history._append(StepRecord(steps, StepKind.PRODUCTIVE, h, norm,
-                                           None, value, x))
+                history._append((steps, StepKind.PRODUCTIVE, h, norm, None, value, x))
             x = mirror(x, grad, h)
             n_productive += 1
         else:
@@ -1110,8 +1062,7 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
             h = eps / (norm * norm)
             crit_sum += 1.0 / (norm * norm)
             if history is not None:
-                history._append(StepRecord(steps, StepKind.NONPRODUCTIVE, h, norm,
-                                           idx0 + 1, None, x))
+                history._append((steps, StepKind.NONPRODUCTIVE, h, norm, idx0 + 1, None, x))
             x = mirror(x, grad, h)
         steps += 1
         if crit_sum >= stop_target:
@@ -1215,22 +1166,3 @@ def iteration_bound(m_f: float | None, m_g: float, theta0: float,
         raise ValueError("the iteration bound is not finite")
     return math.ceil(bound)
 
-
-def corollary_bound(grad_norm_at_opt: float, lipschitz_gradient: float,
-                    epsilon: float) -> float:
-    """Objective-gap bound eps * ||grad f(x*)||_* + L * eps^2 / 2.
-
-    Applies to smooth objectives with L-Lipschitz gradient; at an
-    unconstrained optimum the first term vanishes and the bound collapses
-    to L * eps^2 / 2.
-    """
-    grad_norm_at_opt = float(grad_norm_at_opt)
-    lipschitz_gradient = float(lipschitz_gradient)
-    epsilon = float(epsilon)
-    if not math.isfinite(grad_norm_at_opt) or grad_norm_at_opt < 0.0:
-        raise ValueError("grad_norm_at_opt must be finite and nonnegative")
-    if not math.isfinite(lipschitz_gradient) or lipschitz_gradient <= 0.0:
-        raise ValueError("lipschitz_gradient must be finite and positive")
-    if not math.isfinite(epsilon) or epsilon <= 0.0:
-        raise ValueError("epsilon must be finite and positive")
-    return epsilon * grad_norm_at_opt + 0.5 * lipschitz_gradient * epsilon * epsilon

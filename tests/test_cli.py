@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mirropt import Regime, build_example, iteration_bound
+from mirropt import Regime, RunConfig, build_example, default_geometry, iteration_bound, run
 from mirropt import cli
 from mirropt.cli import BENCH_COLUMNS, build_parser, main
 
@@ -156,6 +156,25 @@ def test_run_json_history(disk_file, capsys):
     assert len(history) == payload["total_steps"]
     assert {rec["kind"] for rec in history} <= {"productive", "nonproductive"}
     assert all(len(rec["point"]) == 2 for rec in history)
+
+
+def test_run_json_history_of_batched_steps(capsys):
+    # ex 4 L first-violated batches among its first 50 steps: one entry per
+    # step, each a record of a pass over the history, built from a segment
+    # where the step was batched
+    assert main(["run", "--example", "4", "--max-iter", "50", "--history",
+                 "--format", "json"]) == 1
+    history = _strict_json(capsys.readouterr().out)["history"]
+    example = build_example(4)
+    config = RunConfig(example.settings.epsilon, max_iterations=50, record_history=True)
+    report = run(example.instance, default_geometry(example), config)
+    assert sum(1 for _ in report.history.ordinary()) < len(history) == 50
+    for entry, record in zip(history, report.history, strict=True):
+        assert entry == {
+            "index": record.index, "kind": record.kind.value,
+            "step_size": record.step_size, "grad_dual_norm": record.grad_dual_norm,
+            "constraint_index": record.constraint_index,
+            "objective_value": record.objective_value, "point": record.point.tolist()}
 
 
 def test_run_csv_schema(disk_file, capsys):

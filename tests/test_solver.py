@@ -32,7 +32,6 @@ from mirropt import (
     StepKind,
     StopReason,
     build_example,
-    corollary_bound,
     default_geometry,
     iteration_bound,
     max_violation,
@@ -116,7 +115,7 @@ def _first_step(constraints, policy):
     config = RunConfig(0.05, policy=policy, max_iterations=1,
                        record_history=True)
     report = run(instance, EuclideanSpace([0.0, 0.0], 1.0), config)
-    return report.history[0], report.output_point
+    return next(iter(report.history)), report.output_point
 
 
 def _affine_pair(first: float, second: float) -> list[AffineOracle]:
@@ -486,25 +485,20 @@ def test_a_chain_descends_a_staircase_of_constraints(monkeypatch, policy, record
 
 
 def test_a_multi_constraint_chain_is_read_back_step_by_step():
-    # every record of the staircase's chains, by index from both ends and
-    # by slice, against the stepwise run's
+    # every record of the staircase's chains, in a pass, against the
+    # stepwise run's
     instance, space = _staircase()
     config = RunConfig(2.0**-4, policy=Policy.FIRST_VIOLATED, max_iterations=400,
                        record_history=True)
     batched, stepped, _ = run_both(instance, space, config)
-    history, records = batched.history, list(stepped.history)
-    size = len(records)
-    built = [k for k in range(size) if history[k] is not history[k]]
+    records = list(batched.history)
     # the chain's four runs: one segment each
-    assert built[:161] == list(range(2, 163))
-    assert [history[k].constraint_index for k in (2, 129, 130, 145, 146, 155, 156, 162)] == [
+    assert [(s.index, s.count) for s in _segments(batched.history)[:4]] == [
+        (2, 128), (130, 16), (146, 10), (156, 7)]
+    assert [records[k].constraint_index for k in (2, 129, 130, 145, 146, 155, 156, 162)] == [
         1, 1, 2, 2, 3, 3, 4, 4]
-    for k in range(size):
-        assert_same_record(history[k], records[k])
-        assert_same_record(history[k - size], records[k])
-    for part in (slice(120, 170), slice(-300, -100, 3), slice(None, None, -7)):
-        for a, b in zip(history[part], records[part], strict=True):
-            assert_same_record(a, b)
+    for a, b in zip(records, stepped.history, strict=True):
+        assert_same_record(a, b)
 
 
 def _dyadic_pair(second):
@@ -542,11 +536,12 @@ def test_a_chain_is_cut_where_its_label_switch_sits_at_epsilon(monkeypatch, poli
                            (second_run - 2, 0 if sitting else second_run - 2)]
     history = batched.history if record_history else run(
         instance, space, dataclasses.replace(config, record_history=True)).history
-    built = [k for k in range(64 + second_run) if history[k] is not history[k]]
+    built = [k for k in _batched(history) if k < 64 + second_run]
     assert built == list(range(2, 63)) + ([] if sitting else list(range(65, 63 + second_run)))
-    assert [history[k].constraint_index for k in (61, 62, 63, 64, 65, 62 + second_run)] == [
+    records = list(history)
+    assert [records[k].constraint_index for k in (61, 62, 63, 64, 65, 62 + second_run)] == [
         1, 1, 2, 2, 2, 2]
-    assert history[63 + second_run].kind is StepKind.PRODUCTIVE
+    assert records[63 + second_run].kind is StepKind.PRODUCTIVE
 
 
 def _weighted_pair(anchor):
@@ -719,7 +714,7 @@ def test_table_steps_break_piece_ties_and_stop_on_a_zero_piece(policy, regime):
                                     "dual_norm")
     assert_bitwise_equal(fast, stepped)
     assert calls == _table_rows(instance) == 4
-    assert fast.history[0].grad_dual_norm == 5.0
+    assert next(iter(fast.history)).grad_dual_norm == 5.0
     assert fast.stop_reason is StopReason.ZERO_OBJECTIVE_GRADIENT
 
 
@@ -1919,37 +1914,27 @@ def test_history_is_a_sequence_of_records_over_batched_segments():
     report = run(example.instance, space, config)
     assert_bitwise_equal(report, run(example.instance, stepwise(space), config))
     history = report.history
-    assert isinstance(history, StepHistory) and isinstance(history, Sequence)
+    assert isinstance(history, StepHistory) and not isinstance(history, Sequence)
     records = list(history)
     size = report.total_steps
     assert len(history) == len(records) == size == 20_000
     assert [record.index for record in records] == list(range(size))
-    # a batched step's record is built on access, an ordinary one is kept
-    built = [history[k] is not history[k] for k in range(size)]
-    assert 0 < sum(built) < size
-    assert {records[k].kind for k in range(size) if built[k]} == {StepKind.NONPRODUCTIVE}
-    # the ordinary entries are the kept records, the productive ones among them
+    # batched steps are segments' records, all non-productive
+    built = set(_batched(history))
+    assert 0 < len(built) < size
+    assert {records[k].kind for k in built} == {StepKind.NONPRODUCTIVE}
+    # the ordinary records are the rest, the productive ones among them
     ordinary = list(history.ordinary())
-    assert [r.index for r in ordinary] == [k for k in range(size) if not built[k]]
-    assert all(record is history[record.index] for record in ordinary)
+    assert [r.index for r in ordinary] == [k for k in range(size) if k not in built]
+    for record in ordinary:
+        assert_same_record(record, records[record.index])
     productive = [r.index for r in records if r.kind is StepKind.PRODUCTIVE]
     assert productive and productive == [r.index for r in ordinary
                                          if r.kind is StepKind.PRODUCTIVE]
-    for k in range(size):
-        assert_same_record(history[k], records[k])
-    for k in range(1, size + 1):
-        assert_same_record(history[-k], records[size - k])
-    for part in (slice(0, 0), slice(5, 50), slice(-100, None), slice(None, None, 997),
-                 slice(size - 3, size + 10), slice(50, 5), slice(None, None, -1)):
-        got = history[part]
-        assert len(got) == len(records[part])
-        for a, b in zip(got, records[part]):
-            assert_same_record(a, b)
-    for k in (size, size + 1, -size - 1):
-        with pytest.raises(IndexError):
-            history[k]
-    with pytest.raises(TypeError):
-        history[1.0]
+    # a second pass builds equal records afresh
+    for a, b in zip(history, records, strict=True):
+        assert a is not b
+        assert_same_record(a, b)
 
 
 def test_step_records_compare_by_value():
@@ -1959,15 +1944,12 @@ def test_step_records_compare_by_value():
     config = RunConfig(example.settings.epsilon, max_iterations=50, record_history=True)
     first, second = (run(example.instance, default_geometry(example), config).history
                      for _ in range(2))
-    built = [k for k in range(50) if first[k] is not first[k]]
+    built = _batched(first)
     assert 0 < len(built) < 50
-    for k in range(50):
-        record = first[k]
-        assert record == first[k] == second[k]
-        assert record in first
-        assert first.index(record) == k
-        assert first.count(record) == 1
-    assert first[built[0]] != first[built[0] + 1]
+    records = list(first)
+    for record, again, other in zip(records, first, second, strict=True):
+        assert record == again == other
+    assert records[built[0]] != records[built[0] + 1]
     moved = dataclasses.replace(record, point=record.point + 1.0)
     bare = dataclasses.replace(record, point=None)
     assert moved != record and bare != record and record != bare
@@ -1989,6 +1971,12 @@ def _segments(history):
     return [entry for entry in history._entries if isinstance(entry, solver._Segment)]
 
 
+def _batched(history):
+    """The indices of the steps the history holds in segments, ascending."""
+    return [k for segment in _segments(history)
+            for k in range(segment.index, segment.index + segment.count)]
+
+
 @pytest.mark.parametrize("example_id, regime, policy", [
     (4, Regime.LIPSCHITZ, Policy.FIRST_VIOLATED), (6, Regime.NONSTANDARD, Policy.AGGREGATE_MAX)])
 def test_history_segments_hold_two_points_each(example_id, regime, policy):
@@ -2008,66 +1996,65 @@ def test_history_segments_hold_two_points_each(example_id, regime, policy):
 
 
 def test_history_reads_rebuild_each_segment_once(monkeypatch):
-    # ex 4 L first-violated: a pass and a slice rebuild each segment they
-    # reach once, and one record only up to its own step
+    # ex 4 L first-violated: a pass rebuilds each segment once, in step
+    # order, and ordinary() none
     report, stepped = _example_history(4, Regime.LIPSCHITZ, Policy.FIRST_VIOLATED)
     history, records = report.history, list(stepped.history)
     segments = _segments(history)
     assert len(segments) > 2
     rebuilds = []
-    inner = solver._Segment.rows
+    inner = solver._Segment.records
 
-    def counted(self, rows):
-        rebuilds.append((self.index, rows))
-        return inner(self, rows)
+    def counted(self):
+        rebuilds.append(self.index)
+        return inner(self)
 
-    monkeypatch.setattr(solver._Segment, "rows", counted)
-    for a, b in zip(history, records, strict=True):
-        assert_same_record(a, b)
-    assert rebuilds == [(segment.index, segment.count) for segment in segments]
-    first, last = segments[0], segments[-1]
-    low, high = first.index + 1, last.index + last.count - 1
-    for part in (slice(low, high), slice(low, high, 5), slice(high - 1, low - 1, -3)):
+    monkeypatch.setattr(solver._Segment, "records", counted)
+    for _ in range(2):
         rebuilds.clear()
-        got = history[part]
-        assert len(got) == len(records[part])
-        for a, b in zip(got, records[part]):
+        for a, b in zip(history, records, strict=True):
             assert_same_record(a, b)
-        reached = [index for index, _ in rebuilds]
-        assert len(reached) == len(set(reached)) > 2
+        assert rebuilds == [segment.index for segment in segments]
     rebuilds.clear()
-    assert_same_record(history[first.index + 2], records[first.index + 2])
-    assert rebuilds == [(first.index, 3)]
+    assert sum(1 for _ in history.ordinary()) == len(records) - len(_batched(history))
+    assert rebuilds == []
 
 
 def test_writing_into_a_batched_record_leaves_the_history_as_it_was():
-    # ex 4 L first-violated: step 2 is batched, and its point is a fresh row
+    # ex 4 L first-violated: step 2 is batched, and its point is a row of
+    # the pass's own rebuild
     report, stepped = _example_history(4, Regime.LIPSCHITZ, Policy.FIRST_VIOLATED)
     history = report.history
-    assert history[2] is not history[2]
-    point = history[2].point
-    point[0] += 1.0
-    assert history[2] == stepped.history[2]
-    # and the rows of a slice and of a pass
-    batched = {k for segment in _segments(history)
-               for k in range(segment.index, segment.index + segment.count)}
-    for record in history[1:-1]:
-        if record.index in batched:
-            record.point[:] = 0.0
+    batched = set(_batched(history))
+    assert 2 in batched
     for record in history:
         if record.index in batched:
             record.point[-1] += 1.0
     assert_bitwise_equal(report, stepped)
 
 
-def test_writing_into_an_ordinary_record_raises():
-    # ex 4 L first-violated: step 0 is ordinary, its record the one the
-    # history keeps, and its point the iterate, read-only once recorded
+def test_records_are_fresh_on_every_pass():
+    # ex 4 L first-violated: reassigning a field of every record of one
+    # pass, ordinary and batched, changes no record of the next
     report, stepped = _example_history(4, Regime.LIPSCHITZ, Policy.FIRST_VIOLATED)
     history = report.history
-    assert history[0] is history[0]
+    assert 0 < len(_batched(history)) < len(history)
+    for record in history:
+        record.step_size = 0.0
+    for record in history.ordinary():
+        record.step_size = 0.0
+    assert_bitwise_equal(report, stepped)
+
+
+def test_writing_into_an_ordinary_record_raises():
+    # ex 4 L first-violated: step 0 is ordinary, and its point is the
+    # iterate the history keeps, read-only once recorded
+    report, stepped = _example_history(4, Regime.LIPSCHITZ, Policy.FIRST_VIOLATED)
+    history = report.history
+    record = next(iter(history))
+    assert record.index == 0 and 0 not in _batched(history)
     with pytest.raises(ValueError):
-        history[0].point[0] += 1.0
+        record.point[0] += 1.0
     assert not any(record.point.flags.writeable for record in history.ordinary())
     assert_bitwise_equal(report, stepped)
 
@@ -2081,8 +2068,9 @@ def test_output_point_is_not_a_history_point():
                if np.array_equal(record.point, out)}
     assert holders
     out += 1.0
-    for k, point in holders.items():
-        assert report.history[k].point.tobytes() == point.tobytes()
+    for record in report.history.ordinary():
+        if record.index in holders:
+            assert record.point.tobytes() == holders[record.index].tobytes()
 
 
 def alternating_problem_with_optimum():
@@ -2228,18 +2216,3 @@ def test_a_priori_bound_that_overflows_is_none():
     assert report.a_priori_bound is None
     assert report.total_steps == 5
 
-
-def test_corollary_bound_values():
-    assert corollary_bound(0.0, 2.0, 0.1) == pytest.approx(0.01, rel=1e-15)
-    assert corollary_bound(1.0, 1.0, 1.0) == 1.5
-    # smooth-case gap bound for a large gradient-Lipschitz constant
-    assert corollary_bound(0.0, 2.0 * 5.0**10, 0.05) == 24414.0625
-
-
-def test_corollary_bound_validates_inputs():
-    with pytest.raises(ValueError):
-        corollary_bound(-1.0, 1.0, 0.1)
-    with pytest.raises(ValueError):
-        corollary_bound(0.0, 0.0, 0.1)
-    with pytest.raises(ValueError):
-        corollary_bound(0.0, 1.0, -0.1)
