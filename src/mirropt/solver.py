@@ -179,13 +179,24 @@ class _Segment(NamedTuple):
                    repeat(None), block)
 
 
+def _ordinary_record(index: int, step_size: float, grad_dual_norm: float,
+                     constraint_index: int | None, objective_value: float | None,
+                     point: Array) -> StepRecord:
+    """An ordinary step's record from its stored fields: the step is
+    productive where it descended on no constraint."""
+    kind = StepKind.PRODUCTIVE if constraint_index is None else StepKind.NONPRODUCTIVE
+    return StepRecord(index, kind, step_size, grad_dual_norm, constraint_index,
+                      objective_value, point)
+
+
 class StepHistory:
     """A run's steps, read by passes: ``len``, iteration over one
     :class:`StepRecord` per step in step order, and :meth:`ordinary`.
 
-    An ordinary step is stored as the tuple of its record's fields, its
-    ``point`` the iterate itself, made read-only when recorded, so writing
-    into it raises ``ValueError``.  A batch of non-productive steps (see
+    An ordinary step is stored as the tuple of its record's fields but the
+    kind, which its constraint gives, the ``point`` the iterate itself,
+    made read-only when recorded, so writing into it raises
+    ``ValueError``.  A batch of non-productive steps (see
     :func:`run`) is stored as one segment per constraint run it spans, each
     holding the run's first index, step size, dual norm, constraint, first
     iterate, the step every later iterate adds and the number of steps: 2 n
@@ -220,7 +231,7 @@ class StepHistory:
     def __iter__(self) -> Iterator[StepRecord]:
         for entry in self._entries:
             if type(entry) is tuple:
-                yield StepRecord(*entry)
+                yield _ordinary_record(*entry)
             else:
                 yield from entry.records()
 
@@ -228,7 +239,7 @@ class StepHistory:
         """The ordinary (unbatched) steps' records, in step order, with no
         batched record built.  Productive steps are never batched where
         history is recorded, so these hold every productive step."""
-        return (StepRecord(*entry) for entry in self._entries if type(entry) is tuple)
+        return (_ordinary_record(*entry) for entry in self._entries if type(entry) is tuple)
 
     def __repr__(self) -> str:
         return f"StepHistory({len(self)} steps, {len(self._entries)} entries)"
@@ -948,8 +959,8 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
 
     With ``record_history``, the report's ``history`` is a
     :class:`StepHistory`, whose passes build one :class:`StepRecord` per
-    step.  An ordinary step appends its record's fields, its iterate made
-    read-only; a batch of non-productive steps appends one segment per
+    step.  An ordinary step appends its record's fields but the kind, its
+    iterate made read-only; a batch of non-productive steps appends one segment per
     constraint run it spans, each holding the run's first iterate, a view
     of its tabled step and its count, 2 n floats however long the run; a
     pass rebuilds its iterates by the batch's own cumulative sum.
@@ -1047,7 +1058,7 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
                     if gap < certificate:
                         certificate = gap
             if history is not None:
-                history._append((steps, StepKind.PRODUCTIVE, h, norm, None, value, x))
+                history._append((steps, h, norm, None, value, x))
             x = mirror(x, grad, h)
             n_productive += 1
         else:
@@ -1062,7 +1073,7 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
             h = eps / (norm * norm)
             crit_sum += 1.0 / (norm * norm)
             if history is not None:
-                history._append((steps, StepKind.NONPRODUCTIVE, h, norm, idx0 + 1, None, x))
+                history._append((steps, h, norm, idx0 + 1, None, x))
             x = mirror(x, grad, h)
         steps += 1
         if crit_sum >= stop_target:
@@ -1165,4 +1176,3 @@ def iteration_bound(m_f: float | None, m_g: float, theta0: float,
     if not math.isfinite(bound):
         raise ValueError("the iteration bound is not finite")
     return math.ceil(bound)
-

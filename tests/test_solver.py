@@ -2215,4 +2215,3 @@ def test_a_priori_bound_that_overflows_is_none():
     report = run(instance, EuclideanSpace([0.0, 0.0], 1.0), config)
     assert report.a_priori_bound is None
     assert report.total_steps == 5
-
