@@ -88,13 +88,9 @@ class RunConfig:
     max_iterations : int
         Safety cap; reaching it is reported, not raised.
     record_history : bool
-        Keep the run's steps as a :class:`StepHistory`, read by passes of
+        Keep the run's steps as a :class:`StepHistory`, whose passes build
         one :class:`StepRecord` per step (including the iterate), for
         inspection only: no report field or verification check reads it.
-        A batch of non-productive steps (see :func:`run`), which may span
-        several constraints' runs, is stored as one segment per constraint
-        of its first iterate, step and count.  Every pass builds fresh
-        records, a segment's points rebuilt bit for bit.
     """
 
     epsilon: float
@@ -194,17 +190,17 @@ class StepHistory:
     :class:`StepRecord` per step in step order, and :meth:`ordinary`.
 
     An ordinary step is stored as the tuple of its record's fields but the
-    kind, which its constraint gives, the ``point`` the iterate itself,
-    made read-only when recorded, so writing into it raises
-    ``ValueError``.  A batch of non-productive steps (see
-    :func:`run`) is stored as one segment per constraint run it spans, each
-    holding the run's first index, step size, dual norm, constraint, first
-    iterate, the step every later iterate adds and the number of steps: 2 n
-    floats whatever the run's length, the step a view of a table the run
-    shares.  Every pass builds fresh records, a segment's from its
-    iterates, rebuilt once per pass by the batch's own cumulative sum, so
-    bit for bit.  A record holds no stored state but an ordinary step's
-    read-only point, so writing into one changes no later pass.
+    kind, which its constraint gives; the ``point`` is the iterate itself,
+    made read-only when recorded, so writing into it raises ``ValueError``.
+    A batch of non-productive steps (see :func:`run`) is stored as one
+    segment per constraint run it spans, each holding the run's first
+    index, step size, dual norm, constraint, first iterate, the step every
+    later iterate adds and the number of steps: 2 n floats whatever the
+    run's length, the step a view of a table the run shares.  Every pass
+    builds fresh records, a segment's from its iterates, rebuilt once per
+    pass by the batch's own cumulative sum, so bit for bit.  A record holds
+    no stored state but an ordinary step's read-only point, so writing into
+    one changes no later pass.
     """
 
     __slots__ = ("_entries",)
@@ -958,12 +954,9 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     subclass of any of these geometries takes the tables only.
 
     With ``record_history``, the report's ``history`` is a
-    :class:`StepHistory`, whose passes build one :class:`StepRecord` per
-    step.  An ordinary step appends its record's fields but the kind, its
-    iterate made read-only; a batch of non-productive steps appends one segment per
-    constraint run it spans, each holding the run's first iterate, a view
-    of its tabled step and its count, 2 n floats however long the run; a
-    pass rebuilds its iterates by the batch's own cumulative sum.
+    :class:`StepHistory`: an ordinary step appends its record's fields, a
+    batch of non-productive steps one segment per constraint run it spans
+    (see :class:`StepHistory` for what each holds).
     """
     if problem.dimension != prox.dimension:
         raise ValueError("problem and geometry dimensions differ")
