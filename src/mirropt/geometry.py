@@ -213,12 +213,19 @@ class EntropySimplex(ProxGeometry):
 
     def mirror_step(self, x: Array, p: Array, h: float) -> Array:
         # Multiplicative update u_i proportional to x_i * exp(-h p_i),
-        # computed in log space for stability; zero coordinates stay zero.
-        with np.errstate(divide="ignore"):
-            logits = np.log(x) - h * p
-        logits -= logits.max()
-        u = np.exp(logits)
-        return u / u.sum()
+        # computed in log space for stability, in one buffer (p (-h) is
+        # -(h p) exactly); zero coordinates stay zero.  Only an x with a
+        # zero or NaN coordinate enters errstate, to silence log(0).
+        logits = np.multiply(p, -h)
+        if np.minimum.reduce(x) > 0.0:
+            logits += np.log(x)
+        else:
+            with np.errstate(divide="ignore"):
+                logits += np.log(x)
+        logits -= np.maximum.reduce(logits)
+        np.exp(logits, out=logits)
+        logits /= np.add.reduce(logits)
+        return logits
 
 
 def dual_norm(p, structure: ProxGeometry) -> float:

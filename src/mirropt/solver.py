@@ -670,15 +670,22 @@ def _decided(v: Array, bound: float, epsilon: float, ranked: bool,
     ``bound`` from epsilon, so the violated set is the same, and, where
     ``ranked`` and a value is above epsilon, the largest more than twice
     ``bound`` above the others, so the argmax is too.  ``gap`` is a buffer
-    of v's size; NaN, inf or an infinite bound decides nothing."""
+    of v's size; NaN, inf or an infinite bound decides nothing.  Where the
+    largest value is at or below epsilon, every |v_j - epsilon| rounds to
+    at least epsilon - max v (rounding is monotone), so that one
+    difference decides and ``gap`` is left untouched."""
     i = int(v.argmax())
     high = v.item(i)
+    if not (math.isfinite(bound) and math.isfinite(high)
+            and math.isfinite(v.item(v.argmin()))):
+        return None
+    if high <= epsilon:
+        return (i, high) if epsilon - high > bound else None
     np.subtract(v, epsilon, out=gap)
     np.abs(gap, out=gap)
-    if not (math.isfinite(bound) and math.isfinite(high)
-            and math.isfinite(v.item(v.argmin())) and np.minimum.reduce(gap) > bound):
+    if not np.minimum.reduce(gap) > bound:
         return None
-    if high <= epsilon or not ranked:
+    if not ranked:
         return i, high
     v[i] = -math.inf
     second = v.max()

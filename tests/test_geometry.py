@@ -7,9 +7,11 @@ grid search over the feasible set before being recorded here.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mirropt import (
     EntropySimplex,
@@ -109,6 +111,48 @@ def test_mirror_step_simplex_keeps_zero_coordinates():
     out = mirror_step(np.array([0.0, 1.0]), np.array([-5.0, 1.0]), 0.3, simplex)
     assert out[0] == 0.0
     assert out[1] == pytest.approx(1.0, abs=1e-15)
+
+
+def _log_space_step(x, p, h):
+    """``EntropySimplex.mirror_step`` before its one-buffer form, verbatim."""
+    with np.errstate(divide="ignore"):
+        logits = np.log(x) - h * p
+    logits -= logits.max()
+    u = np.exp(logits)
+    return u / u.sum()
+
+
+def _with_warnings(step, *args):
+    """step(*args) and the messages of the RuntimeWarnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = step(*args)
+    return out, [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+_COORDINATES = (st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, math.nan])
+                | st.floats(1e-300, 1.0))
+_GRADIENTS = st.sampled_from([math.inf, -math.inf, 0.0, 1e308, -1e308]) | st.floats(-1e3, 1e3)
+_STEP_SIZES = st.sampled_from([5e-324, 1e-300, 1e300, 1.7e308]) | st.floats(1e-8, 1e3)
+
+
+@settings(max_examples=400)
+@given(st.lists(st.tuples(_COORDINATES, _GRADIENTS), min_size=1, max_size=8), _STEP_SIZES)
+# a zero coordinate with finite p: log(0) must stay silent
+@example([(0.0, 1.0), (0.5, -1.0)], 0.5)
+def test_simplex_mirror_step_equals_the_log_space_expression(pairs, h):
+    # finite results bit for bit, NaN and inf where the old expression has
+    # them, and a RuntimeWarning only where the old expression raised one
+    x = np.array([c for c, _ in pairs])
+    p = np.array([g for _, g in pairs])
+    new, new_warned = _with_warnings(EntropySimplex(x.shape[0], 1.0).mirror_step, x, p, h)
+    old, old_warned = _with_warnings(_log_space_step, x, p, h)
+    assert old_warned or not new_warned
+    assert new.dtype == np.float64
+    if np.all(np.isfinite(old)):
+        assert new.tobytes() == old.tobytes()
+    else:
+        np.testing.assert_array_equal(new, old)
 
 
 def test_mirror_step_ball_projects_radially():

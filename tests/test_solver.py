@@ -10,6 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mirropt import (
     AbsAffinePlusOracle,
@@ -1703,6 +1704,71 @@ def test_a_nan_objective_raises_at_the_same_step_under_the_support_scan(
     assert steps == stepped_steps > 1000
     # the selector read the reduced product at a share of the steps
     assert taken < 0.9 * steps
+
+
+def _full_decided(v, bound, epsilon, ranked, gap):
+    """``solver._decided`` before its early exit, verbatim: the gap pass
+    on every call."""
+    i = int(v.argmax())
+    high = v.item(i)
+    np.subtract(v, epsilon, out=gap)
+    np.abs(gap, out=gap)
+    if not (math.isfinite(bound) and math.isfinite(high)
+            and math.isfinite(v.item(v.argmin())) and np.minimum.reduce(gap) > bound):
+        return None
+    if high <= epsilon or not ranked:
+        return i, high
+    v[i] = -math.inf
+    second = v.max()
+    v[i] = high
+    return (i, high) if second < high - 2.0 * bound else None
+
+
+def _ulps_from(value: float, count: int) -> float:
+    """value moved by ``count`` ulps, up where positive."""
+    for _ in range(abs(count)):
+        value = math.nextafter(value, math.copysign(math.inf, count))
+    return value
+
+
+@st.composite
+def _decided_inputs(draw):
+    """Values at and a few ulps off epsilon, epsilon -+ bound and epsilon
+    + 2 bound, plus plain values and NaN, +-inf; bounds of 0, inf, NaN,
+    negative, under and over an ulp of epsilon, and ordinary."""
+    epsilon = draw(st.sampled_from([0.05, 1.0]) | st.floats(1e-9, 1e3))
+    ulp = math.ulp(epsilon)
+    bound = draw(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -1e-3])
+                 | st.floats(0.0, 4.0).map(lambda t: t * ulp)
+                 | st.floats(0.0, 0.5).map(lambda t: t * epsilon))
+    anchors = [epsilon, epsilon - bound, epsilon + bound, epsilon + 2.0 * bound,
+               epsilon + 3.0 * bound]
+    near = st.builds(_ulps_from, st.sampled_from(anchors), st.integers(-3, 3))
+    value = (near | st.floats(-3.0 * epsilon, 3.0 * epsilon)
+             | st.sampled_from([math.nan, math.inf, -math.inf]))
+    v = np.array(draw(st.lists(value, min_size=1, max_size=6)), dtype=np.float64)
+    return v, bound, epsilon, draw(st.booleans())
+
+
+@settings(max_examples=600)
+@given(_decided_inputs())
+# each fails under a mutation of the early exit: the high < epsilon -
+# bound form, no argmin finiteness check, no high <= epsilon guard
+@example((np.array([math.nextafter(0.05, 0.0)]), 5e-18, 0.05, False))
+@example((np.array([0.0, -math.inf]), 0.01, 0.05, True))
+@example((np.array([1.0, 0.0]), 0.01, 0.05, True))
+def test_decided_equals_the_full_gap_pass(inputs):
+    # bit for bit, v left as it was, and gap untouched where max v <= epsilon
+    v, bound, epsilon, ranked = inputs
+    before = v.tobytes()
+    gap = np.full(v.shape, 7.0)
+    fast = solver._decided(v, bound, epsilon, ranked, gap)
+    assert v.tobytes() == before
+    full = _full_decided(v, bound, epsilon, ranked, np.empty(v.shape))
+    assert v.tobytes() == before
+    assert repr(fast) == repr(full)
+    if np.all(np.isfinite(v)) and v.max() <= epsilon:
+        assert np.all(gap == 7.0)
 
 
 def test_min_dual_norm_table_order_equals_the_row_loop():
