@@ -213,10 +213,10 @@ class EntropySimplex(ProxGeometry):
 
     def mirror_step(self, x: Array, p: Array, h: float) -> Array:
         # Multiplicative update u_i proportional to x_i * exp(-h p_i),
-        # computed in log space for stability, in one buffer (p (-h) is
-        # -(h p) exactly); zero coordinates stay zero.  Only an x with a
+        # computed in log space for stability, in one float64 buffer (p (-h)
+        # is -(h p) exactly); zero coordinates stay zero.  Only an x with a
         # zero or NaN coordinate enters errstate, to silence log(0).
-        logits = np.multiply(p, -h)
+        logits = np.multiply(p, -h, dtype=np.float64)
         if np.minimum.reduce(x) > 0.0:
             logits += np.log(x)
         else:

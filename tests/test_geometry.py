@@ -155,6 +155,16 @@ def test_simplex_mirror_step_equals_the_log_space_expression(pairs, h):
         np.testing.assert_array_equal(new, old)
 
 
+def test_simplex_mirror_step_is_float64_for_any_gradient_dtype():
+    # integer p and h step as the log-space expression does; float32 p
+    # gives a float64 step, as it did
+    x = np.array([0.25, 0.75])
+    simplex = EntropySimplex(2, 1.0)
+    out = simplex.mirror_step(x, np.array([3, -1]), 2)
+    assert out.tobytes() == _log_space_step(x, np.array([3, -1]), 2).tobytes()
+    assert simplex.mirror_step(x, np.array([3.0, -1.0], dtype=np.float32), 0.5).dtype == np.float64
+
+
 def test_mirror_step_ball_projects_radially():
     ball = EuclideanBall(np.zeros(2), 1.0, 1.0)
     out = mirror_step(np.array([0.8, 0.0]), np.array([-1.0, 0.0]), 0.5, ball)
