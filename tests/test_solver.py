@@ -1733,9 +1733,10 @@ def _ulps_from(value: float, count: int) -> float:
 
 @st.composite
 def _decided_inputs(draw):
-    """Values at and a few ulps off epsilon, epsilon -+ bound and epsilon
-    + 2 bound, plus plain values and NaN, +-inf; bounds of 0, inf, NaN,
-    negative, under and over an ulp of epsilon, and ordinary."""
+    """Values at and a few ulps off epsilon, epsilon -+ bound, epsilon + 2
+    bound and epsilon + 3 bound, plus plain values and NaN, +-inf; bounds
+    of 0, inf, NaN, negative, under and over an ulp of epsilon, and
+    ordinary."""
     epsilon = draw(st.sampled_from([0.05, 1.0]) | st.floats(1e-9, 1e3))
     ulp = math.ulp(epsilon)
     bound = draw(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -1e-3])
