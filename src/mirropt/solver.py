@@ -368,6 +368,9 @@ _BLOCK_FLOATS = 1 << 14
 # Below this bound on |A| @ |x| + |b|, sixteen times under the largest float,
 # no summation order of a constraint value overflows.
 _HUGE = 2.0 ** 1020
+# The fewest rows of a one-run block that ``_AffineRuns.advance`` first
+# certifies from its two end rows; shorter blocks are checked row by row.
+_ENDS_MIN_ROWS = 64
 # The entropy simplex's support scan (``_SupportScan``): the fewest entries
 # of a constraint matrix that takes it, the floor of a support coordinate,
 # the scans between two checks of the support, the share of its coordinates
@@ -429,9 +432,13 @@ class _AffineRuns:
     provably takes its step there: each comparison it makes holds with a
     margin above the rounding bound ``gamma * (|A| @ r + |b|)``, where r
     bounds |x| over the batch, so no summation order of the stepwise
-    matrix-vector product decides otherwise.  A productive batch's pieces
-    are predicted by ``_piece_predictor``'s straight-line code, generated
-    once per piece count.
+    matrix-vector product decides otherwise.  A block of one run and at
+    least ``_ENDS_MIN_ROWS`` rows is first offered to a cheaper check: its
+    values are linear in the step up to the cumulative sum's drift, so
+    two columns, its first and last rows, can certify every row between
+    (see ``advance``).  A productive batch's pieces are predicted by
+    ``_piece_predictor``'s straight-line code, generated once per piece
+    count.
     """
 
     def __init__(self, bank: OracleBank, config: RunConfig, row: Callable,
@@ -452,6 +459,7 @@ class _AffineRuns:
         # Four times the bound 2 * gamma_(n+1) on two summation orders'
         # difference, which also absorbs the rounding of r and the margins.
         self.gamma = 4.0 * (n + 2) * np.finfo(float).eps
+        self.u = np.finfo(float).eps / 2.0  # the unit roundoff
         self.max_rows = max(1, _BLOCK_FLOATS // max(n, self.offsets.shape[0]))
         # A step on row j is x - q_j, q_j = h_j a_j, as the stepwise h * grad;
         # h_j and the criterion weight 1 / ||a_j||^2 come from the tabled dual
@@ -483,6 +491,7 @@ class _AffineRuns:
         c = pieces._matrix
         bits = c.view(np.uint64)
         self.same = (bits[:, None] == bits[None]).all(axis=2) & (norms[m:, None] == norms[m:])
+        self.twins = not np.array_equal(self.same, np.eye(len(c), dtype=bool))
 
     def _table(self, i: int) -> tuple | None:
         """Constraint i's run table: how much a step lowers i, each
@@ -551,14 +560,23 @@ class _AffineRuns:
         predicted from constraint i on, that keep ``crit_sum`` below
         ``target``, where two steps at least, or all ``rows``, are
         predicted: x and ``crit_sum`` after them, the runs taken as
-        (constraint, iterates) pairs, and whether every row asked was
-        taken."""
+        (constraint, iterates) pairs, and whether to chain again on the
+        same run, which holds where every row asked was taken.  A
+        prediction of fewer steps ends batching for the run too.  A chain
+        of one run sums its criterion weights from one repeated weight,
+        in the order the stepwise engine adds them."""
         chain = self.predict(x, i, min(rows, self.max_rows))
         predicted = sum(count for _, count in chain)
         if not predicted or predicted < min(rows, 2):
-            return x, crit_sum, [], True
-        labels = np.repeat(*np.array(chain).T)
-        crit = np.concatenate(([crit_sum], self.weights[labels])).cumsum()
+            return x, crit_sum, [], False
+        if len(chain) == 1:
+            labels = chain[0][0]
+            crit = np.full(predicted + 1, self.weights[labels])
+            crit[0] = crit_sum
+        else:
+            labels = np.repeat(*np.array(chain).T)
+            crit = np.concatenate(([crit_sum], self.weights[labels]))
+        np.cumsum(crit, out=crit)
         rows = int(np.searchsorted(crit[1:], target))
         # Rows on one run are certified against its one constraint.
         one = rows <= chain[0][1]
@@ -576,7 +594,33 @@ class _AffineRuns:
         """The block of iterates x, x - q_(labels[0]), ..., a row per step,
         and how many leading ones (at most ``rows``) provably take their
         step: a step on constraint ``labels[k]`` below m, a productive step
-        on piece ``labels[k] - m`` above; an int labels every row."""
+        on piece ``labels[k] - m`` above; an int labels every row.
+
+        A one-run block of at least ``_ENDS_MIN_ROWS`` rows on constraint
+        i is first offered to ``_ends``, which certifies every row from the
+        constraint values of the block's first and last rows alone.  Along
+        the line y_k = x + k s, s = -q_i, every exact value l_j(y_k) is
+        linear in k.  The block's row x_k is the cumulative sum's, which
+        rounds once per addition, by at most u |x_k| per coordinate (u =
+        eps_mach / 2), so |x_k - y_k| <= k u r, r the block's bound on |x|,
+        and l_j(x_k) is within D_j = rows u bound_j of the line's value,
+        bound_j = |a_j| . r + |b_j|.  A computed value c_j (the ends' or
+        the stepwise engine's) is within a quarter of slack_j of l_j at the
+        same row.  So with S_j = slack_j + D_j, any difference of two
+        values, or of a value and epsilon, that clears 2 S_i + 2 S_j (2
+        S_j against epsilon) at both end rows clears S_i + S_j on the line
+        there, so at every row between, since it is linear in k; the
+        stepwise engine's computed values at each row, every one within
+        slack_j / 4 + D_j < S_j of the line, then make the same
+        comparison.  The ends thus require c_i - 2 S_i > max(epsilon,
+        max_(j != i) c_j + 2 S_j) under aggregate-max and max-violation,
+        and c_i - 2 S_i > epsilon with c_j + 2 S_j <= epsilon for every j
+        < i under first-violated, at both end rows.  The unused part of
+        slack_j covers the rounding of these margins and comparisons.
+        Where the ends fail, every row is checked as below, so they never
+        shorten a block.  The ``_HUGE`` guards come first, so every value
+        and margin is finite.
+        """
         block = np.empty((rows + 1, x.shape[0]))
         block[0] = x
         block[1:] = self.steps[labels]
@@ -591,6 +635,8 @@ class _AffineRuns:
         bound = self.abs_a @ reach + self.abs_b
         if not (reach.max() < _HUGE and bound.max() < _HUGE):
             return block, 0  # NaN included: the stepwise engine decides
+        if one and rows >= _ENDS_MIN_ROWS and self._ends(block, labels, rows, bound):
+            return block, rows
         slack = self.gamma * bound
         eps, m = self.epsilon, self.m
         # One column per row of the block: the reductions below run along
@@ -619,8 +665,12 @@ class _AffineRuns:
             ok = (values[:m] <= at_most).all(axis=0)
             pieces = values[m:]
             pieces += slack[m:, None]
-            # same is symmetric: column k marks the twins of the block row k's piece.
-            pieces[self.same[:, labels - m]] = -math.inf
+            # same is symmetric: column k marks the twins of the block row
+            # k's piece, and without twins only the piece itself.
+            if self.twins:
+                pieces[self.same[:, labels - m]] = -math.inf
+            else:
+                pieces[labels - m, k] = -math.inf
             ok &= own - own_slack > pieces.max(axis=0)
         elif self.first_violated:
             # The label is above epsilon, the constraints before it are not:
@@ -633,6 +683,20 @@ class _AffineRuns:
             top[labels, k] = eps
             ok = own - own_slack > top.max(axis=0)
         return block, rows if ok.all() else int(ok.argmin())
+
+    def _ends(self, block: Array, i: int, rows: int, bound: Array) -> bool:
+        """Whether the first and last of a one-run block's ``rows`` rows
+        certify every row on constraint i (see ``advance``)."""
+        eps, m = self.epsilon, self.m
+        ends = self.a @ block[0:rows:rows - 1].T  # (m, 2): the two end rows
+        ends += self.b[:, None]
+        wide = (2.0 * (self.gamma + rows * self.u)) * bound[:m]  # 2 S_j
+        if self.first_violated:
+            return bool((ends[i] - wide[i] > eps).all()
+                        and (ends[:i] + wide[:i, None] <= eps).all())
+        top = ends + wide[:, None]
+        top[i] = eps
+        return bool((ends[i] - wide[i] > top.max(axis=0)).all())
 
     def produce(self, x: Array, rows: int, crit_sum: float, target: float,
                 weighted: Array, weight_sum: float) -> tuple:
@@ -933,8 +997,12 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     every policy but min-dual-norm, non-productive steps are also batched by
     ``_AffineRuns``: a batch chains the rest of a constraint's run and the
     runs the policy is computed to take after it, on other constraints, up
-    to the first predicted productive step; a batch that the rounding
-    margins cut short ends batching until the constraint changes.  In the
+    to the first predicted productive step; a batch of one run and at
+    least ``_ENDS_MIN_ROWS`` rows is certified from the constraint values
+    of its first and last rows where their margins allow for the
+    cumulative sum's drift, and row by row elsewhere; a batch that the
+    rounding margins cut short, or a prediction of fewer than two steps,
+    ends batching until the constraint changes.  In the
     Lipschitz regime without history, a run of productive steps on a
     max-affine objective is batched too, on pieces predicted from the piece
     values by straight-line code generated once per piece count, and

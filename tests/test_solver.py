@@ -626,6 +626,225 @@ def test_chains_stay_within_the_block_budget(monkeypatch, policy):
     assert max(blocks) == solver._BLOCK_FLOATS // n + 1
 
 
+# ----------------------------------------- one-run blocks from their ends
+
+
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_a_short_prediction_ends_batching_for_its_run(monkeypatch, policy):
+    # x_1 <= 1 from x_1 - 1 = 7/32 with eps = 1/16 takes three steps of
+    # 1/16, then productive steps up x_2, which leave it alone.  After the
+    # second step one row is predicted, too few to batch, and that ends
+    # batching for the run: the third step is ordinary and predicts nothing
+    predicted = []
+    inner = solver._AffineRuns.predict
+
+    def counted(self, *args):
+        chain = inner(self, *args)
+        predicted.append(chain)
+        return chain
+
+    monkeypatch.setattr(solver._AffineRuns, "predict", counted)
+    instance = ProblemInstance(2, AffineOracle([0.0, -1.0]), [AffineOracle([1.0, 0.0], -1.0)])
+    config = RunConfig(2.0**-4, policy=policy, record_history=True)
+    batched, stepped, calls = run_both(instance, EuclideanSpace([1.0 + 7 / 32, 0.0], 1.0), config)
+    assert_bitwise_equal(batched, stepped)
+    assert batched.nonproductive_count == 3 and calls == batched.total_steps
+    assert predicted == [[[0, 1]]]
+
+
+def _one_run_kernel(constraints, epsilon, policy):
+    """``_AffineRuns`` over ``constraints`` on a Euclidean space, and the
+    stepwise engine's policy selector over ``OracleBank.scan``."""
+    n = len(constraints[0].a)
+    bank = ProblemInstance(n, _constant(0.0, n), constraints).constraint_bank()
+    scan, row = solver._sources(bank, EuclideanSpace(np.zeros(n), 1.0).dual_norm)
+    norms = np.array([row(j, None)[2] for j in range(len(constraints))])
+    return (solver._AffineRuns(bank, RunConfig(epsilon, policy=policy), row),
+            solver._make_selector(scan, row, epsilon, policy, norms))
+
+
+def _chosen(select, rows):
+    """The constraint the stepwise policy descends on at each row, None
+    where it takes a productive step."""
+    return [None if (sel := select(x)) is None else sel[0] for x in rows]
+
+
+def _counted_ends(monkeypatch):
+    """The outcome of every ``_AffineRuns._ends`` call."""
+    outcomes = []
+    inner = solver._AffineRuns._ends
+
+    def counted(self, *args):
+        outcomes.append(inner(self, *args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(solver._AffineRuns, "_ends", counted)
+    return outcomes
+
+
+@st.composite
+def _one_run_blocks(draw):
+    """A block of steps on constraint i of up to four integer rows on R^1
+    to R^4: |x| from 1 to 2^40, epsilon from 2^-20 to 2, and up to the
+    block budget of rows, mostly at least ``_ENDS_MIN_ROWS``.  Row i's
+    value reaches epsilon near a drawn row, or a few ulps off it; under
+    first-violated each other row's value crosses epsilon near a drawn row,
+    else its gap to row i's closes there, so near-ties included; some rows
+    are twins of row i, some far below."""
+    policy = draw(st.sampled_from(_BATCHED_POLICIES))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    i = draw(st.integers(0, m - 1))
+    a = np.array(draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                               min_size=m, max_size=m)), dtype=float)
+    if not a[i].any():
+        a[i, 0] = 1.0
+    x = 2.0 ** draw(st.sampled_from([0, 10, 20, 30, 40])) * np.array(
+        draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    epsilon = 2.0 ** draw(st.integers(-20, 0)) * draw(st.floats(1.0, 2.0))
+    most = solver._BLOCK_FLOATS // max(n, m)
+    rows = draw(st.integers(solver._ENDS_MIN_ROWS, most) | st.integers(1, most))
+    q = epsilon / (a[i] @ a[i]) * a[i]
+    drops = a @ q  # how much a step on i lowers each value
+
+    def near(base, rate):
+        """base + t rate, t a drawn row in or past the block, moved a few ulps."""
+        t = draw(st.integers(-rows, 2 * rows) | st.integers(rows, 8 * rows))
+        t += draw(st.sampled_from([0.0, 0.5, 1e-6]))
+        return _ulps_from(base + t * rate, draw(st.integers(-2, 2)))
+
+    values = np.empty(m)
+    values[i] = near(epsilon, drops[i])
+    for j in range(m):
+        kind = draw(st.sampled_from(["cross", "cross", "twin", "far"])) if j != i else None
+        if kind == "twin":
+            a[j] = a[i]
+            values[j] = _ulps_from(values[i], draw(st.integers(-2, 2)))
+        elif kind == "far":
+            values[j] = -draw(st.floats(1.0, 1e6))
+        elif kind == "cross":
+            values[j] = (near(epsilon, drops[j]) if policy is Policy.FIRST_VIOLATED
+                         else near(values[i], drops[j] - drops[i]))
+    return policy, a, values - a @ x, x, i, rows, epsilon
+
+
+@settings(max_examples=300)
+@given(_one_run_blocks())
+# steps of 1/16 from 0: the stepped row 0 gives way to row 1 after 10
+# steps, the lower row 0 under first-violated rises past eps after 10, and
+# row 1 leads the stepped row 0 for the first 10: each fails where the
+# ends' check leaves out the last row, the lower rows or the first row
+@example((Policy.AGGREGATE_MAX, np.array([[1.0], [0.0]]), np.array([200 / 16, 190 / 16]),
+          np.zeros(1), 0, 100, 2.0**-4))
+@example((Policy.FIRST_VIOLATED, np.array([[-1.0], [1.0]]), np.array([-9 / 16, 200 / 16]),
+          np.zeros(1), 1, 100, 2.0**-4))
+@example((Policy.AGGREGATE_MAX, np.array([[1.0], [2.0]]), np.array([200 / 16, 210 / 16]),
+          np.zeros(1), 0, 100, 2.0**-4))
+def test_rows_certified_by_end_values_are_the_policys_choice(block_case):
+    # every row a one-run block takes, by its ends or row by row, is one at
+    # which the stepwise engine descends on the block's constraint
+    policy, a, b, x, i, rows, epsilon = block_case
+    runs, select = _one_run_kernel([AffineOracle(r, c) for r, c in zip(a, b)], epsilon, policy)
+    block, count = runs.advance(x, i, rows)
+    assert _chosen(select, block[:count]) == [i] * count
+
+
+def _drifting_pair(policy):
+    """A block of 8192 steps of about 0.3 on each coordinate, on the row
+    (1, 1), from x_1 = 2^40 + 1229, x_2 = 1.5 * 2^39, with epsilon = 4917.2
+    * 2^-13.  Below 2^40 the cumulative sum rounds x_1's steps as x_2's,
+    above it one 2^-13 shorter, so x_1 - x_2 rises by 0.5 over the
+    block's first half and stays.  A row g along x_1 - x_2, tilted to take
+    equal values at both ends, bulges by a quarter in the middle, far
+    beyond the rounding slack.  Under first-violated g is a lower row that
+    ends 0.15 below epsilon; else g is the gap of a later row to (1, 1),
+    0.15 behind it at both ends.  The constraints, the stepped row and
+    the block's rows."""
+    epsilon, x = 4917.2 * 2.0**-13, np.array([2.0**40 + 1229.0, 1.5 * 2.0**39])
+    own = AffineOracle([1.0, 1.0], 1e4 - x.sum())  # stays above epsilon
+    probe, _ = _one_run_kernel([own], epsilon, policy)
+    rows = probe.max_rows
+    block = np.empty((rows, 2))
+    block[0], block[1:] = x, probe.steps[0]
+    np.cumsum(block, axis=0, out=block)
+    diff, total = block[:, 0] - block[:, 1], block.sum(axis=1)
+    tilt = (diff[-1] - diff[0]) / (total[0] - total[-1])
+    g = np.array([1.0 + tilt, -1.0 + tilt])
+    top = max(block[0] @ g, block[-1] @ g)
+    if policy is Policy.FIRST_VIOLATED:
+        constraints, i = [AffineOracle(g, epsilon - 0.15 - top), own], 1
+    else:
+        constraints, i = [own, AffineOracle(own.a + g, own.b - 0.15 - top)], 0
+    return constraints, i, x, rows, epsilon
+
+
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_end_values_allow_for_the_drift_of_the_cumulative_sum(monkeypatch, policy):
+    # the ends clear twice the slack, so without the drift term they would
+    # certify the whole block, whose middle rows the policy does not take;
+    # with it they refuse it, and the rows are checked one by one
+    outcomes = _counted_ends(monkeypatch)
+    constraints, i, x, rows, epsilon = _drifting_pair(policy)
+    runs, select = _one_run_kernel(constraints, epsilon, policy)
+    block, count = runs.advance(x, i, rows)
+    wrong = next(k for k, j in enumerate(_chosen(select, block[:rows])) if j != i)
+    assert outcomes == [False]
+    assert 0 < count <= wrong < rows
+    bound = runs.abs_a @ (np.abs(x) + rows * runs.abs_q[i]) + runs.abs_b
+    ends = runs.a @ block[[0, rows - 1]].T + runs.b[:, None]
+    slack = runs.gamma * bound
+    if policy is Policy.FIRST_VIOLATED:
+        assert np.all(ends[0] + 2.0 * slack[0] <= epsilon)
+    else:
+        assert np.all(ends[0] - 2.0 * slack[0] > ends[1] + 2.0 * slack[1])
+
+
+@pytest.mark.parametrize("multiple, certified", [(1.5, False), (2.5, True)])
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_end_values_keep_twice_slack_and_drift_from_epsilon(monkeypatch, policy, multiple,
+                                                            certified):
+    # steps of 1/16 down x_1 <= 0 from x_1 = 1000/16 + multiple * S: the
+    # block's last row sits exactly multiple * S above eps, S = slack +
+    # drift = (gamma + rows u) bound.  At 1.5 S the ends refuse the block,
+    # at 2.5 S they take it; the rows checked one by one take it too
+    outcomes = _counted_ends(monkeypatch)
+    epsilon, rows = 2.0**-4, 1000
+    runs, select = _one_run_kernel([AffineOracle([1.0, 0.0], 0.0)], epsilon, policy)
+    reach = rows * epsilon * 2.0
+    margin = (runs.gamma + rows * runs.u) * (reach + np.finfo(float).tiny)
+    # On a grid of 2^-45 below 2^7 every step is exact.
+    x = np.array([rows * epsilon + round(multiple * margin * 2.0**45) * 2.0**-45, 0.0])
+    block, count = runs.advance(x, 0, rows)
+    assert abs(block[rows - 1, 0] - epsilon - multiple * margin) < 0.05 * margin
+    assert outcomes == [certified]
+    assert count == rows
+
+
+def test_end_values_meet_the_huge_guard(monkeypatch):
+    # below _HUGE the ends certify a block on values near 2^1019 with no
+    # overflow; from it the guard refuses the block before the ends
+    outcomes = _counted_ends(monkeypatch)
+    runs, _ = _one_run_kernel([AffineOracle([1.0, 0.0], 0.0)], 2.0**-4, Policy.AGGREGATE_MAX)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert runs.advance(np.array([2.0**1019, 0.0]), 0, 100)[1] == 100
+        assert runs.advance(np.array([2.0**1020, 0.0]), 0, 100)[1] == 0
+    assert outcomes == [True]
+
+
+@pytest.mark.parametrize("example_id", [1, 4])
+def test_long_one_run_batches_are_certified_by_their_ends(monkeypatch, example_id):
+    # ex 1 and ex 4 L aggregate-max: every block of one run and at least
+    # _ENDS_MIN_ROWS rows is certified by its two end rows, bit for bit
+    outcomes = _counted_ends(monkeypatch)
+    batches = _counted_batches(monkeypatch)
+    example = build_example(example_id)
+    config = RunConfig(example.settings.epsilon, policy=Policy.AGGREGATE_MAX)
+    batched, stepped, _ = run_both(example.instance, default_geometry(example), config)
+    assert_bitwise_equal(batched, stepped)
+    long = [rows for rows, _ in batches if rows >= solver._ENDS_MIN_ROWS]
+    assert len(long) > 100 and len(outcomes) == len(long) and all(outcomes)
+
+
 # ------------------------------------------------------- table-driven steps
 
 
@@ -1059,6 +1278,22 @@ def test_productive_batch_stops_on_the_criterion_inside_a_batch(monkeypatch):
     fast, stepped, _ = _productive_run(2.0**-4, [0.0, 0.0])
     assert_bitwise_equal(fast, stepped)
     assert fast.stop_reason is StopReason.CRITERION_MET
+    assert fast.total_steps == fast.productive_count == 512
+    assert sum(counts) > 500
+
+
+def test_a_twin_piece_is_masked_in_productive_batches(monkeypatch):
+    # the run above with its first piece twice: the predicted piece is the
+    # first of the twins, and the second, bitwise the same, is masked out
+    # of the comparison, so the batches still take the run
+    counts = _counted_productive_batches(monkeypatch)
+    pieces = [AffineOracle([1.0, 0.0]), AffineOracle([1.0, 0.0]),
+              AffineOracle([0.5, 0.0], -100.0)]
+    constraints = [AffineOracle([0.0, 1.0], -1.0)]
+    assert _productive_runs(pieces, constraints).twins
+    assert not _productive_runs(pieces[1:], constraints).twins
+    fast, stepped, _ = _productive_run(2.0**-4, [0.0, 0.0], pieces=pieces)
+    assert_bitwise_equal(fast, stepped)
     assert fast.total_steps == fast.productive_count == 512
     assert sum(counts) > 500
 
