@@ -166,7 +166,7 @@ class _Segment(NamedTuple):
         block = np.empty((self.count, self.first.shape[0]))
         block[0] = self.first
         block[1:] = self.step
-        np.cumsum(block, axis=0, out=block)
+        _cumsum_rows(block)
         # One map over the rows: a Python loop iterates ex 2 N's history
         # about a quarter slower.
         return map(StepRecord, range(self.index, self.index + self.count),
@@ -364,13 +364,23 @@ def _make_selector(scan: Callable, row: Callable, epsilon: float, policy: Policy
 
 
 # Float budget of one batch's (rows x max(n, M)) arrays, which bounds memory.
-_BLOCK_FLOATS = 1 << 14
+# Swept from 2^14 to 2^17 on the benchmark: from 2^16 on, a batch's fixed
+# costs no longer show, and 2^17 costs 2 MiB more peak memory.
+_BLOCK_FLOATS = 1 << 16
+# The most multiply-adds of one matrix product over a block's rows.  numpy's
+# OpenBLAS splits a product of 2^19 or more over threads, which cost up to
+# 8 ms per product on a shared 2-CPU machine against 0.05 ms on one thread,
+# so a longer block's product is taken in chunks of columns.
+_PRODUCT_MACS = 1 << 18
 # Below this bound on |A| @ |x| + |b|, sixteen times under the largest float,
 # no summation order of a constraint value overflows.
 _HUGE = 2.0 ** 1020
 # The fewest rows of a one-run block that ``_AffineRuns.advance`` first
 # certifies from its two end rows; shorter blocks are checked row by row.
 _ENDS_MIN_ROWS = 64
+# The fewest rows of a block that ``_cumsum_rows`` sums in complex pairs;
+# on shorter blocks the view costs more than it saves.
+_PAIR_MIN_ROWS = 32
 # The entropy simplex's support scan (``_SupportScan``): the fewest entries
 # of a constraint matrix that takes it, the floor of a support coordinate,
 # the scans between two checks of the support, the share of its coordinates
@@ -381,6 +391,26 @@ _SUPPORT_FLOOR = 1e-7
 _SUPPORT_CHECK = 64
 _SUPPORT_SHRINK = 0.7
 _SUPPORT_SHARE = 0.5
+
+
+def _cumsum_rows(block: Array) -> Array:
+    """The cumulative sums down a 2-D block's columns, in place: bit for bit
+    ``np.cumsum(block, axis=0, out=block)``, and the block.
+
+    Where the rows have even length, the block is C-contiguous and holds at
+    least ``_PAIR_MIN_ROWS`` rows, the sums run over its view as complex
+    pairs.  A complex addition adds the real parts and the imaginary parts
+    apart, so every column gets the same additions in the same order, one
+    row after another, while two columns' dependent additions go side by
+    side.
+    """
+    if (block.shape[0] >= _PAIR_MIN_ROWS and not block.shape[1] % 2
+            and block.flags.c_contiguous):
+        pairs = block.view(np.complex128)
+        np.cumsum(pairs, axis=0, out=pairs)
+    else:
+        np.cumsum(block, axis=0, out=block)
+    return block
 
 
 @cache
@@ -424,8 +454,8 @@ class _AffineRuns:
 
     Both are predicted in floats from one product ``A @ x + b``: a step on
     row j is x - q_j, q_j = h_j a_j with h_j from the row's tabled dual
-    norm, and lowers row k's value by a_k . q_j.  ``np.cumsum`` builds a
-    batch's iterates by the same subtractions as the stepwise ``x - h *
+    norm, and lowers row k's value by a_k . q_j.  ``_cumsum_rows`` builds
+    a batch's iterates by the same subtractions as the stepwise ``x - h *
     p``, so they are bitwise its iterates.  One matrix product gives their
     constraint and piece values, one column per iterate, so every check
     reduces a column.  A row is committed only while the stepwise engine
@@ -435,10 +465,13 @@ class _AffineRuns:
     matrix-vector product decides otherwise.  A block of one run and at
     least ``_ENDS_MIN_ROWS`` rows is first offered to a cheaper check: its
     values are linear in the step up to the cumulative sum's drift, so
-    two columns, its first and last rows, can certify every row between
-    (see ``advance``).  A productive batch's pieces are predicted by
-    ``_piece_predictor``'s straight-line code, generated once per piece
-    count.
+    the values of its first and last rows, one matrix-vector product
+    each, can certify every row between (see ``advance``).  A productive
+    batch's pieces are predicted by ``_piece_predictor``'s straight-line
+    code, generated once per piece count, and its weighted sums are
+    committed by one more ``_cumsum_rows``.  A batch's arrays hold at
+    most ``_BLOCK_FLOATS`` floats, so a batch asks for at most
+    ``max_rows`` rows.
     """
 
     def __init__(self, bank: OracleBank, config: RunConfig, row: Callable,
@@ -461,6 +494,8 @@ class _AffineRuns:
         self.gamma = 4.0 * (n + 2) * np.finfo(float).eps
         self.u = np.finfo(float).eps / 2.0  # the unit roundoff
         self.max_rows = max(1, _BLOCK_FLOATS // max(n, self.offsets.shape[0]))
+        # The columns of one matrix product over a block's rows.
+        self.chunk = max(1, _PRODUCT_MACS // (n * self.offsets.shape[0]))
         # A step on row j is x - q_j, q_j = h_j a_j, as the stepwise h * grad;
         # h_j and the criterion weight 1 / ||a_j||^2 come from the tabled dual
         # norm.  A zero or non-finite norm ends a prediction before its row.
@@ -619,7 +654,10 @@ class _AffineRuns:
         slack_j covers the rounding of these margins and comparisons.
         Where the ends fail, every row is checked as below, so they never
         shorten a block.  The ``_HUGE`` guards come first, so every value
-        and margin is finite.
+        and margin is finite.  The block's rows are summed by
+        ``_cumsum_rows``, as ``_Segment.records`` rebuilds them.  Nothing
+        that ``predict`` computed is read here, so any labels and any x
+        may be passed, predicted or not.
         """
         block = np.empty((rows + 1, x.shape[0]))
         block[0] = x
@@ -629,11 +667,11 @@ class _AffineRuns:
             reach = np.abs(x) + rows * self.abs_q[labels]
         else:
             reach = np.abs(x) + np.bincount(labels, minlength=self.steps.shape[0]) @ self.abs_q
-        np.cumsum(block, axis=0, out=block)
+        _cumsum_rows(block)
         if not rows:
             return block, 0
         bound = self.abs_a @ reach + self.abs_b
-        if not (reach.max() < _HUGE and bound.max() < _HUGE):
+        if not (np.maximum.reduce(reach) < _HUGE and np.maximum.reduce(bound) < _HUGE):
             return block, 0  # NaN included: the stepwise engine decides
         if one and rows >= _ENDS_MIN_ROWS and self._ends(block, labels, rows, bound):
             return block, rows
@@ -641,7 +679,10 @@ class _AffineRuns:
         eps, m = self.epsilon, self.m
         # One column per row of the block: the reductions below run along
         # contiguous memory, across the rows' constraints and pieces.
-        values = self.stack @ block[:rows].T
+        values = np.empty((self.stack.shape[0], rows))
+        for start in range(0, rows, self.chunk):
+            end = min(start + self.chunk, rows)
+            np.matmul(self.stack, block[start:end].T, out=values[:, start:end])
         values += self.offsets[:, None]
         at_most = (eps - slack[:m])[:, None]  # a constraint provably at most eps
         if one:
@@ -686,17 +727,25 @@ class _AffineRuns:
 
     def _ends(self, block: Array, i: int, rows: int, bound: Array) -> bool:
         """Whether the first and last of a one-run block's ``rows`` rows
-        certify every row on constraint i (see ``advance``)."""
-        eps, m = self.epsilon, self.m
-        ends = self.a @ block[0:rows:rows - 1].T  # (m, 2): the two end rows
-        ends += self.b[:, None]
-        wide = (2.0 * (self.gamma + rows * self.u)) * bound[:m]  # 2 S_j
-        if self.first_violated:
-            return bool((ends[i] - wide[i] > eps).all()
-                        and (ends[:i] + wide[:i, None] <= eps).all())
-        top = ends + wide[:, None]
-        top[i] = eps
-        return bool((ends[i] - wide[i] > top.max(axis=0)).all())
+        certify every row on constraint i (see ``advance``): each end's
+        values from one matrix-vector product, the last end's only where
+        the first passes."""
+        eps = self.epsilon
+        wide = (2.0 * (self.gamma + rows * self.u)) * bound[:self.m]  # 2 S_j
+        for end in (block[0], block[rows - 1]):
+            values = self.a @ end
+            values += self.b
+            if self.first_violated:
+                if not (values[i] - wide[i] > eps
+                        and np.logical_and.reduce(values[:i] + wide[:i] <= eps)):
+                    return False
+            else:
+                low = values[i] - wide[i]
+                values += wide
+                values[i] = eps
+                if not low > np.maximum.reduce(values):
+                    return False
+        return True
 
     def produce(self, x: Array, rows: int, crit_sum: float, target: float,
                 weighted: Array, weight_sum: float) -> tuple:
@@ -721,9 +770,11 @@ class _AffineRuns:
         self.idle = self.backoff // 2
         # Commit: the sums add the rows' terms one by one, in stepwise order.
         h = self.h[labels[:count]]
-        weighted = np.vstack([weighted, h[:, None] * block[:count]]).cumsum(axis=0)
+        terms = np.empty((count + 1, x.shape[0]))
+        terms[0] = weighted
+        np.multiply(block[:count], h[:, None], out=terms[1:])
         weight_sum = np.concatenate(([weight_sum], h)).cumsum()
-        return (count, block[count].copy(), float(crit[count]), weighted[count],
+        return (count, block[count].copy(), float(crit[count]), _cumsum_rows(terms)[count],
                 float(weight_sum[count]))
 
 
@@ -1007,7 +1058,12 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     max-affine objective is batched too, on pieces predicted from the piece
     values by straight-line code generated once per piece count, and
     certified by the same margins; a batch's constraint and piece values are
-    one column per iterate, reduced column by column.  The first step of
+    one column per iterate, reduced column by column.  A batch's arrays
+    hold at most ``_BLOCK_FLOATS`` floats; its iterates, and a productive
+    batch's weighted sums, are one cumulative sum down the columns, taken
+    two columns at a time as complex pairs where the rows are of even
+    length (``_cumsum_rows``), with the additions of the stepwise
+    engine.  The first step of
     each run and the step after each batch are ordinary steps.  On an exact
     :class:`EuclideanBall` with all-affine constraints, ``_BallTracker``
     updates the constraint values in O(M) along each step on a constraint

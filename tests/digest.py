@@ -4,12 +4,18 @@ Usage, from the repository root:
 
     PYTHONPATH=src python3 tests/digest.py [--cells all|ref|synth]
 
-One line per cell, ``<digest> <label>``, then one line over all of them.
-A cell's digest covers its output point, step counts, stop reason,
-a-priori bound, output objective, violation and certificate, and, where
-history is recorded, every record of a full pass and of ``ordinary()``.
-Two trees whose solvers take the same steps print the same lines, so a
-change meant to be bit for bit is checked by running this on both.
+One line per cell, ``<digest> <trajectory> <label>``, then one line over
+all of them, ``<digest> <trajectory> all``.  A cell's digest covers its
+output point, step counts, stop reason, a-priori bound, output objective,
+violation and certificate, and, where history is recorded, every record
+of a full pass and of ``ordinary()``.  Its trajectory digest covers the
+same but ``ordinary()``: which steps a run batches decides which records
+``ordinary()`` holds, not what any step does, so a change of batching
+alone keeps the trajectory column and changes only the digest of cells
+with history.  Two trees whose solvers take the same steps print the same
+lines, so a change meant to be bit for bit is checked by running this on
+both; the ``all`` line's first digest is taken over ``<digest> <label>``
+lines alone.
 
 The cells are the 20 ``REFERENCE_RESULTS`` cells at the acceptance suite's
 caps (10^6 steps for examples 3, 5 and 6 in the Lipschitz regime, 10^7
@@ -58,21 +64,29 @@ def _feed(digest, value) -> None:
         digest.update(b"S" + struct.pack("<q", len(text)) + text)
 
 
-def report_digest(report) -> str:
-    digest = hashlib.sha256()
+def _feed_records(digest, records) -> None:
+    for r in records:
+        for value in (r.index, r.kind, r.step_size, r.grad_dual_norm,
+                      r.constraint_index, r.objective_value, r.point):
+            _feed(digest, value)
+
+
+def report_digests(report) -> tuple[str, str]:
+    """The report's digest and its trajectory digest, which leaves out
+    ``ordinary()``."""
+    trajectory = hashlib.sha256()
     for value in (report.output_point, report.total_steps, report.productive_count,
                   report.nonproductive_count, report.stop_reason, report.a_priori_bound,
                   report.output_objective, report.output_max_violation,
                   report.certificate):
-        _feed(digest, value)
+        _feed(trajectory, value)
     if report.history is not None:
-        _feed(digest, len(report.history))
-        for records in (report.history, report.history.ordinary()):
-            for r in records:
-                for value in (r.index, r.kind, r.step_size, r.grad_dual_norm,
-                              r.constraint_index, r.objective_value, r.point):
-                    _feed(digest, value)
-    return digest.hexdigest()
+        _feed(trajectory, len(report.history))
+        _feed_records(trajectory, report.history)
+    digest = trajectory.copy()
+    if report.history is not None:
+        _feed_records(digest, report.history.ordinary())
+    return digest.hexdigest(), trajectory.hexdigest()
 
 
 def reference_cells():
@@ -107,13 +121,14 @@ def main(argv=None) -> int:
         cells.append(reference_cells())
     if args.cells in ("all", "synth"):
         cells.append(synth_cells())
-    total = hashlib.sha256()
+    total, trajectories = hashlib.sha256(), hashlib.sha256()
     for group in cells:
         for label, instance, geometry, config in group:
-            line = f"{report_digest(run(instance, geometry, config))} {label}"
-            print(line, flush=True)
-            total.update(line.encode() + b"\n")
-    print(f"{total.hexdigest()} all")
+            digest, trajectory = report_digests(run(instance, geometry, config))
+            print(f"{digest} {trajectory} {label}", flush=True)
+            total.update(f"{digest} {label}\n".encode())
+            trajectories.update(f"{trajectory} {label}\n".encode())
+    print(f"{total.hexdigest()} {trajectories.hexdigest()} all")
     return 0
 
 

@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mirropt import (
     AbsAffinePlusOracle,
@@ -367,6 +368,32 @@ def test_batches_take_every_row_they_ask_for(monkeypatch, example_id, regime, po
     assert sum(count for _, count in batches) > 0.9 * report.nonproductive_count
 
 
+@pytest.mark.parametrize("example_id, policy", [
+    (6, Policy.AGGREGATE_MAX), (6, Policy.FIRST_VIOLATED), (4, Policy.FIRST_VIOLATED)])
+def test_block_products_in_chunks_take_the_rows_of_one_product(monkeypatch, example_id,
+                                                                policy):
+    # ex 6's productive blocks of up to 4369 rows and ex 4 first-violated's
+    # chain of 6553 rows over two constraints, their products taken whole,
+    # in the chunks of _PRODUCT_MACS multiply-adds and in chunks of three
+    # columns: every block takes the same rows, and the runs are bitwise equal
+    batches = _counted_batches(monkeypatch)
+    example = build_example(example_id)
+    config = RunConfig(example.settings.epsilon, policy=policy)
+    # multiply-adds per column: n times the 10 constraints and ex 6's 5 pieces
+    width = example.instance.dimension * (15 if example_id == 6 else 10)
+    outcomes = []
+    for macs in (1 << 30, solver._PRODUCT_MACS, 3 * width):
+        monkeypatch.setattr(solver, "_PRODUCT_MACS", macs)
+        batches.clear()
+        report = run(example.instance, default_geometry(example), config)
+        outcomes.append((report, list(batches)))
+    (whole, rows), *chunked = outcomes
+    assert max(asked for asked, _ in rows) > solver._PRODUCT_MACS // width
+    for report, taken in chunked:
+        assert_bitwise_equal(report, whole)
+        assert taken == rows
+
+
 @pytest.mark.parametrize("policy", _BATCHED_POLICIES)
 def test_run_beside_a_constraint_at_epsilon_is_batched_at_most_once(monkeypatch,
                                                                     policy):
@@ -442,21 +469,26 @@ def _counted_chains(monkeypatch):
     return chains
 
 
-def test_example_1_first_violated_chains_its_staircase(monkeypatch):
+@pytest.mark.parametrize("budget, made, multi_run, ordinary", [
+    pytest.param(1 << 14, 1324, 661, 4007, id="2^14"),
+    pytest.param(1 << 16, 1316, 659, 3999, id="2^16")])
+def test_example_1_first_violated_chains_its_staircase(monkeypatch, budget, made, multi_run,
+                                                       ordinary):
     # between productive steps ex 1 L first-violated climbs the constraints
-    # in runs of 1 to 10: 1324 chains, 661 of them over several
-    # constraints, leave 4007 of the 261800 steps ordinary (15676 with a
-    # batch per run)
+    # in runs of 1 to 10: at a block budget of 2^14 floats, 1324 chains, 661
+    # of them over several constraints, leave 4007 of the 261800 steps
+    # ordinary (15676 with a batch per run); 2^16 cuts fewer long runs
+    monkeypatch.setattr(solver, "_BLOCK_FLOATS", budget)
     chains = _counted_chains(monkeypatch)
     example = build_example(1)
     config = RunConfig(example.settings.epsilon, policy=Policy.FIRST_VIOLATED)
     report = run(example.instance, default_geometry(example), config)
     assert report.total_steps == 261_800
-    assert len(chains) == 1324
-    assert sum(len(constraints) > 1 for constraints, _, _ in chains) == 661
+    assert len(chains) == made
+    assert sum(len(constraints) > 1 for constraints, _, _ in chains) == multi_run
     assert all(complete for *_, complete in chains)
     taken = sum(sum(lengths) for _, lengths, _ in chains)
-    assert report.total_steps - taken == 4007
+    assert report.total_steps - taken == ordinary
     # the policy's staircase: each chain climbs to higher constraints
     assert all(constraints == sorted(set(constraints)) for constraints, _, _ in chains)
 
@@ -831,10 +863,15 @@ def test_end_values_meet_the_huge_guard(monkeypatch):
     assert outcomes == [True]
 
 
+@pytest.mark.parametrize("budget, fewest", [pytest.param(1 << 14, 101, id="2^14"),
+                                            pytest.param(1 << 16, 27, id="2^16")])
 @pytest.mark.parametrize("example_id", [1, 4])
-def test_long_one_run_batches_are_certified_by_their_ends(monkeypatch, example_id):
+def test_long_one_run_batches_are_certified_by_their_ends(monkeypatch, example_id, budget,
+                                                          fewest):
     # ex 1 and ex 4 L aggregate-max: every block of one run and at least
-    # _ENDS_MIN_ROWS rows is certified by its two end rows, bit for bit
+    # _ENDS_MIN_ROWS rows is certified by its two end rows, bit for bit;
+    # ex 4 makes 106 such blocks at a block budget of 2^14 floats, 27 at 2^16
+    monkeypatch.setattr(solver, "_BLOCK_FLOATS", budget)
     outcomes = _counted_ends(monkeypatch)
     batches = _counted_batches(monkeypatch)
     example = build_example(example_id)
@@ -842,7 +879,58 @@ def test_long_one_run_batches_are_certified_by_their_ends(monkeypatch, example_i
     batched, stepped, _ = run_both(example.instance, default_geometry(example), config)
     assert_bitwise_equal(batched, stepped)
     long = [rows for rows, _ in batches if rows >= solver._ENDS_MIN_ROWS]
-    assert len(long) > 100 and len(outcomes) == len(long) and all(outcomes)
+    assert len(long) >= fewest and len(outcomes) == len(long) and all(outcomes)
+
+
+# ------------------------------------------------------ row sums of iterates
+
+
+# Every class of float, the largest and smallest magnitudes among them.
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.75 * 2.0**-1022, 1.0, 2.0**-53,
+                                1.7e308, -1.7e308, math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def _row_blocks(draw):
+    """A block of 1 to 300 rows of odd or even width, its entries ordinary
+    floats, +-0, subnormals, +-inf and NaNs (payloads and signs as drawn);
+    C-ordered, Fortran-ordered or a slice of a wider block, so that both of
+    ``_cumsum_rows``'s paths are taken."""
+    rows, width = draw(st.integers(1, 300)), draw(st.integers(1, 9))
+    layout = draw(st.sampled_from(["C", "C", "F", "slice"]))
+    elements = st.floats(allow_subnormal=True) | _EDGE_FLOATS
+    block = draw(arrays(np.float64, (rows, width + (layout == "slice")), elements=elements))
+    if layout == "F":
+        return np.asfortranarray(block)
+    return block[:, :width] if layout == "slice" else block
+
+
+def _floating_errors(operation, block):
+    """The floating-point error that ``operation`` raises on a copy of
+    block in its layout, None if it raises none."""
+    with np.errstate(all="raise"):
+        try:
+            operation(block.copy(order="K"))
+        except FloatingPointError as error:
+            return str(error)
+    return None
+
+
+@settings(max_examples=400)
+@given(_row_blocks())
+# Sums down a column of 1 then 2^-53s: recursive summation rounds each sum
+# back to 1, a pairwise one adds the 2^-53s first, so a reordered sum
+# differs in the last rows.
+@example(np.array([[1.0, -1.0]] + [[2.0**-53, -(2.0**-53)]] * 63))
+def test_cumsum_rows_is_the_columns_cumulative_sum_bit_for_bit(block):
+    errors = [_floating_errors(sums, block)
+              for sums in (solver._cumsum_rows, partial(np.cumsum, axis=0))]
+    with np.errstate(all="ignore"):
+        expected = np.cumsum(block, axis=0)
+        summed = solver._cumsum_rows(block)
+    assert summed is block
+    assert summed.tobytes() == expected.tobytes()
+    assert errors[0] == errors[1]
 
 
 # ------------------------------------------------------- table-driven steps
