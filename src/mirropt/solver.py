@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from collections.abc import Iterator
 from functools import cache, partial
-from itertools import repeat
+from itertools import accumulate, repeat
+from operator import and_
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -375,9 +377,6 @@ _PRODUCT_MACS = 1 << 18
 # Below this bound on |A| @ |x| + |b|, sixteen times under the largest float,
 # no summation order of a constraint value overflows.
 _HUGE = 2.0 ** 1020
-# The fewest rows of a one-run block that ``_AffineRuns.advance`` first
-# certifies from its two end rows; shorter blocks are checked row by row.
-_ENDS_MIN_ROWS = 64
 # The fewest rows of a block that ``_cumsum_rows`` sums in complex pairs;
 # on shorter blocks the view costs more than it saves.
 _PAIR_MIN_ROWS = 32
@@ -462,16 +461,20 @@ class _AffineRuns:
     provably takes its step there: each comparison it makes holds with a
     margin above the rounding bound ``gamma * (|A| @ r + |b|)``, where r
     bounds |x| over the batch, so no summation order of the stepwise
-    matrix-vector product decides otherwise.  A block of one run and at
-    least ``_ENDS_MIN_ROWS`` rows is first offered to a cheaper check: its
-    values are linear in the step up to the cumulative sum's drift, so
-    the values of its first and last rows, one matrix-vector product
-    each, can certify every row between (see ``advance``).  A productive
-    batch's pieces are predicted by ``_piece_predictor``'s straight-line
-    code, generated once per piece count, and its weighted sums are
-    committed by one more ``_cumsum_rows``.  A batch's arrays hold at
-    most ``_BLOCK_FLOATS`` floats, so a batch asks for at most
-    ``max_rows`` rows.
+    matrix-vector product decides otherwise.  A chain's block is built
+    from a table row per constraint, [-q_j, w_j] with w_j its criterion
+    weight, so one ``_cumsum_rows`` gives both the iterates and the
+    criterion sums after each step.  Along each run of a chain the values
+    are linear in the step up to the cumulative sum's drift, so the values
+    of the run's first and last rows, all runs' in one matrix product,
+    certify every row between (see ``_certify``); rows are reduced one
+    by one only where these fail.  A productive batch's pieces are
+    predicted by ``_piece_predictor``'s straight-line code, generated once
+    per piece count, and its rows are checked one by one; its weighted
+    sums are committed by one more ``_cumsum_rows``.  A batch asks for
+    at most ``max_rows`` rows, so that its (rows x max(n, M)) arrays hold
+    at most ``_BLOCK_FLOATS`` floats; a chain's block has up to two
+    columns more, its criterion sums and their pad.
     """
 
     def __init__(self, bank: OracleBank, config: RunConfig, row: Callable,
@@ -491,8 +494,8 @@ class _AffineRuns:
         self.abs_b = np.abs(self.offsets) + np.finfo(float).tiny
         # Four times the bound 2 * gamma_(n+1) on two summation orders'
         # difference, which also absorbs the rounding of r and the margins.
-        self.gamma = 4.0 * (n + 2) * np.finfo(float).eps
-        self.u = np.finfo(float).eps / 2.0  # the unit roundoff
+        self.gamma = 4.0 * (n + 2) * float(np.finfo(float).eps)
+        self.u = float(np.finfo(float).eps) / 2.0  # the unit roundoff
         self.max_rows = max(1, _BLOCK_FLOATS // max(n, self.offsets.shape[0]))
         # The columns of one matrix product over a block's rows.
         self.chunk = max(1, _PRODUCT_MACS // (n * self.offsets.shape[0]))
@@ -510,10 +513,15 @@ class _AffineRuns:
                      ((self.stack[:m], q[:m]), (self.stack[m:], q[m:]))]
         self.ends = ends.tolist()
         self.abs_q = np.abs(q)
-        # The steps -q_j that a block's cumulative sum adds; history
-        # segments keep views of their rows, so it is read-only.
-        self.steps = np.negative(q)
-        self.steps.flags.writeable = False
+        # A row per stacked row, [-q_j, w_j], padded to an even width for
+        # ``_cumsum_rows``'s pairs: a chain's block adds the steps and their
+        # criterion weights in one sum.  ``steps`` views the steps -q_j;
+        # history segments keep views of its rows, so the table is read-only.
+        self.table = np.zeros((q.shape[0], n + 2 - n % 2))
+        np.negative(q, out=self.table[:, :n])
+        self.table[:, n] = self.weights
+        self.table.flags.writeable = False
+        self.steps = self.table[:, :n]
         # Per constraint, filled on its first chain: see ``_table``.
         self.drops, self.piece_drops, self.tables = *drops, {}
         # A productive batch asks for twice the rows the last took, plus two;
@@ -594,116 +602,161 @@ class _AffineRuns:
         """Batch up to ``rows`` non-productive steps from x, on the runs
         predicted from constraint i on, that keep ``crit_sum`` below
         ``target``, where two steps at least, or all ``rows``, are
-        predicted: x and ``crit_sum`` after them, the runs taken as
-        (constraint, iterates) pairs, and whether to chain again on the
-        same run, which holds where every row asked was taken.  A
-        prediction of fewer steps ends batching for the run too.  A chain
-        of one run sums its criterion weights from one repeated weight,
-        in the order the stepwise engine adds them."""
+        predicted: x and ``crit_sum`` after them, the block of iterates,
+        the runs taken as (constraint, first row, count) triples, and
+        whether to chain again on the same run, which holds where every row
+        asked was taken.  A prediction of fewer steps ends batching for the
+        run too.  The block's column after the iterates sums the
+        criterion weights in the order the stepwise engine adds them;
+        where it reaches ``target``, the chain is cut before."""
         chain = self.predict(x, i, min(rows, self.max_rows))
         predicted = sum(count for _, count in chain)
         if not predicted or predicted < min(rows, 2):
-            return x, crit_sum, [], False
-        if len(chain) == 1:
-            labels = chain[0][0]
-            crit = np.full(predicted + 1, self.weights[labels])
-            crit[0] = crit_sum
-        else:
-            labels = np.repeat(*np.array(chain).T)
-            crit = np.concatenate(([crit_sum], self.weights[labels]))
-        np.cumsum(crit, out=crit)
-        rows = int(np.searchsorted(crit[1:], target))
-        # Rows on one run are certified against its one constraint.
-        one = rows <= chain[0][1]
-        block, count = self.advance(x, chain[0][0] if one else labels[:rows], rows)
-        taken, start = [], 0
+            return x, crit_sum, None, [], False
+        # Row 0 is x and crit_sum, each later row its step's table row: one
+        # sum gives the iterates and the criterion sums after each step.
+        n = x.shape[0]
+        block = np.empty((predicted + 1, self.table.shape[1]))
+        block[0, :n] = x
+        block[0, n:] = crit_sum
+        start = 1
+        for j, count in chain:
+            block[start:start + count] = self.table[j]
+            start += count
+        _cumsum_rows(block)
+        rows = predicted
+        if block[rows, n] >= target:
+            rows = int(np.searchsorted(block[1:, n], target))
+        iterates = block[:, :n]
+        count = self._certify(iterates, chain, rows)
+        taken, first = [], 0
         for j, length in chain:
-            if start == count:
+            if first == count:
                 break
-            length = min(length, count - start)
-            taken.append((j, block[start:start + length]))
-            start += length
-        return block[count].copy(), float(crit[count]), taken, count == rows
+            length = min(length, count - first)
+            taken.append((j, first, length))
+            first += length
+        return iterates[count].copy(), float(block[count, n]), iterates, taken, count == rows
 
     def advance(self, x: Array, labels: int | Array, rows: int) -> tuple[Array, int]:
         """The block of iterates x, x - q_(labels[0]), ..., a row per step,
         and how many leading ones (at most ``rows``) provably take their
-        step: a step on constraint ``labels[k]`` below m, a productive step
-        on piece ``labels[k] - m`` above; an int labels every row.
+        step (see ``_certify``): an int labels every row, one run of steps
+        on that constraint, else row k is a productive step on piece
+        ``labels[k] - m``.  The block's rows are summed by
+        ``_cumsum_rows``, as ``_Segment.records`` rebuilds them.  Nothing
+        that ``predict`` computed is read here, so any labels and any x
+        may be passed, predicted or not."""
+        block = np.empty((rows + 1, x.shape[0]))
+        block[0] = x
+        block[1:] = self.steps[labels]
+        _cumsum_rows(block)
+        runs = labels if isinstance(labels, np.ndarray) else [(labels, rows)]
+        return block, self._certify(block, runs, rows)
 
-        A one-run block of at least ``_ENDS_MIN_ROWS`` rows on constraint
-        i is first offered to ``_ends``, which certifies every row from the
-        constraint values of the block's first and last rows alone.  Along
-        the line y_k = x + k s, s = -q_i, every exact value l_j(y_k) is
-        linear in k.  The block's row x_k is the cumulative sum's, which
-        rounds once per addition, by at most u |x_k| per coordinate (u =
-        eps_mach / 2), so |x_k - y_k| <= k u r, r the block's bound on |x|,
-        and l_j(x_k) is within D_j = rows u bound_j of the line's value,
-        bound_j = |a_j| . r + |b_j|.  A computed value c_j (the ends' or
-        the stepwise engine's) is within a quarter of slack_j of l_j at the
-        same row.  So with S_j = slack_j + D_j, any difference of two
-        values, or of a value and epsilon, that clears 2 S_i + 2 S_j (2
-        S_j against epsilon) at both end rows clears S_i + S_j on the line
-        there, so at every row between, since it is linear in k; the
-        stepwise engine's computed values at each row, every one within
-        slack_j / 4 + D_j < S_j of the line, then make the same
+    def _certify(self, block: Array, labels: list | Array, rows: int) -> int:
+        """How many of a summed block's leading ``rows`` rows provably take
+        their step: ``labels`` a list of (constraint, count) runs, which
+        may run past ``rows``, or an array of pieces' stacked rows, one
+        productive step per block row.
+
+        Each run, on constraint i, is first offered to ``_ends``, which
+        certifies all its rows from the constraint values of its own first
+        and last rows alone.  Along the line y_k = x_s + (k - s) t, x_s the
+        run's first row and t = -q_i, every exact value l_j(y_k) is linear
+        in k.  The block's row x_k is the cumulative sum's, which rounds
+        once per addition, by at most u |x_k| per coordinate (u = eps_mach
+        / 2), so |x_k - y_k| <= (k - s) u r, r the block's bound on |x|,
+        and l_j(x_k) is within D_j = length u bound_j of the line's value,
+        bound_j = |a_j| . r + |b_j| and length the run's.  A computed value
+        c_j (the ends' or the stepwise engine's) is within a quarter of
+        slack_j of l_j at the same row.  So with S_j = slack_j + D_j, any
+        difference of two values, or of a value and epsilon, that clears 2
+        S_i + 2 S_j (2 S_j against epsilon) at both end rows clears S_i +
+        S_j on the line there, so at every row between, since it is linear
+        in k; the stepwise engine's computed values at each row, every one
+        within slack_j / 4 + D_j < S_j of the line, then make the same
         comparison.  The ends thus require c_i - 2 S_i > max(epsilon,
         max_(j != i) c_j + 2 S_j) under aggregate-max and max-violation,
         and c_i - 2 S_i > epsilon with c_j + 2 S_j <= epsilon for every j
         < i under first-violated, at both end rows.  The unused part of
         slack_j covers the rounding of these margins and comparisons.
-        Where the ends fail, every row is checked as below, so they never
-        shorten a block.  The ``_HUGE`` guards come first, so every value
-        and margin is finite.  The block's rows are summed by
-        ``_cumsum_rows``, as ``_Segment.records`` rebuilds them.  Nothing
-        that ``predict`` computed is read here, so any labels and any x
-        may be passed, predicted or not.
+
+        A run that lands on its switch within its drift fails on its last
+        row alone, so a run whose ends fail is offered again as two runs,
+        its last row and the rest.  The rows of a run that still fails are
+        checked one by one (``_rows``), so the ends never shorten a block.
+        The ``_HUGE`` guards come first, so every value and margin is
+        finite.
         """
-        block = np.empty((rows + 1, x.shape[0]))
-        block[0] = x
-        block[1:] = self.steps[labels]
-        one = not isinstance(labels, np.ndarray)
-        if one:
-            reach = np.abs(x) + rows * self.abs_q[labels]
-        else:
-            reach = np.abs(x) + np.bincount(labels, minlength=self.steps.shape[0]) @ self.abs_q
-        _cumsum_rows(block)
         if not rows:
-            return block, 0
+            return 0
+        reach = np.abs(block[0])
+        runs = type(labels) is list
+        if runs:
+            # The runs that hold the first ``rows`` rows: their constraints,
+            # first rows and lengths.
+            if labels[0][1] >= rows:
+                js, firsts, counts = [labels[0][0]], [0], [rows]
+            else:
+                js = [j for j, _ in labels]
+                counts = [count for _, count in labels]
+                firsts = [0, *accumulate(counts)]
+                last = bisect_left(firsts, rows)
+                del js[last:], counts[last:], firsts[last:]
+                counts[-1] = rows - firsts[-1]
+            if len(js) == 1:
+                reach += rows * self.abs_q[js[0]]
+            else:
+                reach += np.bincount(js, counts, self.steps.shape[0]) @ self.abs_q
+        else:
+            reach += np.bincount(labels, minlength=self.steps.shape[0]) @ self.abs_q
         bound = self.abs_a @ reach + self.abs_b
         if not (np.maximum.reduce(reach) < _HUGE and np.maximum.reduce(bound) < _HUGE):
-            return block, 0  # NaN included: the stepwise engine decides
-        if one and rows >= _ENDS_MIN_ROWS and self._ends(block, labels, rows, bound):
-            return block, rows
+            return 0  # NaN included: the stepwise engine decides
+        if not runs:
+            return self._rows(block[:rows], labels, self.gamma * bound)
+        certified = self._ends(block, js, firsts, counts, bound)
+        if all(certified):
+            return rows
+        split = [r for r, ok in enumerate(certified) if not ok and counts[r] > 1]
+        if split:
+            ends = iter(self._ends(
+                block, [js[r] for r in split for _ in (0, 1)],
+                [k for r in split for k in (firsts[r], firsts[r] + counts[r] - 1)],
+                [k for r in split for k in (counts[r] - 1, 1)], bound))
+            for r, rest, last in zip(split, ends, ends):
+                certified[r] = rest and last
         slack = self.gamma * bound
+        for r, ok in enumerate(certified):
+            if not ok:
+                first, count = firsts[r], counts[r]
+                taken = self._rows(block[first:first + count], js[r], slack)
+                if taken < count:
+                    return first + taken
+        return rows
+
+    def _rows(self, rows: Array, labels: int | Array, slack: Array) -> int:
+        """How many leading ``rows`` (iterates) provably take their step,
+        each checked from its own values: a step on constraint ``labels``
+        where an int, else a productive step on piece ``labels[k] - m``.
+        A row is taken where each comparison the stepwise engine makes
+        holds with margin ``slack`` (see the class docstring)."""
+        count = rows.shape[0]
         eps, m = self.epsilon, self.m
-        # One column per row of the block: the reductions below run along
-        # contiguous memory, across the rows' constraints and pieces.
-        values = np.empty((self.stack.shape[0], rows))
-        for start in range(0, rows, self.chunk):
-            end = min(start + self.chunk, rows)
-            np.matmul(self.stack, block[start:end].T, out=values[:, start:end])
+        # One column per row: the reductions below run along contiguous
+        # memory, across the rows' constraints and pieces.
+        values = np.empty((self.stack.shape[0], count))
+        for start in range(0, count, self.chunk):
+            end = min(start + self.chunk, count)
+            np.matmul(self.stack, rows[start:end].T, out=values[:, start:end])
         values += self.offsets[:, None]
         at_most = (eps - slack[:m])[:, None]  # a constraint provably at most eps
-        if one:
-            i = labels
-            if self.first_violated:
-                ok = values[i] > eps + slack[i]
-                if i:
-                    ok &= (values[:i] <= at_most[:i]).all(axis=0)
-            else:
-                # i is above epsilon and the argmax with the lowest index.
-                low = values[i] - slack[i]
-                top = values[:m]
-                top += slack[:m, None]
-                top[i] = eps
-                ok = low > top.max(axis=0)
-            return block, rows if ok.all() else int(ok.argmin())
-        k = np.arange(rows)
-        own, own_slack = values[labels, k], slack[labels]
-        if labels[0] >= m:
+        if isinstance(labels, np.ndarray):
             # All constraints at most eps; the piece or its twin tops the pieces.
+            k = np.arange(count)
             ok = (values[:m] <= at_most).all(axis=0)
+            low = values[labels, k] - slack[labels]
             pieces = values[m:]
             pieces += slack[m:, None]
             # same is symmetric: column k marks the twins of the block row
@@ -712,40 +765,63 @@ class _AffineRuns:
                 pieces[self.same[:, labels - m]] = -math.inf
             else:
                 pieces[labels - m, k] = -math.inf
-            ok &= own - own_slack > pieces.max(axis=0)
+            ok &= low > pieces.max(axis=0)
         elif self.first_violated:
-            # The label is above epsilon, the constraints before it are not:
-            # it is the first that is not at most eps.
-            ok = own > eps + own_slack
-            ok &= (values[:m] <= at_most).argmin(axis=0) == labels
+            i = labels
+            ok = values[i] > eps + slack[i]
+            if i:
+                ok &= (values[:i] <= at_most[:i]).all(axis=0)
         else:
+            # i is above epsilon and the argmax with the lowest index.
+            i = labels
+            low = values[i] - slack[i]
             top = values[:m]
             top += slack[:m, None]
-            top[labels, k] = eps
-            ok = own - own_slack > top.max(axis=0)
-        return block, rows if ok.all() else int(ok.argmin())
+            top[i] = eps
+            ok = low > top.max(axis=0)
+        return count if ok.all() else int(ok.argmin())
 
-    def _ends(self, block: Array, i: int, rows: int, bound: Array) -> bool:
-        """Whether the first and last of a one-run block's ``rows`` rows
-        certify every row on constraint i (see ``advance``): each end's
-        values from one matrix-vector product, the last end's only where
-        the first passes."""
-        eps = self.epsilon
-        wide = (2.0 * (self.gamma + rows * self.u)) * bound[:self.m]  # 2 S_j
-        for end in (block[0], block[rows - 1]):
-            values = self.a @ end
+    def _ends(self, block: Array, labels: list, firsts: list, counts: list,
+              bound: Array) -> list[bool]:
+        """Per run of ``counts[r]`` rows on constraint ``labels[r]`` from
+        block row ``firsts[r]``, whether its first and last rows certify
+        every row of it (see ``_certify``): all the ends' values from one
+        matrix product, the first rows' above the last rows'."""
+        eps, m, runs = self.epsilon, self.m, len(labels)
+        if runs == 1:
+            # Most chains are one run: its ends are a strided slice, and its
+            # 2 S_j one row, which a gather and an outer product would cost
+            # more to build.
+            (i,), (first,), (count,) = labels, firsts, counts
+            values = block[first:first + count:count - 1 or 1] @ self.a.T
             values += self.b
+            wide = (2.0 * (self.gamma + count * self.u)) * bound[:m]
+            low = values[:, i] - wide[i]
+            values += wide
             if self.first_violated:
-                if not (values[i] - wide[i] > eps
-                        and np.logical_and.reduce(values[:i] + wide[:i] <= eps)):
-                    return False
-            else:
-                low = values[i] - wide[i]
-                values += wide
-                values[i] = eps
-                if not low > np.maximum.reduce(values):
-                    return False
-        return True
+                return [bool((low > eps).all() and (values[:, :i] <= eps).all())]
+            values[:, i] = eps
+            return [bool((values < low[:, None]).all())]
+        # 2 S_j per run, from its own drift, and the flat positions of each
+        # run's own value in wide and in the ends' values.
+        wide = np.multiply.outer([2.0 * (self.gamma + c * self.u) for c in counts],
+                                 bound[:m])
+        own = [r * m + i for r, i in enumerate(labels)]
+        at = own + [k + runs * m for k in own]
+        values = block[firsts + [f + c - 1 for f, c in zip(firsts, counts)]] @ self.a.T
+        values += self.b
+        low = values.take(at)
+        low -= wide.take(own + own)
+        pairs = values.reshape(2, runs, m)
+        pairs += wide
+        if self.first_violated:
+            ok = low > eps
+            ok &= (values <= eps).argmin(axis=1) == labels + labels
+        else:
+            values.put(at, eps)
+            ok = low > np.maximum.reduce(values, axis=1)
+        ok = ok.tolist()
+        return list(map(and_, ok[:runs], ok[runs:]))
 
     def produce(self, x: Array, rows: int, crit_sum: float, target: float,
                 weighted: Array, weight_sum: float) -> tuple:
@@ -1048,12 +1124,10 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     every policy but min-dual-norm, non-productive steps are also batched by
     ``_AffineRuns``: a batch chains the rest of a constraint's run and the
     runs the policy is computed to take after it, on other constraints, up
-    to the first predicted productive step; a batch of one run and at
-    least ``_ENDS_MIN_ROWS`` rows is certified from the constraint values
-    of its first and last rows where their margins allow for the
-    cumulative sum's drift, and row by row elsewhere; a batch that the
-    rounding margins cut short, or a prediction of fewer than two steps,
-    ends batching until the constraint changes.  In the
+    to the first predicted productive step, and is certified run by run
+    (see ``_AffineRuns``); a batch that the rounding margins cut short, or
+    a prediction of fewer than two steps, ends batching until the
+    constraint changes.  In the
     Lipschitz regime without history, a run of productive steps on a
     max-affine objective is batched too, on pieces predicted from the piece
     values by straight-line code generated once per piece count, and
@@ -1217,14 +1291,14 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
             # Chain the steps the run and the runs after it are computed to
             # take, as far as neither the criterion nor the cap ends the
             # loop: the step that may is left to the next ordinary step.
-            x, crit_sum, taken, batching = runs.chain(
+            x, crit_sum, iterates, taken, batching = runs.chain(
                 x, idx0, max_steps - steps, crit_sum, stop_target)
-            for last, points in taken:
+            for last, first, count in taken:
                 if history is not None:  # the rows are rebuilt from the first
                     norm = row(last, None)[2]
                     history._add_segment(steps, eps / (norm * norm), norm, last + 1,
-                                         points[0].copy(), runs.steps[last], len(points))
-                steps += len(points)
+                                         iterates[first].copy(), runs.steps[last], count)
+                steps += count
 
     if stop in (StopReason.ZERO_OBJECTIVE_GRADIENT, StopReason.INFEASIBLE_CONSTRAINT):
         out = x

@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    PYTHONPATH=src python3 tests/digest.py [--cells all|ref|synth]
+    PYTHONPATH=src python3 tests/digest.py [--cells all|ref|synth] [--against FILE]
 
 One line per cell, ``<digest> <trajectory> <label>``, then one line over
 all of them, ``<digest> <trajectory> all``.  A cell's digest covers its
@@ -16,6 +16,20 @@ with history.  Two trees whose solvers take the same steps print the same
 lines, so a change meant to be bit for bit is checked by running this on
 both; the ``all`` line's first digest is taken over ``<digest> <label>``
 lines alone.
+
+``--against FILE`` compares the cells run with a listing this script
+printed before, for example on the parent commit:
+
+    git stash && PYTHONPATH=src python3 tests/digest.py > parent.txt
+    git stash pop && PYTHONPATH=src python3 tests/digest.py --against parent.txt
+
+After the listing it prints the labels of the cells whose trajectory
+digest differs from the file's, then, apart, those whose full digest
+differs, and those missing from the file, and exits 1 where any is
+listed, else 0.  A cell whose full digest differs with the same
+trajectory changed only which steps are batched, which only
+``ordinary()`` shows.  Cells in the file but not run (``--cells ref``
+against a full listing) are not compared.
 
 The cells are the 20 ``REFERENCE_RESULTS`` cells at the acceptance suite's
 caps (10^6 steps for examples 3, 5 and 6 in the Lipschitz regime, 10^7
@@ -112,24 +126,54 @@ def synth_cells():
                 yield f"seed {seed} {label}", cell.instance, cell.geometry, cell.config
 
 
+def read_listing(path: Path) -> dict[str, tuple[str, str]]:
+    """A saved listing's (digest, trajectory digest) per cell label."""
+    cells = {}
+    for line in path.read_text().splitlines():
+        digest, trajectory, label = line.split(" ", 2)
+        if label != "all":
+            cells[label] = digest, trajectory
+    return cells
+
+
+def compare(listing: dict, saved: dict) -> int:
+    """Print the cells whose trajectory digest, or whose full digest,
+    differs from the saved ones, and those missing from them; 1 where any
+    is printed, else 0."""
+    found = [label for label in listing if label in saved]
+    differ = {title: [label for label in found if listing[label][k] != saved[label][k]]
+              for title, k in (("trajectory digest differs", 1), ("full digest differs", 0))}
+    differ["not in the saved listing"] = [label for label in listing if label not in saved]
+    for title, labels in differ.items():
+        print(f"{title}: {len(labels)}")
+        for label in labels:
+            print(f"  {label}")
+    return int(any(differ.values()))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--cells", choices=("all", "ref", "synth"), default="all")
+    parser.add_argument("--against", type=Path, metavar="FILE",
+                        help="a listing saved from an earlier run to compare with")
     args = parser.parse_args(argv)
+    saved = read_listing(args.against) if args.against is not None else None
     cells = []
     if args.cells in ("all", "ref"):
         cells.append(reference_cells())
     if args.cells in ("all", "synth"):
         cells.append(synth_cells())
     total, trajectories = hashlib.sha256(), hashlib.sha256()
+    listing = {}
     for group in cells:
         for label, instance, geometry, config in group:
             digest, trajectory = report_digests(run(instance, geometry, config))
             print(f"{digest} {trajectory} {label}", flush=True)
             total.update(f"{digest} {label}\n".encode())
             trajectories.update(f"{trajectory} {label}\n".encode())
+            listing[label] = digest, trajectory
     print(f"{total.hexdigest()} {trajectories.hexdigest()} all")
-    return 0
+    return 0 if saved is None else compare(listing, saved)
 
 
 if __name__ == "__main__":

@@ -337,16 +337,18 @@ def test_batched_run_meets_overflow_as_the_stepwise_run_does(policy, first):
 
 
 def _counted_batches(monkeypatch):
-    """(rows asked, rows taken) of every ``_AffineRuns.advance`` call."""
+    """(rows asked, rows taken) of every block ``_AffineRuns._certify``
+    checks: every chain's, every productive batch's and every direct
+    ``advance`` call's."""
     batches = []
-    inner = solver._AffineRuns.advance
+    inner = solver._AffineRuns._certify
 
-    def counted(self, x, labels, rows):
-        block, count = inner(self, x, labels, rows)
+    def counted(self, block, labels, rows):
+        count = inner(self, block, labels, rows)
         batches.append((rows, count))
-        return block, count
+        return count
 
-    monkeypatch.setattr(solver._AffineRuns, "advance", counted)
+    monkeypatch.setattr(solver._AffineRuns, "_certify", counted)
     return batches
 
 
@@ -459,9 +461,9 @@ def _counted_chains(monkeypatch):
 
     def counted(self, *args):
         result = inner(self, *args)
-        taken, complete = result[2:]
+        taken, complete = result[3:]
         if taken:
-            chains.append(([i for i, _ in taken], [len(points) for _, points in taken],
+            chains.append(([i for i, _, _ in taken], [count for *_, count in taken],
                            complete))
         return result
 
@@ -632,19 +634,18 @@ def test_chains_stay_within_the_block_budget(monkeypatch, policy):
     # step array at most _BLOCK_FLOATS floats, on a wide space where the
     # budget cuts the chains; the tables call the dual norm once per row
     blocks = []
-    inner = solver._AffineRuns.advance
+    inner = solver._AffineRuns._certify
 
-    def checked(self, x, labels, rows):
+    def checked(self, block, labels, rows):
         assert rows <= self.max_rows
         if isinstance(labels, np.ndarray):
-            assert labels.size * x.size <= solver._BLOCK_FLOATS
-        block, count = inner(self, x, labels, rows)
+            assert labels.size * block.shape[1] <= solver._BLOCK_FLOATS
         assert block.shape[0] <= self.max_rows + 1
-        assert block.size <= solver._BLOCK_FLOATS + x.size
+        assert block.size <= solver._BLOCK_FLOATS + block.shape[1]
         blocks.append(block.shape[0])
-        return block, count
+        return inner(self, block, labels, rows)
 
-    monkeypatch.setattr(solver._AffineRuns, "advance", checked)
+    monkeypatch.setattr(solver._AffineRuns, "_certify", checked)
     n = 3000
     staircase, _ = _staircase()
     pad = [0.0] * (n - 2)
@@ -702,13 +703,14 @@ def _chosen(select, rows):
 
 
 def _counted_ends(monkeypatch):
-    """The outcome of every ``_AffineRuns._ends`` call."""
+    """The outcome of every run offered to ``_AffineRuns._ends``, in order."""
     outcomes = []
     inner = solver._AffineRuns._ends
 
     def counted(self, *args):
-        outcomes.append(inner(self, *args))
-        return outcomes[-1]
+        certified = inner(self, *args)
+        outcomes.extend(certified)
+        return certified
 
     monkeypatch.setattr(solver._AffineRuns, "_ends", counted)
     return outcomes
@@ -718,7 +720,7 @@ def _counted_ends(monkeypatch):
 def _one_run_blocks(draw):
     """A block of steps on constraint i of up to four integer rows on R^1
     to R^4: |x| from 1 to 2^40, epsilon from 2^-20 to 2, and up to the
-    block budget of rows, mostly at least ``_ENDS_MIN_ROWS``.  Row i's
+    block budget of rows, about half of them from 64 rows on.  Row i's
     value reaches epsilon near a drawn row, or a few ulps off it; under
     first-violated each other row's value crosses epsilon near a drawn row,
     else its gap to row i's closes there, so near-ties included; some rows
@@ -734,7 +736,7 @@ def _one_run_blocks(draw):
         draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
     epsilon = 2.0 ** draw(st.integers(-20, 0)) * draw(st.floats(1.0, 2.0))
     most = solver._BLOCK_FLOATS // max(n, m)
-    rows = draw(st.integers(solver._ENDS_MIN_ROWS, most) | st.integers(1, most))
+    rows = draw(st.integers(64, most) | st.integers(1, most))
     q = epsilon / (a[i] @ a[i]) * a[i]
     drops = a @ q  # how much a step on i lowers each value
 
@@ -794,7 +796,7 @@ def _drifting_pair(policy):
     epsilon, x = 4917.2 * 2.0**-13, np.array([2.0**40 + 1229.0, 1.5 * 2.0**39])
     own = AffineOracle([1.0, 1.0], 1e4 - x.sum())  # stays above epsilon
     probe, _ = _one_run_kernel([own], epsilon, policy)
-    rows = probe.max_rows
+    rows = 8192
     block = np.empty((rows, 2))
     block[0], block[1:] = x, probe.steps[0]
     np.cumsum(block, axis=0, out=block)
@@ -813,14 +815,18 @@ def _drifting_pair(policy):
 def test_end_values_allow_for_the_drift_of_the_cumulative_sum(monkeypatch, policy):
     # the ends clear twice the slack, so without the drift term they would
     # certify the whole block, whose middle rows the policy does not take;
-    # with it they refuse it, and the rows are checked one by one
+    # with it they refuse it, and the rest of it once its last row is
+    # taken apart, and the rows are checked one by one.  Followed by one
+    # more row as a second run, the block's run is refused in the same way
+    # when the runs' ends are checked together
     outcomes = _counted_ends(monkeypatch)
     constraints, i, x, rows, epsilon = _drifting_pair(policy)
     runs, select = _one_run_kernel(constraints, epsilon, policy)
     block, count = runs.advance(x, i, rows)
     wrong = next(k for k, j in enumerate(_chosen(select, block[:rows])) if j != i)
-    assert outcomes == [False]
+    assert outcomes == [False, False, True]
     assert 0 < count <= wrong < rows
+    assert 0 < runs._certify(block, [[i, rows], [i, 1]], rows + 1) <= wrong
     bound = runs.abs_a @ (np.abs(x) + rows * runs.abs_q[i]) + runs.abs_b
     ends = runs.a @ block[[0, rows - 1]].T + runs.b[:, None]
     slack = runs.gamma * bound
@@ -836,8 +842,9 @@ def test_end_values_keep_twice_slack_and_drift_from_epsilon(monkeypatch, policy,
                                                             certified):
     # steps of 1/16 down x_1 <= 0 from x_1 = 1000/16 + multiple * S: the
     # block's last row sits exactly multiple * S above eps, S = slack +
-    # drift = (gamma + rows u) bound.  At 1.5 S the ends refuse the block,
-    # at 2.5 S they take it; the rows checked one by one take it too
+    # drift = (gamma + rows u) bound.  At 2.5 S the ends take the block.
+    # At 1.5 S they refuse it, and take it as its last row, whose own
+    # drift is one row's, and the rest, whose last row is a step higher
     outcomes = _counted_ends(monkeypatch)
     epsilon, rows = 2.0**-4, 1000
     runs, select = _one_run_kernel([AffineOracle([1.0, 0.0], 0.0)], epsilon, policy)
@@ -847,7 +854,7 @@ def test_end_values_keep_twice_slack_and_drift_from_epsilon(monkeypatch, policy,
     x = np.array([rows * epsilon + round(multiple * margin * 2.0**45) * 2.0**-45, 0.0])
     block, count = runs.advance(x, 0, rows)
     assert abs(block[rows - 1, 0] - epsilon - multiple * margin) < 0.05 * margin
-    assert outcomes == [certified]
+    assert outcomes == ([True] if certified else [False, True, True])
     assert count == rows
 
 
@@ -868,9 +875,9 @@ def test_end_values_meet_the_huge_guard(monkeypatch):
 @pytest.mark.parametrize("example_id", [1, 4])
 def test_long_one_run_batches_are_certified_by_their_ends(monkeypatch, example_id, budget,
                                                           fewest):
-    # ex 1 and ex 4 L aggregate-max: every block of one run and at least
-    # _ENDS_MIN_ROWS rows is certified by its two end rows, bit for bit;
-    # ex 4 makes 106 such blocks at a block budget of 2^14 floats, 27 at 2^16
+    # ex 1 and ex 4 L aggregate-max: every block is one run, certified by
+    # its two end rows, bit for bit; ex 4 makes 106 blocks of at least 64
+    # rows at a block budget of 2^14 floats, 27 at 2^16
     monkeypatch.setattr(solver, "_BLOCK_FLOATS", budget)
     outcomes = _counted_ends(monkeypatch)
     batches = _counted_batches(monkeypatch)
@@ -878,8 +885,192 @@ def test_long_one_run_batches_are_certified_by_their_ends(monkeypatch, example_i
     config = RunConfig(example.settings.epsilon, policy=Policy.AGGREGATE_MAX)
     batched, stepped, _ = run_both(example.instance, default_geometry(example), config)
     assert_bitwise_equal(batched, stepped)
-    long = [rows for rows, _ in batches if rows >= solver._ENDS_MIN_ROWS]
-    assert len(long) >= fewest and len(outcomes) == len(long) and all(outcomes)
+    long = [rows for rows, _ in batches if rows >= 64]
+    assert len(long) >= fewest and len(outcomes) == len(batches) and all(outcomes)
+
+
+def _counted_rows(monkeypatch):
+    """The rows of every block ``_AffineRuns._rows`` checks one by one."""
+    checked = []
+    inner = solver._AffineRuns._rows
+
+    def counted(self, rows, *args):
+        checked.append(rows.shape[0])
+        return inner(self, rows, *args)
+
+    monkeypatch.setattr(solver._AffineRuns, "_rows", counted)
+    return checked
+
+
+@pytest.mark.parametrize("budget, first_chain", [
+    pytest.param(1 << 14, ([0, 1], [984, 654], True), id="2^14"),
+    pytest.param(1 << 16, ([0, 1], [4264, 2289], True), id="2^16")])
+def test_example_4_first_violated_chains_are_certified_run_by_run(monkeypatch, budget,
+                                                                   first_chain):
+    # ex 4 L first-violated: the run on constraint 0 ends 2.5e-11 above
+    # epsilon, within its drift, so the ends of the chain that carries it
+    # on to constraint 1 refuse that run once; its last row and the rest,
+    # offered apart, are taken.  Every other run of every chain is taken by
+    # its own two end rows, and no row is checked one by one, bit for bit
+    monkeypatch.setattr(solver, "_BLOCK_FLOATS", budget)
+    outcomes = _counted_ends(monkeypatch)
+    chains = _counted_chains(monkeypatch)
+    checked = _counted_rows(monkeypatch)
+    example = build_example(4)
+    config = RunConfig(example.settings.epsilon, policy=Policy.FIRST_VIOLATED)
+    batched, stepped, _ = run_both(example.instance, default_geometry(example), config)
+    assert_bitwise_equal(batched, stepped)
+    assert first_chain in chains
+    assert all(complete for *_, complete in chains)
+    assert checked == []
+    assert outcomes.count(False) == 1
+    assert len(outcomes) == sum(len(constraints) for constraints, _, _ in chains) + 2
+
+
+@st.composite
+def _chained_instances(draw):
+    """A policy and a problem on R^2 to R^4 whose constraint runs chain
+    from a drawn point: rows of 1, 2 or 4 entries +-2^k, so every step on
+    a row moves it by exactly epsilon (a power of two) while the values
+    stay small; each row's value at the point is epsilon and a whole
+    number of steps, often none, moved a few ulps, so runs end within
+    ulps of epsilon and rows that a run leaves alone sit within ulps of
+    it, and some rows are twins of another, a few ulps apart, so runs end
+    within ulps of a tie.  The point is scaled by 1, 2^20, 2^40 (where the
+    cumulative sums round) or 2^1010 (past the ``_HUGE`` guards), and a
+    few rows are scaled by 2^1000, so their products overflow.  The
+    objective is a {-1, 0, 1} row, the space's radius 1/2, 2 or 8, and
+    the iteration cap 1000."""
+    policy = draw(st.sampled_from(_BATCHED_POLICIES))
+    n, m = draw(st.integers(2, 4)), draw(st.integers(2, 6))
+    epsilon = 2.0 ** draw(st.integers(-6, -2))
+    scale = 2.0 ** draw(st.sampled_from([0] * 6 + [20, 40, 40, 1010]))
+    x = scale * epsilon * np.array(draw(st.lists(st.integers(-64, 64), min_size=n,
+                                                 max_size=n)), dtype=float)
+    rows, values = [], []
+    for j in range(m):
+        kind = draw(st.sampled_from(["row"] * 7 + ["twin"] * 2 + ["huge"])) if j else "row"
+        if kind == "twin":
+            k = draw(st.integers(0, j - 1))
+            rows.append(rows[k])
+            values.append(_ulps_from(values[k], draw(st.integers(-2, 2))))
+            continue
+        support = draw(st.sampled_from([s for s in (1, 1, 2, 4) if s <= n]))
+        a = np.zeros(n)
+        a[draw(st.permutations(range(n)))[:support]] = 2.0 ** draw(st.integers(-1, 1)) * (
+            np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=support,
+                                   max_size=support))))
+        rows.append(a * 2.0**1000 if kind == "huge" else a)
+        steps = draw(st.sampled_from([0, 0, 1]) | st.integers(-8, 200))
+        values.append(_ulps_from(epsilon * (1 + steps), draw(st.integers(-2, 2))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = [v - float(a @ x) for a, v in zip(rows, values)]
+    constraints = [AffineOracle(a, b if math.isfinite(b) else 0.0)
+                   for a, b in zip(rows, offsets)]
+    objective = AffineOracle(draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=n,
+                                           max_size=n)))
+    return (policy, ProblemInstance(n, objective, constraints),
+            EuclideanSpace(x, draw(st.sampled_from([0.5, 2.0, 8.0]))), epsilon, 1000)
+
+
+def _drifting_run(policy):
+    """A run whose first chain is one run of 2998 steps of about 0.3 on
+    each coordinate, on the row (1, 1), from its third iterate on, as in
+    ``_drifting_pair``: x_1 crosses 2^40 near its middle, so x_1 - x_2
+    bends there by the cumulative sum's rounding.  The second row, a lower
+    row under first-violated, else the gap of a later row to (1, 1), is
+    tilted to take equal values at the chain's two end rows, which sit
+    half its bulge below epsilon (below (1, 1)), so the policy turns to it
+    in the middle, while the ends clear twice the slack but not the drift.
+    The policy, problem, space, epsilon and the iteration cap, 3000."""
+    epsilon, x = 4917.2 * 2.0**-13, np.array([2.0**40 + 450.0, 1.5 * 2.0**39])
+    own = AffineOracle([1.0, 1.0], 1e4 - x.sum())  # stays above epsilon
+    probe, _ = _one_run_kernel([own], epsilon, policy)
+    block = np.empty((3000, 2))
+    block[0], block[1:] = x, probe.steps[0]
+    np.cumsum(block, axis=0, out=block)
+    block = block[2:]
+    diff, total = block[:, 0] - block[:, 1], block.sum(axis=1)
+    tilt = (diff[-1] - diff[0]) / (total[0] - total[-1])
+    g = np.array([1.0 + tilt, -1.0 + tilt])
+    along = block @ g
+    top = max(along[0], along[-1])
+    below = (along.max() - top) / 2
+    if policy is Policy.FIRST_VIOLATED:
+        constraints = [AffineOracle(g, epsilon - below - top), own]
+    else:
+        constraints = [own, AffineOracle(own.a + g, own.b - below - top)]
+    return (policy, ProblemInstance(2, AffineOracle([0.0, 1.0]), constraints),
+            EuclideanSpace(x, 1e3), epsilon, 3000)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@settings(max_examples=120, deadline=None)
+@given(_chained_instances())
+@example(_drifting_run(Policy.AGGREGATE_MAX))
+@example(_drifting_run(Policy.FIRST_VIOLATED))
+def test_chains_certified_run_by_run_equal_stepwise_runs(case):
+    # every run of every chain is certified from its own end rows, or
+    # offered again split at its last row, or checked row by row; the
+    # runs, their histories and any error equal the stepwise engine's.
+    # The two drifting runs fail where the ends leave out the run's drift
+    # or, under first-violated, the rows below its constraint
+    policy, instance, space, epsilon, cap = case
+    config = RunConfig(epsilon, policy=policy, max_iterations=cap, record_history=True)
+    outcomes = []
+    for geometry in (space, stepwise(space)):
+        try:
+            outcomes.append(run(instance, geometry, config))
+        except EvaluationError as error:
+            outcomes.append(str(error))
+    batched, stepped = outcomes
+    if isinstance(stepped, str):
+        assert batched == stepped
+    else:
+        assert_bitwise_equal(batched, stepped)
+
+
+@pytest.mark.parametrize("case", ["inside a run", "at the last row", "never", "at the cap"])
+def test_chain_criterion_sums_are_the_weights_cumulative_sum(monkeypatch, case):
+    # the staircase's first-violated chain of runs of 130, 16, 10 and 7
+    # steps, weights 1/2, 1/5, 1/10 and 1/17 after 0.1: the block's
+    # criterion column, the sum returned and the rows taken are bitwise
+    # np.cumsum's and np.searchsorted's on the same weights, where the
+    # target falls inside the second run, on the chain's last row, past
+    # it, or where the iteration cap cuts the chain inside its third run
+    blocks = []
+    inner = solver._cumsum_rows
+
+    def kept(block):
+        blocks.append(inner(block))
+        return blocks[-1]
+
+    monkeypatch.setattr(solver, "_cumsum_rows", kept)
+    instance, space = _staircase()
+    runs, select = _one_run_kernel(instance.constraints, 2.0**-4, Policy.FIRST_VIOLATED)
+    x, i = space.anchor, select(space.anchor)[0]
+    chain = runs.predict(x, i, runs.max_rows)
+    assert chain == [[0, 130], [1, 16], [2, 10], [3, 7]]
+    crit_sum, cap = 0.1, runs.max_rows
+    sums = np.cumsum(np.concatenate(([crit_sum], runs.weights[np.repeat(*np.array(chain).T)])))
+    if case == "inside a run":
+        target = (sums[137] + sums[138]) / 2
+    elif case == "at the last row":
+        target = sums[-1]
+    elif case == "never":
+        target = 2.0 * sums[-1]
+    else:
+        target, cap = 2.0 * sums[-1], 150
+    expected = int(np.searchsorted(sums[1:cap + 1], target))
+    x_new, crit, iterates, taken, complete = runs.chain(x, i, cap, crit_sum, target)
+    block, = blocks
+    assert block[:, x.shape[0]].tobytes() == sums[:cap + 1].tobytes()
+    assert sum(count for *_, count in taken) == expected and complete
+    assert np.float64(crit).tobytes() == sums[expected].tobytes()
+    assert x_new.tobytes() == iterates[expected].tobytes()
+    assert expected == {"inside a run": 137, "at the last row": 162, "never": 163,
+                        "at the cap": 150}[case]
 
 
 # ------------------------------------------------------ row sums of iterates
