@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left
 from collections.abc import Iterator
 from functools import cache, partial
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import and_
 from dataclasses import dataclass
 from enum import Enum
@@ -365,9 +364,10 @@ def _make_selector(scan: Callable, row: Callable, epsilon: float, policy: Policy
     return select
 
 
-# Float budget of one batch's (rows x max(n, M)) arrays, which bounds memory.
-# Swept from 2^14 to 2^17 on the benchmark: from 2^16 on, a batch's fixed
-# costs no longer show, and 2^17 costs 2 MiB more peak memory.
+# Float budget of one batch's (rows x max(n, M)) arrays, which bounds memory;
+# a chain's block holds two columns more (see ``_AffineRuns``).  Swept from
+# 2^14 to 2^17 on the benchmark: from 2^16 on, a batch's fixed costs no
+# longer show, and 2^17 costs 2 MiB more peak memory.
 _BLOCK_FLOATS = 1 << 16
 # The most multiply-adds of one matrix product over a block's rows.  numpy's
 # OpenBLAS splits a product of 2^19 or more over threads, which cost up to
@@ -484,7 +484,7 @@ class _AffineRuns:
         self.a = bank._matrix
         self.b = bank._offsets
         m, n = bank._matrix.shape
-        # The rows ``advance`` evaluates and steps on: the constraints, then
+        # The rows a batch evaluates and steps on: the constraints, then
         # the pieces; their row sources give the tabled dual norms.
         banks = [(bank, row)] if pieces is None else [(bank, row), (pieces, piece_row)]
         self.stack = np.vstack([o._matrix for o, _ in banks])
@@ -638,21 +638,18 @@ class _AffineRuns:
             first += length
         return iterates[count].copy(), float(block[count, n]), iterates, taken, count == rows
 
-    def advance(self, x: Array, labels: int | Array, rows: int) -> tuple[Array, int]:
-        """The block of iterates x, x - q_(labels[0]), ..., a row per step,
-        and how many leading ones (at most ``rows``) provably take their
-        step (see ``_certify``): an int labels every row, one run of steps
-        on that constraint, else row k is a productive step on piece
-        ``labels[k] - m``.  The block's rows are summed by
-        ``_cumsum_rows``, as ``_Segment.records`` rebuilds them.  Nothing
-        that ``predict`` computed is read here, so any labels and any x
-        may be passed, predicted or not."""
+    def advance(self, x: Array, labels: Array, rows: int) -> tuple[Array, int]:
+        """The block of iterates x, x - q_(labels[0]), ..., a row per
+        productive step, row k's on piece ``labels[k] - m`` (``labels``
+        holds the pieces' stacked rows), and how many leading ones (at most
+        ``rows``) provably take their step (see ``_certify``).  The block's
+        rows are summed by ``_cumsum_rows``.  Nothing that the prediction
+        computed is read here, so any pieces and any x may be passed."""
         block = np.empty((rows + 1, x.shape[0]))
         block[0] = x
         block[1:] = self.steps[labels]
         _cumsum_rows(block)
-        runs = labels if isinstance(labels, np.ndarray) else [(labels, rows)]
-        return block, self._certify(block, runs, rows)
+        return block, self._certify(block, labels, rows)
 
     def _certify(self, block: Array, labels: list | Array, rows: int) -> int:
         """How many of a summed block's leading ``rows`` rows provably take
@@ -696,19 +693,15 @@ class _AffineRuns:
         if runs:
             # The runs that hold the first ``rows`` rows: their constraints,
             # first rows and lengths.
-            if labels[0][1] >= rows:
-                js, firsts, counts = [labels[0][0]], [0], [rows]
-            else:
-                js = [j for j, _ in labels]
-                counts = [count for _, count in labels]
-                firsts = [0, *accumulate(counts)]
-                last = bisect_left(firsts, rows)
-                del js[last:], counts[last:], firsts[last:]
-                counts[-1] = rows - firsts[-1]
-            if len(js) == 1:
-                reach += rows * self.abs_q[js[0]]
-            else:
-                reach += np.bincount(js, counts, self.steps.shape[0]) @ self.abs_q
+            js, firsts, counts, first = [], [], [], 0
+            for j, count in labels:
+                js.append(j)
+                firsts.append(first)
+                counts.append(min(count, rows - first))
+                first += count
+                if first >= rows:
+                    break
+            reach += np.bincount(js, counts, self.steps.shape[0]) @ self.abs_q
         else:
             reach += np.bincount(labels, minlength=self.steps.shape[0]) @ self.abs_q
         bound = self.abs_a @ reach + self.abs_b
@@ -790,8 +783,9 @@ class _AffineRuns:
         eps, m, runs = self.epsilon, self.m, len(labels)
         if runs == 1:
             # Most chains are one run: its ends are a strided slice, and its
-            # 2 S_j one row, which a gather and an outer product would cost
-            # more to build.
+            # 2 S_j one row.  The general path's gather, outer product and
+            # flat positions made ex 1 L aggregate-max's one-run chains 18%
+            # slower per call (``BENCH_26.json``, ``one_run_forks``).
             (i,), (first,), (count,) = labels, firsts, counts
             values = block[first:first + count:count - 1 or 1] @ self.a.T
             values += self.b

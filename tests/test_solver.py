@@ -338,8 +338,8 @@ def test_batched_run_meets_overflow_as_the_stepwise_run_does(policy, first):
 
 def _counted_batches(monkeypatch):
     """(rows asked, rows taken) of every block ``_AffineRuns._certify``
-    checks: every chain's, every productive batch's and every direct
-    ``advance`` call's."""
+    checks: every chain's, every productive batch's and every one-run block
+    a test builds (``_one_run_block``)."""
     batches = []
     inner = solver._AffineRuns._certify
 
@@ -630,21 +630,28 @@ def test_the_cap_falls_inside_a_later_run_of_a_chain(monkeypatch, policy, record
 
 @pytest.mark.parametrize("policy", _BATCHED_POLICIES)
 def test_chains_stay_within_the_block_budget(monkeypatch, policy):
-    # every block holds at most max_rows + 1 iterates and every label and
-    # step array at most _BLOCK_FLOATS floats, on a wide space where the
-    # budget cuts the chains; the tables call the dual norm once per row
+    # every block summed, a chain's with its two columns of criterion sums
+    # and pad included, holds at most max_rows + 1 rows and _BLOCK_FLOATS
+    # floats and one row, and every label and step array at most
+    # _BLOCK_FLOATS floats, on a wide space where the budget cuts the
+    # chains; the tables call the dual norm once per row
     blocks = []
-    inner = solver._AffineRuns._certify
+    inner, certify = solver._cumsum_rows, solver._AffineRuns._certify
+    most = solver._BLOCK_FLOATS // 3000
 
-    def checked(self, block, labels, rows):
-        assert rows <= self.max_rows
-        if isinstance(labels, np.ndarray):
-            assert labels.size * block.shape[1] <= solver._BLOCK_FLOATS
-        assert block.shape[0] <= self.max_rows + 1
+    def summed(block):
+        assert block.shape[0] <= most + 1
         assert block.size <= solver._BLOCK_FLOATS + block.shape[1]
         blocks.append(block.shape[0])
-        return inner(self, block, labels, rows)
+        return inner(block)
 
+    def checked(self, block, labels, rows):
+        assert self.max_rows == most and rows <= most
+        if isinstance(labels, np.ndarray):
+            assert labels.size * block.shape[1] <= solver._BLOCK_FLOATS
+        return certify(self, block, labels, rows)
+
+    monkeypatch.setattr(solver, "_cumsum_rows", summed)
     monkeypatch.setattr(solver._AffineRuns, "_certify", checked)
     n = 3000
     staircase, _ = _staircase()
@@ -656,7 +663,7 @@ def test_chains_stay_within_the_block_budget(monkeypatch, policy):
     batched, stepped, calls = run_both(instance, space, config, name="dual_norm")
     assert_bitwise_equal(batched, stepped)
     assert calls == _table_rows(instance) + batched.productive_count
-    assert max(blocks) == solver._BLOCK_FLOATS // n + 1
+    assert max(blocks) == most + 1
 
 
 # ----------------------------------------- one-run blocks from their ends
@@ -694,6 +701,16 @@ def _one_run_kernel(constraints, epsilon, policy):
     norms = np.array([row(j, None)[2] for j in range(len(constraints))])
     return (solver._AffineRuns(bank, RunConfig(epsilon, policy=policy), row),
             solver._make_selector(scan, row, epsilon, policy, norms))
+
+
+def _one_run_block(runs, x, i, rows):
+    """The block of iterates of ``rows`` steps on constraint i from x,
+    summed by ``_cumsum_rows`` as a chain's, and how many of its rows
+    ``_AffineRuns._certify`` takes as one run."""
+    block = np.empty((rows + 1, x.shape[0]))
+    block[0], block[1:] = x, runs.steps[i]
+    solver._cumsum_rows(block)
+    return block, runs._certify(block, [(i, rows)], rows)
 
 
 def _chosen(select, rows):
@@ -778,7 +795,7 @@ def test_rows_certified_by_end_values_are_the_policys_choice(block_case):
     # which the stepwise engine descends on the block's constraint
     policy, a, b, x, i, rows, epsilon = block_case
     runs, select = _one_run_kernel([AffineOracle(r, c) for r, c in zip(a, b)], epsilon, policy)
-    block, count = runs.advance(x, i, rows)
+    block, count = _one_run_block(runs, x, i, rows)
     assert _chosen(select, block[:count]) == [i] * count
 
 
@@ -822,7 +839,7 @@ def test_end_values_allow_for_the_drift_of_the_cumulative_sum(monkeypatch, polic
     outcomes = _counted_ends(monkeypatch)
     constraints, i, x, rows, epsilon = _drifting_pair(policy)
     runs, select = _one_run_kernel(constraints, epsilon, policy)
-    block, count = runs.advance(x, i, rows)
+    block, count = _one_run_block(runs, x, i, rows)
     wrong = next(k for k, j in enumerate(_chosen(select, block[:rows])) if j != i)
     assert outcomes == [False, False, True]
     assert 0 < count <= wrong < rows
@@ -852,7 +869,7 @@ def test_end_values_keep_twice_slack_and_drift_from_epsilon(monkeypatch, policy,
     margin = (runs.gamma + rows * runs.u) * (reach + np.finfo(float).tiny)
     # On a grid of 2^-45 below 2^7 every step is exact.
     x = np.array([rows * epsilon + round(multiple * margin * 2.0**45) * 2.0**-45, 0.0])
-    block, count = runs.advance(x, 0, rows)
+    block, count = _one_run_block(runs, x, 0, rows)
     assert abs(block[rows - 1, 0] - epsilon - multiple * margin) < 0.05 * margin
     assert outcomes == ([True] if certified else [False, True, True])
     assert count == rows
@@ -865,8 +882,8 @@ def test_end_values_meet_the_huge_guard(monkeypatch):
     runs, _ = _one_run_kernel([AffineOracle([1.0, 0.0], 0.0)], 2.0**-4, Policy.AGGREGATE_MAX)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert runs.advance(np.array([2.0**1019, 0.0]), 0, 100)[1] == 100
-        assert runs.advance(np.array([2.0**1020, 0.0]), 0, 100)[1] == 0
+        assert _one_run_block(runs, np.array([2.0**1019, 0.0]), 0, 100)[1] == 100
+        assert _one_run_block(runs, np.array([2.0**1020, 0.0]), 0, 100)[1] == 0
     assert outcomes == [True]
 
 
