@@ -445,6 +445,72 @@ def _piece_predictor(count: int) -> Callable[[list, int, list, list], list[int]]
     return namespace["predict"]
 
 
+@cache
+def _run_predictor(count: int, first_violated: bool) -> Callable[..., list[list[int]]]:
+    """The non-productive run predictor over ``count`` constraints:
+    ``(values, i, rows, epsilon, tables, table) -> runs``, the runs of
+    ``_AffineRuns.predict`` from the constraint values, ``tables`` the run
+    tables built so far and ``table(i)`` the builder of constraint i's.
+
+    Straight-line code, generated once per constraint count and policy, as
+    ``_piece_predictor`` is: the values are locals; a run's closing rows
+    are ``count`` divisions, each guarded by its rate, which the table sets
+    to 0 for a row that does not close; a step is one float subtraction
+    per constraint; and the policy's choice is ``count`` flat comparisons.
+    So the runs are those of a loop over the list of values: under
+    first-violated the lowest index above epsilon, else the argmax with
+    the lowest index (a NaN first value included), as
+    ``values.index(max(values))`` picks.
+    """
+    v = [f"v{j}" for j in range(count)]
+    lines = ["def predict(values, i, rows, eps, tables, table):",
+             f"    {', '.join(v)}, = values",
+             "    chain = []",
+             "    while rows:",
+             "        run = tables[i] if i in tables else table(i)",
+             "        if run is None:",
+             "            break",
+             f"        own, ({', '.join(f'd{j}' for j in range(count))},), "
+             f"({', '.join(f'r{j}' for j in range(count))},) = run",
+             # In exact arithmetic the policy picks i at the first
+             # ceil(length) of the points the run takes.
+             f"        vi = ({', '.join(v)},)[i]",
+             f"        bound = {'eps' if first_violated else 'vi'}",
+             "        length = (vi - eps) / own"]
+    for j in range(count):
+        lines += [f"        if r{j} > 0.0:",
+                  f"            t = (bound - v{j}) / r{j}",
+                  "            if t < length:",
+                  "                length = t"]
+    lines += ["        if isnan(length):",
+              "            break",
+              "        count = rows if length >= rows else ceil(length) if length > 0.0 else 0",
+              "        if count:",
+              "            if chain and chain[-1][0] == i:",
+              "                chain[-1][1] += count",
+              "            else:",
+              "                chain.append([i, count])",
+              "            rows -= count"]
+    lines += [f"            v{j} -= count * d{j}" for j in range(count)]
+    # The policy's choice where the run ends.  Only the first run, which
+    # may have ended at x, can have no step.
+    if first_violated:
+        lines.append("        j = None")
+        lines += [f"        if v{j} > eps: j = {j}" for j in reversed(range(count))]
+    else:
+        lines.append("        j, high = 0, v0")
+        lines += [f"        if v{j} > high: j, high = {j}, v{j}" for j in range(1, count)]
+        lines += ["        if not high > eps:",
+                  "            j = None"]
+    lines += ["        if j is None or not count and j == i:",
+              "            break",
+              "        i = j",
+              "    return chain"]
+    namespace: dict = {"ceil": math.ceil, "isnan": math.isnan}
+    exec("\n".join(lines), namespace)
+    return namespace["predict"]
+
+
 class _AffineRuns:
     """Batched steps x - q, q tabled, on an exact Euclidean space: chains of
     runs of non-productive steps, each run on one constraint, and, given a
@@ -468,9 +534,10 @@ class _AffineRuns:
     are linear in the step up to the cumulative sum's drift, so the values
     of the run's first and last rows, all runs' in one matrix product,
     certify every row between (see ``_certify``); rows are reduced one
-    by one only where these fail.  A productive batch's pieces are
-    predicted by ``_piece_predictor``'s straight-line code, generated once
-    per piece count, and its rows are checked one by one; its weighted
+    by one only where these fail.  A chain's runs are predicted by
+    ``_run_predictor``'s straight-line code, a productive batch's pieces
+    by ``_piece_predictor``'s, each generated once per row count, and a
+    productive batch's rows are checked one by one; its weighted
     sums are committed by one more ``_cumsum_rows``.  A batch asks for
     at most ``max_rows`` rows, so that its (rows x max(n, M)) arrays hold
     at most ``_BLOCK_FLOATS`` floats; a chain's block has up to two
@@ -524,6 +591,7 @@ class _AffineRuns:
         self.steps = self.table[:, :n]
         # Per constraint, filled on its first chain: see ``_table``.
         self.drops, self.piece_drops, self.tables = *drops, {}
+        self.predict_runs = _run_predictor(m, self.first_violated)
         # A productive batch asks for twice the rows the last took, plus two;
         # after batches of under two rows, 0, 1, 3, ... steps pass idle.
         self.ask, self.idle, self.backoff, self.pieces = self.max_rows, 0, 0, pieces
@@ -538,19 +606,18 @@ class _AffineRuns:
 
     def _table(self, i: int) -> tuple | None:
         """Constraint i's run table: how much a step lowers i, each
-        constraint's drop, and the rows that can end i's run with the rate
-        at which they close on it (the lower rows that rise under
-        first-violated, else the rows that gain on i); None where a step on
-        i ends a prediction."""
+        constraint's drop, and the rate at which each row closes on i, 0
+        for a row that cannot end i's run (the lower rows that rise under
+        first-violated, else the rows that gain on i, close); None where a
+        step on i ends a prediction."""
         drops = self.drops[i]
         own = drops[i]
         if self.ends[i] or not (math.isfinite(own) and own > 0.0):
             table = None
         else:
-            closing = ([(j, -d) for j, d in enumerate(drops[:i])] if self.first_violated
-                       else [(j, own - d) for j, d in enumerate(drops)])
-            closing = [(j, rate) for j, rate in closing if rate > 0.0]
-            table = own, drops, closing
+            rates = ([-d for d in drops[:i]] + [0.0] * (len(drops) - i) if self.first_violated
+                     else [own - d for d in drops])
+            table = own, drops, [rate if rate > 0.0 else 0.0 for rate in rates]
         self.tables[i] = table
         return table
 
@@ -558,44 +625,9 @@ class _AffineRuns:
         """The runs of non-productive steps from x on, as [constraint, count]
         pairs, from constraint i's (which may have ended at x) on: predicted
         in floats up to ``rows`` steps, a predicted productive step, or a
-        constraint that ends a prediction."""
-        eps, first_violated, tables = self.epsilon, self.first_violated, self.tables
-        values, chain = (self.a @ x + self.b).tolist(), []
-        while rows:
-            table = tables[i] if i in tables else self._table(i)
-            if table is None:
-                break
-            own, drops, closing = table
-            # In exact arithmetic the policy picks i at the first ceil(length)
-            # of the points the run takes.
-            vi = values[i]
-            bound = eps if first_violated else vi
-            length = (vi - eps) / own
-            for j, rate in closing:
-                t = (bound - values[j]) / rate
-                if t < length:
-                    length = t
-            if math.isnan(length):
-                break
-            count = rows if length >= rows else math.ceil(length) if length > 0.0 else 0
-            if count:
-                if chain and chain[-1][0] == i:
-                    chain[-1][1] += count
-                else:
-                    chain.append([i, count])
-                rows -= count
-                values = [v - count * d for v, d in zip(values, drops)]
-            # The policy's choice where the run ends.  Only the first run,
-            # which may have ended at x, can have no step.
-            if first_violated:
-                j = next((j for j, v in enumerate(values) if v > eps), None)
-            else:
-                high = max(values)
-                j = values.index(high) if high > eps else None
-            if j is None or not count and j == i:
-                break
-            i = j
-        return chain
+        constraint that ends a prediction (see ``_run_predictor``)."""
+        return self.predict_runs((self.a @ x + self.b).tolist(), i, rows, self.epsilon,
+                                 self.tables, self._table)
 
     def chain(self, x: Array, i: int, rows: int, crit_sum: float,
               target: float) -> tuple:

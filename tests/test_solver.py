@@ -1728,6 +1728,84 @@ def test_piece_predictor_returns_the_list_loops_labels(count):
     assert predict([0.0] * count, 0, no_ends, np.eye(count).tolist()) == []
 
 
+def _listed_runs(values, i, rows, epsilon, first_violated, drops, ends):
+    """The runs a loop over the list of constraint values predicts from
+    constraint i on, each run's closing rows listed as (row, rate) pairs:
+    the lower rows that rise under first-violated, else the rows that gain
+    on i."""
+    chain = []
+    while rows:
+        own = drops[i][i]
+        if ends[i] or not (math.isfinite(own) and own > 0.0):
+            break
+        closing = ([(j, -d) for j, d in enumerate(drops[i][:i])] if first_violated
+                   else [(j, own - d) for j, d in enumerate(drops[i])])
+        vi = values[i]
+        bound = epsilon if first_violated else vi
+        length = (vi - epsilon) / own
+        for j, rate in closing:
+            if rate > 0.0 and (t := (bound - values[j]) / rate) < length:
+                length = t
+        if math.isnan(length):
+            break
+        count = rows if length >= rows else math.ceil(length) if length > 0.0 else 0
+        if count:
+            if chain and chain[-1][0] == i:
+                chain[-1][1] += count
+            else:
+                chain.append([i, count])
+            rows -= count
+            values = [v - count * d for v, d in zip(values, drops[i])]
+        if first_violated:
+            j = next((j for j, v in enumerate(values) if v > epsilon), None)
+        else:
+            high = max(values)
+            j = values.index(high) if high > epsilon else None
+        if j is None or not count and j == i:
+            break
+        i = j
+    return chain
+
+
+@pytest.mark.parametrize("first_violated", [False, True])
+@pytest.mark.parametrize("count", [1, 2, 3, 10, 40])
+def test_run_predictor_returns_the_list_loops_runs(count, first_violated):
+    # the generated straight-line predictor, on run tables built by
+    # _AffineRuns._table, against the loop over the list of values, on
+    # random values and drops, exact ties, signed zeros, infinities and
+    # NaN, constraints that end a prediction, and row caps that cut a run
+    predict = solver._run_predictor(count, first_violated)
+    assert solver._run_predictor(count, first_violated) is predict
+    rng = np.random.default_rng(count + 100 * first_violated)
+    specials = [0.0, -0.0, 0.05, 1.0, -1.0, math.inf, -math.inf, math.nan]
+    epsilon = 0.05
+
+    def unbuilt(i):
+        raise AssertionError(f"table {i} not built")
+
+    for case in range(40):
+        kind = case % 4
+        if kind == 2:
+            values = rng.choice(specials, count)
+            drops = rng.choice(specials, (count, count))
+        elif kind == 1:  # ties
+            values = rng.integers(-2, 6, count) / 8.0
+            drops = rng.integers(-1, 3, (count, count)) / 16.0
+        else:
+            values = rng.standard_normal(count)
+            drops = rng.standard_normal((count, count)) / 50.0
+            drops[np.diag_indices(count)] = rng.uniform(0.01, 0.1, count)
+        ends = (rng.uniform(size=count) < (0.2 if kind == 3 else 0.0)).tolist()
+        values, drops = values.tolist(), drops.tolist()
+        tables = mock.Mock(drops=drops, ends=ends, first_violated=first_violated, tables={})
+        for i in range(count):
+            solver._AffineRuns._table(tables, i)
+        for i in range(count):
+            for rows in (1, 3, 500):
+                expected = _listed_runs(values, i, rows, epsilon, first_violated, drops, ends)
+                assert predict(values, i, rows, epsilon, tables.tables, unbuilt) == expected
+
+
 @pytest.mark.parametrize("policy", [Policy.AGGREGATE_MAX, Policy.FIRST_VIOLATED])
 def test_example_6_batches_its_productive_steps(policy):
     # ordinary steps call the geometry's mirror_step; batched ones do not.
