@@ -380,6 +380,13 @@ _HUGE = 2.0 ** 1020
 # The fewest rows of a block that ``_cumsum_rows`` sums in complex pairs;
 # on shorter blocks the view costs more than it saves.
 _PAIR_MIN_ROWS = 32
+# The most pieces whose productive steps ``_piece_predictor`` predicts by a
+# comparison tree.  The tree is generated for every run, so it pays off
+# only on runs with enough productive rows: on random dense tables one
+# generation is paid back after 2 200 rows at 1 piece, 4 700 at 5, 10 600
+# at 8 and 23 900 at 16.  Example 6, 5 pieces and 280 000 rows per run, is
+# the only measured run that batches productive steps (``BENCH_27.json``).
+_TREE_MAX_PIECES = 5
 # The entropy simplex's support scan (``_SupportScan``): the fewest entries
 # of a constraint matrix that takes it, the floor of a support coordinate,
 # the scans between two checks of the support, the share of its coordinates
@@ -413,10 +420,10 @@ def _cumsum_rows(block: Array) -> Array:
 
 
 @cache
-def _piece_predictor(count: int) -> Callable[[list, int, list, list], list[int]]:
-    """The productive-step predictor over ``count`` pieces: ``(values, k,
-    ends, drops) -> labels``, the pieces of up to k steps from the piece
-    values, stopping before a piece with ``ends[l]`` set; a step on piece l
+def _piece_loop(count: int) -> Callable[[list, int, list, list], list[int]]:
+    """The productive-step loop over ``count`` pieces: ``(values, k, ends,
+    drops) -> labels``, the pieces of up to k steps from the piece values,
+    stopping before a piece with ``ends[l]`` set; a step on piece l
     subtracts ``drops[l]`` from the values.
 
     Straight-line code, generated once per piece count: the values are
@@ -445,6 +452,55 @@ def _piece_predictor(count: int) -> Callable[[list, int, list, list], list[int]]
     return namespace["predict"]
 
 
+def _piece_predictor(ends: list[bool], drops: list[list[float]]
+                     ) -> Callable[[list, int], bytearray | list[int]]:
+    """The productive-step predictor over one max's pieces: ``(values, k)
+    -> labels``, ``_piece_loop``'s labels for these ``ends`` and ``drops``.
+
+    Over at most ``_TREE_MAX_PIECES`` pieces whose drops are all finite, it
+    is a comparison tree generated for this table, whose labels are a
+    bytearray.  Level l tests ``not (v_j > v_l or ...)`` over the later
+    pieces j: it is reached only where each earlier piece has a later one
+    above it, so the lowest index wins ties, as ``values.index(max(values))``
+    picks on NaN-free values.  Leaf l breaks where piece l ends a
+    prediction, else appends l and subtracts piece l's drops, written as
+    float literals (``repr`` round-trips); a drop of +0.0 is left out,
+    since x - (+0.0) is x bit for bit, -0.0 included.  A finite drop never
+    makes a NaN of a value that is not one, so a call whose values hold a
+    NaN, checked once, takes the loop, as do more pieces and a non-finite
+    drop; the loop's labels are a list.
+    """
+    count = len(ends)
+    loop = _piece_loop(count)
+    if count > _TREE_MAX_PIECES or not all(math.isfinite(d) for row in drops for d in row):
+        return partial(loop, ends=ends, drops=drops)
+    names = [f"v{j}" for j in range(count)]
+    lines = ["def predict(values, k):",
+             f"    {', '.join(names)}, = values",
+             f"    if {' or '.join(f'{v} != {v}' for v in names)}:",
+             "        return loop(values, k, ends, drops)",
+             "    labels = bytearray()",
+             "    append = labels.append",
+             "    for _ in range(k):"]
+    indent = " " * (12 if count > 1 else 8)  # one piece: no test
+    for l, v in enumerate(names):
+        later = " or ".join(f"{w} > {v}" for w in names[l + 1:])
+        if later:
+            lines.append(f"        {'elif' if l else 'if'} not ({later}):")
+        elif l:
+            lines.append("        else:")
+        if ends[l]:
+            lines.append(f"{indent}break")
+            continue
+        lines.append(f"{indent}append({l})")
+        lines += [f"{indent}{w} -= {d!r}" for w, d in zip(names, drops[l])
+                  if d or math.copysign(1.0, d) < 0.0]
+    lines.append("    return labels")
+    namespace: dict = {"loop": loop, "ends": ends, "drops": drops}
+    exec("\n".join(lines), namespace)
+    return namespace["predict"]
+
+
 @cache
 def _run_predictor(count: int, first_violated: bool) -> Callable[..., list[list[int]]]:
     """The non-productive run predictor over ``count`` constraints:
@@ -453,10 +509,11 @@ def _run_predictor(count: int, first_violated: bool) -> Callable[..., list[list[
     tables built so far and ``table(i)`` the builder of constraint i's.
 
     Straight-line code, generated once per constraint count and policy, as
-    ``_piece_predictor`` is: the values are locals; a run's closing rows
-    are ``count`` divisions, each guarded by its rate, which the table sets
-    to 0 for a row that does not close; a step is one float subtraction
-    per constraint; and the policy's choice is ``count`` flat comparisons.
+    ``_piece_loop`` is once per piece count: the values are locals; a run's
+    closing rows are ``count`` divisions, each guarded by its rate, which
+    the table sets to 0 for a row that does not close; a step is one float
+    subtraction per constraint; and the policy's choice is ``count`` flat
+    comparisons.
     So the runs are those of a loop over the list of values: under
     first-violated the lowest index above epsilon, else the argmax with
     the lowest index (a NaN first value included), as
@@ -535,13 +592,17 @@ class _AffineRuns:
     of the run's first and last rows, all runs' in one matrix product,
     certify every row between (see ``_certify``); rows are reduced one
     by one only where these fail.  A chain's runs are predicted by
-    ``_run_predictor``'s straight-line code, a productive batch's pieces
-    by ``_piece_predictor``'s, each generated once per row count, and a
-    productive batch's rows are checked one by one; its weighted
-    sums are committed by one more ``_cumsum_rows``.  A batch asks for
-    at most ``max_rows`` rows, so that its (rows x max(n, M)) arrays hold
-    at most ``_BLOCK_FLOATS`` floats; a chain's block has up to two
-    columns more, its criterion sums and their pad.
+    ``_run_predictor``'s straight-line code, generated once per
+    constraint count and policy.  A productive batch's pieces are predicted
+    by ``_piece_predictor``'s code, generated for this instance's pieces on
+    its first ``produce`` call: a comparison tree over at most
+    ``_TREE_MAX_PIECES`` pieces with finite drops, else ``_piece_loop``'s
+    loop, generated once per piece count.  A productive batch's rows are
+    checked one by one; its weighted sums are committed by one more
+    ``_cumsum_rows``.  A batch asks for at most ``max_rows`` rows, so that
+    its (rows x max(n, M)) arrays hold at most ``_BLOCK_FLOATS`` floats; a
+    chain's block has up to two columns more, its criterion sums and their
+    pad.
     """
 
     def __init__(self, bank: OracleBank, config: RunConfig, row: Callable,
@@ -597,7 +658,8 @@ class _AffineRuns:
         self.ask, self.idle, self.backoff, self.pieces = self.max_rows, 0, 0, pieces
         if pieces is None:
             return
-        self.predict_pieces = _piece_predictor(pieces._matrix.shape[0])
+        # Generated on the first ``produce`` call (see ``_piece_predictor``).
+        self.predict_pieces = None
         # Twin pieces take bitwise the same step: the argmax may pick either.
         c = pieces._matrix
         bits = c.view(np.uint64)
@@ -679,7 +741,7 @@ class _AffineRuns:
         computed is read here, so any pieces and any x may be passed."""
         block = np.empty((rows + 1, x.shape[0]))
         block[0] = x
-        block[1:] = self.steps[labels]
+        np.take(self.steps, labels, axis=0, out=block[1:])
         _cumsum_rows(block)
         return block, self._certify(block, labels, rows)
 
@@ -859,10 +921,15 @@ class _AffineRuns:
             return 0, x, crit_sum, weighted, weight_sum
         # Predict: the piece values in floats; ties go to the lowest index.
         m = self.m
+        if self.predict_pieces is None:
+            self.predict_pieces = _piece_predictor(self.ends[m:], self.piece_drops)
         labels = self.predict_pieces((self.stack @ x + self.offsets)[m:].tolist(),
-                                     min(rows, self.ask, self.max_rows),
-                                     self.ends[m:], self.piece_drops)
-        labels = m + np.array(labels, dtype=np.intp)  # the pieces' stack rows
+                                     min(rows, self.ask, self.max_rows))
+        if type(labels) is bytearray:  # the comparison tree's
+            labels = np.frombuffer(labels, np.uint8).astype(np.intp)
+        else:
+            labels = np.array(labels, dtype=np.intp)
+        labels += m  # the pieces' stack rows
         crit = np.concatenate(([crit_sum], self.weights[labels])).cumsum()
         labels = labels[:np.searchsorted(crit[1:], target)]
         rows = labels.shape[0]
@@ -1156,7 +1223,11 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     constraint changes.  In the
     Lipschitz regime without history, a run of productive steps on a
     max-affine objective is batched too, on pieces predicted from the piece
-    values by straight-line code generated once per piece count, and
+    values by code generated for the run's pieces on its first batch: a
+    comparison tree holding the pieces' drops as literals, over at most
+    ``_TREE_MAX_PIECES`` pieces whose drops are finite, else, and for values
+    that hold a NaN, a loop generated once per piece count; both give the
+    pieces of a loop over the list of values.  The batch is
     certified by the same margins; a batch's constraint and piece values are
     one column per iterate, reduced column by column.  A batch's arrays
     hold at most ``_BLOCK_FLOATS`` floats; its iterates, and a productive

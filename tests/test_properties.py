@@ -6,6 +6,7 @@ values on top.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mirropt import (
     EntropySimplex,
     EuclideanBall,
     EuclideanSpace,
+    EvaluationError,
     MaxOracle,
     Policy,
     ProblemInstance,
@@ -26,9 +28,11 @@ from mirropt import (
     SqrtQuadraticOracle,
     bregman_divergence,
     mirror_step,
+    run,
 )
+from mirropt import solver
 
-from differential import assert_bitwise_equal, quadratic_pieces, run_both
+from differential import assert_bitwise_equal, quadratic_pieces, run_both, stepwise
 
 SUBGRADIENT_SLACK = 1e-9
 
@@ -249,20 +253,26 @@ def test_simplex_mirror_step_stays_feasible(n, seed, h):
     assert z.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-@settings(max_examples=60)
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@settings(max_examples=200)
 @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 8),
        st.sampled_from([Policy.AGGREGATE_MAX, Policy.MAX_VIOLATION, Policy.FIRST_VIOLATED]),
-       st.sampled_from(list(Regime)), st.booleans(), st.booleans(), st.integers(1, 8),
-       st.booleans())
+       st.sampled_from(list(Regime)), st.booleans(), st.booleans(),
+       st.integers(1, solver._TREE_MAX_PIECES + 3), st.booleans(),
+       st.sampled_from(["", "signed zeros", "zero piece", "huge piece"]))
 def test_random_affine_banks_run_as_the_stepwise_engine(seed, n, m, policy, regime,
                                                         record_history, staircase,
-                                                        count, twin):
+                                                        count, twin, special):
     # batched chains on EuclideanSpace against the stepwise engine, bit for
     # bit, on random affine constraints with row norms over four decades;
     # a staircase bank (nonnegative rows, raised by the objective) makes
     # first-violated chain across constraints; otherwise the objective is a
-    # max of ``count`` affine pieces, one of them maybe twice, so that
-    # productive batches run the predictor generated for each piece count
+    # max of ``count`` affine pieces, on either side of the comparison
+    # tree's bound, one of them maybe twice, so that productive batches run
+    # the tree and the loop; the pieces may hold entries of +-0.0, or one
+    # piece may be zero or scaled by 2^1000, so that its products overflow;
+    # a run that raises raises the same error on both engines
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-2, 2, (m, 1))
     anchor = 10.0 * rng.standard_normal(n)
@@ -271,6 +281,11 @@ def test_random_affine_banks_run_as_the_stepwise_engine(seed, n, m, policy, regi
         objective = AffineOracle(-np.abs(rng.standard_normal(n)))
     else:
         pieces = [rng.standard_normal(n) for _ in range(count)]
+        if special == "signed zeros":
+            pieces = [np.where(rng.uniform(size=n) < 0.5, rng.choice([0.0, -0.0], n), a)
+                      for a in pieces]
+        elif special:
+            pieces[int(rng.integers(0, count))] *= 0.0 if special == "zero piece" else 2.0**1000
         if twin:
             pieces.insert(int(rng.integers(0, count + 1)), pieces[int(rng.integers(0, count))])
         objective = MaxOracle([AffineOracle(a) for a in pieces])
@@ -279,5 +294,11 @@ def test_random_affine_banks_run_as_the_stepwise_engine(seed, n, m, policy, regi
     config = RunConfig(0.05, regime=regime, policy=policy, max_iterations=1500,
                        record_history=record_history)
     space = EuclideanSpace(anchor, float(np.linalg.norm(anchor)) + 0.5)
-    batched, stepped, _ = run_both(instance, space, config)
+    try:
+        batched, stepped, _ = run_both(instance, space, config)
+    except EvaluationError as error:
+        for geometry in (space, stepwise(space)):
+            with pytest.raises(EvaluationError, match=re.escape(str(error))):
+                run(instance, geometry, config)
+        return
     assert_bitwise_equal(batched, stepped)

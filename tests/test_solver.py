@@ -1648,11 +1648,13 @@ def test_productive_batch_certifies_the_constraints(policy):
     # steps of 1/16 from 0 raise x_1 - 10 to eps at x_1 = 161/16, still a
     # productive point but without margin: the batch takes the 161 steps
     # before it, and leaves that one and the constraint step to the
-    # stepwise engine
+    # stepwise engine.  The piece predictor is generated by the first batch
     runs = _productive_runs([AffineOracle([-1.0, 0.0]), AffineOracle([0.0, -1.0], -100.0)],
                             [AffineOracle([1.0, 0.0], -10.0)], policy)
+    assert runs.predict_pieces is None
     count, x, crit_sum, weighted, weight_sum = runs.produce(
         np.zeros(2), 1000, 0.0, math.inf, np.zeros(2), 0.0)
+    assert runs.predict_pieces is not None
     assert count == 161
     assert x.tolist() == [161 / 16, 0.0]
     assert crit_sum == 161.0 and weight_sum == 161 / 16
@@ -1687,13 +1689,19 @@ def _listed_pieces(values, k, ends, drops):
     return labels
 
 
-@pytest.mark.parametrize("count", [*range(1, 13), 50])
+_TREE = solver._TREE_MAX_PIECES
+
+
+@pytest.mark.parametrize("count", sorted({*range(1, 13), _TREE - 1, _TREE, _TREE + 1, 50}))
 def test_piece_predictor_returns_the_list_loops_labels(count):
-    # the generated straight-line predictor against the loop over the list
-    # of values, on random values, exact ties, signed zeros, infinities and
-    # NaN, pieces that end a prediction on either side of the argmax, and k = 0
-    predict = solver._piece_predictor(count)
-    assert solver._piece_predictor(count) is predict
+    # the predictor generated per table against the loop over the list of
+    # values, on random values, exact ties, signed zeros, infinities and
+    # NaN, drops of +0.0 and -0.0 among others, NaN and infinite drops,
+    # pieces that end a prediction on either side of the argmax, and k = 0;
+    # the comparison tree (a bytearray of labels) runs where the count is
+    # at most its bound, every drop is finite and no value is NaN, the
+    # loop (a list) everywhere else.  The loop is generated once per count;
+    # the predictor holds its table and is cached nowhere
     rng = np.random.default_rng(count)
     specials = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]
     no_ends = [False] * count
@@ -1706,6 +1714,11 @@ def test_piece_predictor_returns_the_list_loops_labels(count):
         cases.append((rng.integers(-1, 2, count).astype(float), ties, no_ends))
         cases.append((rng.choice([0.0, -0.0], count), rng.choice([0.0, -0.0], (count, count)),
                       no_ends))
+        zeros = rng.choice([0.0, -0.0], (count, count))
+        cases.append((rng.integers(-2, 3, count) / 4.0,
+                      np.where(rng.uniform(size=(count, count)) < 0.5, zeros, ties / 4.0),
+                      no_ends))
+        cases.append((rng.choice(specials[:-1], count), drops, no_ends))
         cases.append((rng.choice(specials, count), rng.choice(specials, (count, count)),
                       no_ends))
         cases.append((rng.standard_normal(count), drops,
@@ -1713,6 +1726,10 @@ def test_piece_predictor_returns_the_list_loops_labels(count):
     # A NaN first value wins; after it, a NaN never does.
     cases.append(([math.nan] + [1.0] * (count - 1), np.zeros((count, count)), no_ends))
     cases.append(([0.0] + [math.nan] * (count - 1), np.zeros((count, count)), no_ends))
+    # One non-finite drop sends the whole table to the loop.
+    drops = np.eye(count)
+    drops[-1, 0] = math.inf
+    cases.append((np.arange(count, dtype=float), drops, no_ends))
     # Pieces that end a prediction just before and just after the argmax.
     top = count // 2
     values = np.zeros(count)
@@ -1720,12 +1737,22 @@ def test_piece_predictor_returns_the_list_loops_labels(count):
     around = [abs(j - top) == 1 for j in range(count)]
     cases.append((values, np.eye(count), around))
     assert _listed_pieces(values.tolist(), 5, around, np.eye(count).tolist())[0] == top
+    paths = set()
     for values, drops, ends in cases:
         values, drops = np.asarray(values).tolist(), np.asarray(drops).tolist()
+        predict = solver._piece_predictor(ends, drops)
+        tree = (count <= _TREE and np.isfinite(drops).all()
+                and not np.isnan(values).any())
         for k in (0, 1, 7, 40):
-            expected = _listed_pieces(values, k, ends, drops)
-            assert predict(values, k, ends, drops) == expected
-    assert predict([0.0] * count, 0, no_ends, np.eye(count).tolist()) == []
+            labels = predict(values, k)
+            assert type(labels) is (bytearray if tree else list)
+            assert list(labels) == _listed_pieces(values, k, ends, drops)
+        paths.add(tree)
+    assert paths == ({False, True} if count <= _TREE else {False})
+    assert solver._piece_loop(count) is solver._piece_loop(count)
+    predict = solver._piece_predictor(no_ends, np.eye(count).tolist())
+    assert solver._piece_predictor(no_ends, np.eye(count).tolist()) is not predict
+    assert not predict([0.0] * count, 0)
 
 
 def _listed_runs(values, i, rows, epsilon, first_violated, drops, ends):
