@@ -32,8 +32,9 @@ import numpy as np
 
 from .geometry import (Array, EntropySimplex, EuclideanBall, EuclideanSpace, ProxGeometry,
                        as_vector)
-from .problems import (EvaluationError, MaxOracle, Oracle, OracleBank,
-                       ProblemInstance)
+from .problems import (AbsAffinePlusOracle, AffineOracle, EvaluationError, MaxOracle,
+                       Oracle, OracleBank, ProblemInstance, QuadraticOracle,
+                       SqrtQuadraticOracle)
 
 __all__ = [
     "Regime",
@@ -193,6 +194,8 @@ class StepHistory:
     An ordinary step is stored as the tuple of its record's fields but the
     kind, which its constraint gives; the ``point`` is the iterate itself,
     made read-only when recorded, so writing into it raises ``ValueError``.
+    The replayed steps of a two-step cycle (see :func:`run`) share the
+    cycle's two iterates, each recorded before the replay began.
     A batch of non-productive steps (see :func:`run`) is stored as one
     segment per constraint run it spans, each holding the run's first
     index, step size, dual norm, constraint, first iterate, the step every
@@ -1162,6 +1165,37 @@ def _metadata_bound(problem: ProblemInstance, theta0: float, epsilon: float,
         return None
 
 
+def _built_in(oracle: Oracle) -> bool:
+    """Whether the oracle is exactly a built-in kind, a max over such oracles
+    included, so that its value and subgradient are functions of the bits
+    of the point alone."""
+    if type(oracle) is MaxOracle:
+        return all(map(_built_in, oracle.children))
+    return type(oracle) in (AffineOracle, QuadraticOracle, SqrtQuadraticOracle,
+                            AbsAffinePlusOracle)
+
+
+def _replay(first: tuple, second: tuple) -> tuple[Callable, Callable, Callable]:
+    """The selector, evaluator and mirror step of a run whose iterate
+    repeats ``first``'s bit for bit two steps on: lookups of the cycle's
+    two productive steps ``(x, value, row)``, given in step order.  From
+    the repeat on every step is productive, and the step from ``first``'s
+    iterate, or from its repeat, goes to ``second``'s iterate, whose step
+    goes back to ``first``'s."""
+    a, a_step, b, b_step = first[0], first[1:], second[0], second[1:]
+
+    def select(x: Array) -> None:
+        return None
+
+    def evaluate(x: Array) -> tuple:
+        return b_step if x is b else a_step
+
+    def mirror(x: Array, grad: Array, h: float) -> Array:
+        return a if x is b else b
+
+    return select, evaluate, mirror
+
+
 def _make_evaluator(objective: Oracle, dual: Callable[[Array], float],
                     sources: tuple | None) -> Callable[[Array], tuple]:
     """The objective's value and row ``(index, subgradient, dual norm)`` at
@@ -1251,14 +1285,26 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     set and, for the argmax policies, its argmax.  Anywhere else, while
     the support holds more than half the coordinates, for an iterate with
     a negative or non-finite coordinate and where a value could overflow,
-    the product is taken, so a non-finite value raises where it did.  The
-    types of the data and the geometry alone pick these paths, so a
-    subclass of any of these geometries takes the tables only.
+    the product is taken, so a non-finite value raises where it did.  In
+    the nonstandard regime every productive step has length epsilon, so a
+    run can end bouncing between two iterates bit for bit.  Where the
+    geometry is exactly one of these three and every oracle exactly a
+    built-in kind (a :class:`MaxOracle` over such oracles included), a
+    step is a function of the iterate's bits; so once a productive step's
+    value equals the one two steps back and its iterate that one's bytes
+    (not ``==``: -0.0 equals +0.0 but is another point), the steps between
+    productive, every later step repeats one of the last two, and the run
+    replays them (``_replay``): no scan, evaluation or mirror step, while
+    the criterion sum, counts, best point, certificate, history, stop rule
+    and cap run as for any step.  The types of the data and the geometry
+    alone pick these paths, so a subclass of any of these geometries takes
+    the tables only.
 
     With ``record_history``, the report's ``history`` is a
     :class:`StepHistory`: an ordinary step appends its record's fields, a
     batch of non-productive steps one segment per constraint run it spans
-    (see :class:`StepHistory` for what each holds).
+    (see :class:`StepHistory` for what each holds); a replayed step is an
+    ordinary one, its point one of the cycle's two iterates.
     """
     if problem.dimension != prox.dimension:
         raise ValueError("problem and geometry dimensions differ")
@@ -1324,11 +1370,18 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     # run is batched: from its second step on, until a batch falls short.
     last = None
     batching = False
+    # Where every step is a function of the iterate's bits, the last two
+    # ordinary productive steps as (step, x, value, row), watched for a
+    # two-step cycle (see ``_replay``).
+    replay = (not lipschitz and type(prox) in (EuclideanSpace, EuclideanBall, EntropySimplex)
+              and _built_in(objective) and all(map(_built_in, bank.oracles)))
+    back1 = back2 = None
 
     while steps < max_steps:
         sel = select(x)
         if sel is None:
-            value, (_, grad, norm) = evaluate(x)
+            value, objective_row = evaluate(x)
+            _, grad, norm = objective_row
             if not (isfinite(value) and isfinite(norm)):
                 raise EvaluationError("objective produced a non-finite result")
             if norm == 0.0:
@@ -1354,6 +1407,14 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
                         certificate = gap
             if history is not None:
                 history._append((steps, h, norm, None, value, x))
+            if replay:
+                # Bytes, not ==: a -0.0 equals +0.0 but is another point.
+                if (back2 is not None and value == back2[2] and back2[0] == steps - 2
+                        and x.tobytes() == back2[1].tobytes()):
+                    select, evaluate, mirror = _replay(back2[1:], back1[1:])
+                    replay = False
+                else:
+                    back2, back1 = back1, (steps, x, value, objective_row)
             x = mirror(x, grad, h)
             n_productive += 1
         else:

@@ -92,8 +92,9 @@ def stepwise(space):
 
 
 def count_calls(space, name):
-    """Count calls of the geometry's method ``name`` through a wrapper set
-    on the instance, which does not change the path ``run`` takes."""
+    """Count calls of the geometry's (or an oracle's) method ``name``
+    through a wrapper set on the instance, which does not change the path
+    ``run`` takes."""
     calls = [0]
     inner = getattr(space, name)
 

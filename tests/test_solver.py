@@ -1446,16 +1446,24 @@ def _counted_argmax(objective):
 def test_example_5_certifies_every_stacked_argmax(regime, policy, cap):
     # ex 5 N with history, as the acceptance fixture runs it, and ex 5 L
     # first-violated up to a cap (aggregate-max takes its first productive
-    # step after 10^5 steps): each evaluation of the max of ten diagonal quadratics, one
-    # per productive step and one at the output, is certified, and the run
-    # is the member loop's bit for bit
+    # step after 10^5 steps): the run is the member loop's bit for bit and
+    # declines no stacked argmax.  Its nonstandard cells replay a two-step
+    # cycle without evaluating, so the count is taken on a run over the
+    # geometry subclass, which evaluates every productive step: each
+    # evaluation of the max of ten diagonal quadratics, one per productive
+    # step and one at the output, is certified
     example = build_example(5)
     counts = _counted_argmax(example.instance.objective)
     config = RunConfig(example.settings.epsilon, regime=regime, policy=policy,
                        max_iterations=cap, record_history=True)
-    fast, stepped, _ = run_both(example.instance, default_geometry(example), config)
+    space = default_geometry(example)
+    fast, stepped, _ = run_both(example.instance, space, config)
     assert_bitwise_equal(fast, stepped)
-    assert counts == {"certified": fast.productive_count + 1, "fallback": 0}
+    assert counts["fallback"] == 0
+    counts.update(certified=0)
+    every = run(example.instance, stepwise(space), config)
+    assert_bitwise_equal(every, fast)
+    assert counts == {"certified": every.productive_count + 1, "fallback": 0}
     assert fast.productive_count > 1000
 
 
@@ -1477,7 +1485,10 @@ def _random_quadratic_max_instance(seed, geometry):
 @pytest.mark.parametrize("geometry", _GEOMETRIES)
 def test_max_of_quadratics_runs_equal_member_loop_runs(geometry, regime):
     # the stacked argmax against the member loop in whole runs, every
-    # policy in turn, history on odd seeds
+    # policy in turn, history on odd seeds; nonstandard runs on the space
+    # and the ball replay two-step cycles without evaluating, so the
+    # evaluations are counted on a run over the geometry subclass, which
+    # makes one per productive step and one at the output
     certified = 0
     for seed in range(4):
         instance, space = _random_quadratic_max_instance(seed, geometry)
@@ -1486,9 +1497,136 @@ def test_max_of_quadratics_runs_equal_member_loop_runs(geometry, regime):
                            max_iterations=2000, record_history=bool(seed % 2))
         fast, stepped, _ = run_both(instance, space, config)
         assert_bitwise_equal(fast, stepped)
-        assert sum(counts.values()) == fast.productive_count + 1
+        assert sum(counts.values()) <= fast.productive_count + 1
+        counts.update(certified=0, fallback=0)
+        every = run(instance, stepwise(space), config)
+        assert_bitwise_equal(every, fast)
+        assert sum(counts.values()) == every.productive_count + 1
         certified += counts["certified"]
     assert certified > 100
+
+
+# ------------------------------------------------------ replayed cycles
+
+
+def _first_repeat(history):
+    """The first step whose iterate is the one two steps back bit for bit,
+    the three steps productive; None where there is none."""
+    recent = []
+    for record in history:
+        recent = [*recent[-2:], record]
+        if (len(recent) == 3 and all(r.kind is StepKind.PRODUCTIVE for r in recent)
+                and recent[0].point.tobytes() == record.point.tobytes()):
+            return record.index
+    return None
+
+
+def _nonstandard_example(example_id, policy, **settings):
+    """A fresh build of the example, its geometry and a nonstandard config."""
+    example = build_example(example_id)
+    config = RunConfig(example.settings.epsilon, regime=Regime.NONSTANDARD, policy=policy,
+                       **settings)
+    return example.instance, default_geometry(example), config
+
+
+@pytest.mark.parametrize("policy", [Policy.AGGREGATE_MAX, Policy.FIRST_VIOLATED])
+@pytest.mark.parametrize("example_id", [4, 5])
+def test_examples_4_and_5_replay_their_two_step_cycles(example_id, policy):
+    # ex 4 N and ex 5 N end bouncing between two iterates bit for bit; from
+    # the first repeat on, the run replays the two steps without evaluating,
+    # with history and without, and is the stepwise run's bit for bit.  The
+    # reference runs on a build of its own, so the wrapper counts the
+    # replaying run's evaluations alone: one per step up to the repeat and
+    # one at the output
+    instance, space, config = _nonstandard_example(example_id, policy, record_history=True)
+    stepped = run(stepwise_instance(instance), stepwise(space), config)
+    first = _first_repeat(stepped.history)
+    assert first is not None and stepped.total_steps - first > 7000
+    replayed = stepped.total_steps - first - 1
+    for record_history in (True, False):
+        instance, space, config = _nonstandard_example(example_id, policy,
+                                                       record_history=record_history)
+        calls = count_calls(instance.objective, "value_and_subgradient")
+        fast = run(instance, space, config)
+        assert_bitwise_equal(fast, stepped if record_history
+                             else dataclasses.replace(stepped, history=None))
+        assert calls[0] == fast.productive_count + 1 - replayed
+
+
+@pytest.mark.parametrize("extra", [2, 3])
+def test_a_cap_inside_a_replayed_cycle(extra):
+    # the cap ends ex 5 N first-violated one or two steps after its first
+    # repeat, at either parity of the cycle: the same output point, history
+    # and stop as the stepwise run (whose objective is a member loop of its
+    # own, so the wrapper counts the replaying run alone)
+    instance, space, config = _nonstandard_example(5, Policy.FIRST_VIOLATED,
+                                                   record_history=True)
+    first = _first_repeat(run(instance, space, config).history)
+    capped = dataclasses.replace(config, max_iterations=first + extra)
+    calls = count_calls(instance.objective, "value_and_subgradient")
+    fast, stepped, _ = run_both(instance, space, capped)
+    assert_bitwise_equal(fast, stepped)
+    assert fast.stop_reason is StopReason.ITERATION_CAP and fast.total_steps == first + extra
+    assert calls[0] == fast.productive_count + 1 - (extra - 1)
+
+
+def _signed_zero_instance():
+    """|x_1| on R^2 under a constraint that always holds, optimum 0."""
+    return ProblemInstance(2, AbsAffinePlusOracle([1.0, 0.0]), [_constant(-1.0)],
+                           known_optimum=(np.zeros(2), 0.0))
+
+
+def test_an_iterate_that_differs_in_a_signed_zero_is_not_replayed():
+    # steps of 0.5 from (0.25, -0.0): the gradient's second coordinate is
+    # -0.0 where x_1 < 0, and -0.0 - h (-0.0) is +0.0, so x_2 = (0.25, +0.0)
+    # equals x_0 but is another point; the cycle is replayed from x_4, the
+    # first repeat bit for bit
+    config = RunConfig(0.5, regime=Regime.NONSTANDARD, record_history=True)
+    space = EuclideanSpace([0.25, -0.0], 1.5)
+    instance = _signed_zero_instance()
+    calls = count_calls(instance.objective, "value_and_subgradient")
+    fast = run(instance, space, config)
+    stepped = run(_signed_zero_instance(), stepwise(space), config)
+    assert_bitwise_equal(fast, stepped)
+    assert np.signbit([r.point[1] for r in fast.history][:4]).tolist() == [
+        True, True, False, False]
+    assert _first_repeat(fast.history) == 4
+    assert fast.productive_count == 18 and calls[0] == 4 + 1 + 1
+
+
+class _CallCounted(Oracle):
+    """Another oracle's values and subgradients, counting its own calls:
+    state that a replay would skip."""
+
+    def __init__(self, inner):
+        self.inner, self.dimension, self.calls = inner, inner.dimension, 0
+
+    def value_and_subgradient(self, x):
+        self.calls += 1
+        return self.inner.value_and_subgradient(x)
+
+
+def test_custom_oracle_kinds_evaluate_every_step():
+    # ex 5 N first-violated cycles, but a run on a custom oracle kind, which
+    # may hold state, takes every step: one objective call per productive
+    # step and one at the output (a geometry subclass takes every step too,
+    # see test_example_5_certifies_every_stacked_argmax)
+    instance, space, config = _nonstandard_example(5, Policy.FIRST_VIOLATED,
+                                                   record_history=True)
+    fast = run(instance, space, config)
+    assert _first_repeat(fast.history) is not None
+    objective = _CallCounted(instance.objective)
+    custom = run(ProblemInstance(instance.dimension, objective, instance.constraints,
+                                 instance.known_optimum), space, config)
+    assert_bitwise_equal(custom, fast)
+    assert objective.calls == custom.productive_count + 1
+    # a custom constraint kind, on a run that cycles too
+    calls = count_calls(instance.objective, "value_and_subgradient")
+    custom = run(ProblemInstance(instance.dimension, instance.objective,
+                                 [_CallCounted(c) for c in instance.constraints],
+                                 instance.known_optimum), space, config)
+    assert _first_repeat(custom.history) is not None
+    assert calls[0] == custom.productive_count + 1
 
 
 # ------------------------------------------------ batched productive runs
