@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="problem-definition file")
             p.add_argument("--regime", choices=[r.value for r in Regime],
                            default=Regime.LIPSCHITZ.value)
-            p.add_argument("--policy", choices=[p_.value for p_ in Policy],
+            p.add_argument("--policy", choices=[*(p_.value for p_ in Policy), "max-violation"],
                            default=Policy.FIRST_VIOLATED.value)
             p.add_argument("--epsilon", type=float, default=None,
                            help="override the problem's target accuracy")

@@ -59,8 +59,14 @@ class Regime(Enum):
 class Policy(Enum):
     AGGREGATE_MAX = "aggregate-max"
     FIRST_VIOLATED = "first-violated"
-    MAX_VIOLATION = "max-violation"
+    # The aggregate constraint max g_i's subgradient at a violated point
+    # is that of its largest g_i: the same step under another name.
+    MAX_VIOLATION = "aggregate-max"
     MIN_DUAL_NORM = "min-dual-norm"
+
+    @classmethod
+    def _missing_(cls, value: object) -> Policy | None:
+        return cls.AGGREGATE_MAX if value == "max-violation" else None
 
 
 class StopReason(Enum):
@@ -356,7 +362,7 @@ def _make_selector(scan: Callable, row: Callable, epsilon: float, policy: Policy
                     best = candidate
             return best
 
-    else:  # aggregate-max and max-violation descend on the argmax
+    else:  # aggregate-max descends on the argmax
 
         def select(x: Array):
             _, i, high = scan(x)
@@ -735,19 +741,6 @@ class _AffineRuns:
             first += length
         return iterates[count].copy(), float(block[count, n]), iterates, taken, count == rows
 
-    def advance(self, x: Array, labels: Array, rows: int) -> tuple[Array, int]:
-        """The block of iterates x, x - q_(labels[0]), ..., a row per
-        productive step, row k's on piece ``labels[k] - m`` (``labels``
-        holds the pieces' stacked rows), and how many leading ones (at most
-        ``rows``) provably take their step (see ``_certify``).  The block's
-        rows are summed by ``_cumsum_rows``.  Nothing that the prediction
-        computed is read here, so any pieces and any x may be passed."""
-        block = np.empty((rows + 1, x.shape[0]))
-        block[0] = x
-        np.take(self.steps, labels, axis=0, out=block[1:])
-        _cumsum_rows(block)
-        return block, self._certify(block, labels, rows)
-
     def _certify(self, block: Array, labels: list | Array, rows: int) -> int:
         """How many of a summed block's leading ``rows`` rows provably take
         their step: ``labels`` a list of (constraint, count) runs, which
@@ -771,10 +764,10 @@ class _AffineRuns:
         in k; the stepwise engine's computed values at each row, every one
         within slack_j / 4 + D_j < S_j of the line, then make the same
         comparison.  The ends thus require c_i - 2 S_i > max(epsilon,
-        max_(j != i) c_j + 2 S_j) under aggregate-max and max-violation,
-        and c_i - 2 S_i > epsilon with c_j + 2 S_j <= epsilon for every j
-        < i under first-violated, at both end rows.  The unused part of
-        slack_j covers the rounding of these margins and comparisons.
+        max_(j != i) c_j + 2 S_j) under aggregate-max, and c_i - 2 S_i >
+        epsilon with c_j + 2 S_j <= epsilon for every j < i under
+        first-violated, at both end rows.  The unused part of slack_j
+        covers the rounding of these margins and comparisons.
 
         A run that lands on its switch within its drift fails on its last
         row alone, so a run whose ends fail is offered again as two runs,
@@ -936,7 +929,12 @@ class _AffineRuns:
         crit = np.concatenate(([crit_sum], self.weights[labels])).cumsum()
         labels = labels[:np.searchsorted(crit[1:], target)]
         rows = labels.shape[0]
-        block, count = self.advance(x, labels, rows)
+        # The iterates x, x - q_(labels[0]), ...: a row per step.
+        block = np.empty((rows + 1, x.shape[0]))
+        block[0] = x
+        np.take(self.steps, labels, axis=0, out=block[1:])
+        _cumsum_rows(block)
+        count = self._certify(block, labels, rows)
         self.ask = 2 * count + 2
         self.backoff = 2 * self.backoff + 1 if count < 2 else 0
         self.idle = self.backoff // 2
@@ -1282,7 +1280,7 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     coordinates at or above ``_SUPPORT_FLOOR``, from a copy of their
     columns; the policy reads these values where a bound on the left-out
     mass and on both products' rounding certifies the product's violated
-    set and, for the argmax policies, its argmax.  Anywhere else, while
+    set and, under aggregate-max, its argmax.  Anywhere else, while
     the support holds more than half the coordinates, for an iterate with
     a negative or non-finite coordinate and where a value could overflow,
     the product is taken, so a non-finite value raises where it did.  In
@@ -1337,8 +1335,7 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
             if tracker.finite:
                 scan, mirror = tracker.scan, tracker.step
         elif type(prox) is EntropySimplex and bank._matrix.size >= _SUPPORT_MIN_SIZE:
-            scan = _SupportScan(bank, scan, eps, config.policy in (
-                Policy.AGGREGATE_MAX, Policy.MAX_VIOLATION)).scan
+            scan = _SupportScan(bank, scan, eps, config.policy is Policy.AGGREGATE_MAX).scan
     select = _make_selector(scan, row, eps, config.policy, norms)
     # Productive runs are batched where a gemm row need not give the
     # stepwise objective value: in the Lipschitz regime, without history.

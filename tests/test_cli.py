@@ -238,9 +238,11 @@ def test_run_example_overrides_theta0(capsys):
     assert payload["a_priori_bound"] == expected
 
 
-def test_run_nonstandard_regime(disk_file, capsys):
+@pytest.mark.parametrize("policy", ["aggregate-max", "max-violation"])
+def test_run_nonstandard_regime(disk_file, capsys, policy):
+    # max-violation is parsed as a name of aggregate-max
     assert main(["run", "--problem-file", disk_file, "--format", "json",
-                 "--regime", "nonstandard", "--policy", "aggregate-max"]) == 0
+                 "--regime", "nonstandard", "--policy", policy]) == 0
     payload = _strict_json(capsys.readouterr().out)
     assert payload["config"]["regime"] == "nonstandard"
     assert payload["config"]["policy"] == "aggregate-max"

@@ -257,7 +257,7 @@ def test_simplex_mirror_step_stays_feasible(n, seed, h):
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @settings(max_examples=200)
 @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 8),
-       st.sampled_from([Policy.AGGREGATE_MAX, Policy.MAX_VIOLATION, Policy.FIRST_VIOLATED]),
+       st.sampled_from([Policy.AGGREGATE_MAX, Policy.FIRST_VIOLATED]),
        st.sampled_from(list(Regime)), st.booleans(), st.booleans(),
        st.integers(1, solver._TREE_MAX_PIECES + 3), st.booleans(),
        st.sampled_from(["", "signed zeros", "zero piece", "huge piece"]))

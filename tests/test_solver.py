@@ -1,6 +1,7 @@
 """Unit tests for the adaptive mirror-descent engine."""
 
 import dataclasses
+import itertools
 import math
 import operator
 import warnings
@@ -125,7 +126,12 @@ def _affine_pair(first: float, second: float) -> list[AffineOracle]:
     return [AffineOracle([1.0, 0.0], first), AffineOracle([0.0, 1.0], second)]
 
 
-@pytest.mark.parametrize("policy", list(Policy))
+# the policies as a caller may name them: RunConfig resolves the name
+# max-violation to aggregate-max, so every run is checked under it too
+_POLICY_NAMES = [*Policy, "max-violation"]
+
+
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
 def test_within_tolerance_step_is_productive(policy):
     record, _ = _first_step(_affine_pair(0.01, 0.02), policy)
     assert record.kind is StepKind.PRODUCTIVE
@@ -141,7 +147,7 @@ def test_first_violated_takes_lowest_index():
     assert np.array_equal(point, np.array([-0.05, 0.0]))
 
 
-@pytest.mark.parametrize("policy", [Policy.AGGREGATE_MAX, Policy.MAX_VIOLATION])
+@pytest.mark.parametrize("policy", [Policy.AGGREGATE_MAX, "max-violation"])
 def test_max_policies_take_argmax(policy):
     record, point = _first_step(_affine_pair(0.06, 7.0), policy)
     assert record.kind is StepKind.NONPRODUCTIVE
@@ -163,7 +169,7 @@ def test_min_dual_norm_tie_takes_lowest_index():
     assert record.constraint_index == 1
 
 
-@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
 def test_boundary_value_is_not_violated(policy):
     # g(x) = epsilon exactly does not trigger a non-productive step
     record, _ = _first_step([AffineOracle([1.0, 0.0], 0.05)], policy)
@@ -175,7 +181,7 @@ def test_boundary_value_is_not_violated(policy):
                                  _BadSubgradientOracle(math.nan)],
                          ids=["nan-value", "inf-value", "inf-subgradient",
                               "nan-subgradient"])
-@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
 def test_nonfinite_constraint_raises_in_run(policy, bad):
     # the satisfied second constraint must never be picked in its place
     constraints = [bad, _constant(-5.0)]
@@ -185,7 +191,7 @@ def test_nonfinite_constraint_raises_in_run(policy, bad):
         run(instance, EuclideanSpace([0.0, 0.0], 1.0), config)
 
 
-@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
 def test_negative_infinite_constraint_value_raises(policy):
     # -inf is no more a value than +inf: every policy rejects it, where the
     # max-based policies used to read it as satisfied
@@ -199,8 +205,8 @@ def test_negative_infinite_constraint_value_raises(policy):
 # ---------------------------------------------- batched non-productive runs
 
 
-_BATCHED_POLICIES = [Policy.AGGREGATE_MAX, Policy.MAX_VIOLATION,
-                     Policy.FIRST_VIOLATED]
+_BATCHED_POLICIES = [Policy.AGGREGATE_MAX, Policy.FIRST_VIOLATED]
+_BATCHED_POLICY_NAMES = [*_BATCHED_POLICIES, "max-violation"]
 
 
 def _random_affine_instance(seed):
@@ -222,7 +228,7 @@ def _random_affine_instance(seed):
 
 @pytest.mark.parametrize("record_history", [False, True])
 @pytest.mark.parametrize("regime", list(Regime))
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
 def test_batched_runs_equal_stepwise_runs_on_random_instances(policy, regime,
                                                               record_history):
     batched_steps = 0
@@ -237,7 +243,7 @@ def test_batched_runs_equal_stepwise_runs_on_random_instances(policy, regime,
     assert batched_steps > 1000
 
 
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
 def test_batched_run_stops_on_the_criterion_inside_a_batch(policy):
     # 2 theta0^2 / eps^2 = 512 steps of weight 1: the criterion fires on a
     # constraint step deep inside a batch
@@ -252,7 +258,7 @@ def test_batched_run_stops_on_the_criterion_inside_a_batch(policy):
 
 
 @pytest.mark.parametrize("cap", [3, 40, 200])
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
 def test_batched_run_stops_at_the_cap_inside_a_batch(policy, cap):
     instance = ProblemInstance(2, AffineOracle([0.0, 1.0]),
                                [AffineOracle([1.0, 0.0], -1.0)])
@@ -266,7 +272,7 @@ def test_batched_run_stops_at_the_cap_inside_a_batch(policy, cap):
 
 
 @pytest.mark.parametrize("sitting", [False, True])
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
 def test_batched_run_stops_where_a_value_equals_epsilon(policy, sitting):
     # dyadic throughout: with eps = 1/16 the run on x_1 - 1 from (5, 0)
     # reaches value eps exactly after 63 steps; a constraint sitting at eps
@@ -288,7 +294,7 @@ def test_batched_run_stops_where_a_value_equals_epsilon(policy, sitting):
 
 
 @pytest.mark.parametrize("offset", [0.0, 1.0], ids=["duplicate", "one-ulp"])
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
 def test_batched_runs_with_near_tied_constraints(policy, offset):
     # two copies of one row, the second's offset equal or one ulp higher:
     # the selector's ties are decided by the stepwise engine
@@ -308,7 +314,7 @@ def test_batched_runs_with_near_tied_constraints(policy, offset):
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("first", [False, True], ids=["after", "before"])
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
 def test_batched_run_meets_overflow_as_the_stepwise_run_does(policy, first):
     # Steps along -(1, 1) from the origin keep x_1 = x_2, so the second
     # constraint's products cancel exactly, to 0, until they overflow near
@@ -396,7 +402,7 @@ def test_block_products_in_chunks_take_the_rows_of_one_product(monkeypatch, exam
         assert taken == rows
 
 
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
 def test_run_beside_a_constraint_at_epsilon_is_batched_at_most_once(monkeypatch,
                                                                     policy):
     # as in test_batched_run_stops_where_a_value_equals_epsilon, with a
@@ -419,7 +425,7 @@ def test_run_beside_a_constraint_at_epsilon_is_batched_at_most_once(monkeypatch,
         assert batches == [(509, 509)]
 
 
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
 def test_run_tables_of_zero_and_overflowing_rows_raise_no_warning(policy):
     # a zero row and a row whose products overflow predict no chain, the
     # others finite ones, which end before the zero row or the overflowing
@@ -441,7 +447,7 @@ def test_run_tables_of_zero_and_overflowing_rows_raise_no_warning(policy):
 
 
 @pytest.mark.parametrize("regime", list(Regime))
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
 def test_batched_runs_beside_a_zero_constraint_row(policy, regime):
     # a satisfied zero row is tabled with the others and never ends a run
     constraints = [AffineOracle([0.0, 0.0], -1.0), AffineOracle([1.0, 0.0], -1.0)]
@@ -505,7 +511,7 @@ def _staircase():
 
 
 @pytest.mark.parametrize("record_history", [False, True])
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
 def test_a_chain_descends_a_staircase_of_constraints(monkeypatch, policy, record_history):
     chains = _counted_chains(monkeypatch)
     instance, space = _staircase()
@@ -546,7 +552,7 @@ def _dyadic_pair(second):
 
 @pytest.mark.parametrize("record_history", [False, True])
 @pytest.mark.parametrize("second", [[0.0, 1.0], [2.0, 0.0]], ids=["sitting", "cleared"])
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
 def test_a_chain_is_cut_where_its_label_switch_sits_at_epsilon(monkeypatch, policy, second,
                                                                  record_history):
     # the run on x_1 <= 1 ends after 63 steps with x_1 - 1 = eps exactly,
@@ -591,7 +597,7 @@ def _weighted_pair(anchor):
 
 
 @pytest.mark.parametrize("record_history", [False, True])
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
 def test_the_criterion_fires_inside_a_later_run_of_a_chain(monkeypatch, policy,
                                                             record_history):
     # theta0 = 1/2: the criterion needs 128
@@ -614,7 +620,7 @@ def test_the_criterion_fires_inside_a_later_run_of_a_chain(monkeypatch, policy,
 
 
 @pytest.mark.parametrize("record_history", [False, True])
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
 def test_the_cap_falls_inside_a_later_run_of_a_chain(monkeypatch, policy, record_history):
     chains = _counted_chains(monkeypatch)
     instance, space = _weighted_pair(100.0)
@@ -628,7 +634,7 @@ def test_the_cap_falls_inside_a_later_run_of_a_chain(monkeypatch, policy, record
     assert len(constraints) >= 2 and sum(lengths) == 108
 
 
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
 def test_chains_stay_within_the_block_budget(monkeypatch, policy):
     # every block summed, a chain's with its two columns of criterion sums
     # and pad included, holds at most max_rows + 1 rows and _BLOCK_FLOATS
@@ -669,7 +675,7 @@ def test_chains_stay_within_the_block_budget(monkeypatch, policy):
 # ----------------------------------------- one-run blocks from their ends
 
 
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
 def test_a_short_prediction_ends_batching_for_its_run(monkeypatch, policy):
     # x_1 <= 1 from x_1 - 1 = 7/32 with eps = 1/16 takes three steps of
     # 1/16, then productive steps up x_2, which leave it alone.  After the
@@ -700,7 +706,7 @@ def _one_run_kernel(constraints, epsilon, policy):
     scan, row = solver._sources(bank, EuclideanSpace(np.zeros(n), 1.0).dual_norm)
     norms = np.array([row(j, None)[2] for j in range(len(constraints))])
     return (solver._AffineRuns(bank, RunConfig(epsilon, policy=policy), row),
-            solver._make_selector(scan, row, epsilon, policy, norms))
+            solver._make_selector(scan, row, epsilon, Policy(policy), norms))
 
 
 def _one_run_block(runs, x, i, rows):
@@ -828,7 +834,7 @@ def _drifting_pair(policy):
     return constraints, i, x, rows, epsilon
 
 
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
 def test_end_values_allow_for_the_drift_of_the_cumulative_sum(monkeypatch, policy):
     # the ends clear twice the slack, so without the drift term they would
     # certify the whole block, whose middle rows the policy does not take;
@@ -854,7 +860,7 @@ def test_end_values_allow_for_the_drift_of_the_cumulative_sum(monkeypatch, polic
 
 
 @pytest.mark.parametrize("multiple, certified", [(1.5, False), (2.5, True)])
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
 def test_end_values_keep_twice_slack_and_drift_from_epsilon(monkeypatch, policy, multiple,
                                                             certified):
     # steps of 1/16 down x_1 <= 0 from x_1 = 1000/16 + multiple * S: the
@@ -1193,7 +1199,7 @@ def _table_rows(instance):
 
 @pytest.mark.parametrize("record_history", [False, True])
 @pytest.mark.parametrize("regime", list(Regime))
-@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
 @pytest.mark.parametrize("geometry", _GEOMETRIES)
 def test_table_steps_equal_stepwise_steps_on_random_instances(geometry, policy, regime,
                                                               record_history):
@@ -1217,7 +1223,7 @@ def test_table_steps_equal_stepwise_steps_on_random_instances(geometry, policy, 
 
 
 @pytest.mark.parametrize("regime", list(Regime))
-@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
 def test_table_steps_break_piece_ties_and_stop_on_a_zero_piece(policy, regime):
     # At the origin the first two pieces tie at 0: the first (norm 5) is
     # taken.  Once both fall below -1, the constant piece is the max.
@@ -1235,7 +1241,7 @@ def test_table_steps_break_piece_ties_and_stop_on_a_zero_piece(policy, regime):
 
 
 @pytest.mark.parametrize("regime", list(Regime))
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
 def test_table_steps_stop_on_a_zero_constraint_row(policy, regime):
     # once the first constraint is met, the constant one (0.5 > eps) is the
     # violated row, and no step can decrease it
@@ -1407,7 +1413,7 @@ def test_an_instance_level_wrapper_leaves_the_ball_tracked(monkeypatch):
     lambda anchor: EuclideanBall([0.0, 0.0], 2.0**31, 1.0, anchor),
     lambda anchor: stepwise(EuclideanBall([0.0, 0.0], 2.0**31, 1.0, anchor)),
 ], ids=["tabled", "stepwise", "ball-tracked", "ball-stepwise"])
-@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
 def test_overflowing_stacked_constraint_raises(policy, space):
     # both products of the first row are -2^1030 at the start, so its value
     # is -inf, which no policy may read as satisfied; on the ball, the bound
@@ -1490,10 +1496,10 @@ def test_max_of_quadratics_runs_equal_member_loop_runs(geometry, regime):
     # evaluations are counted on a run over the geometry subclass, which
     # makes one per productive step and one at the output
     certified = 0
-    for seed in range(4):
+    for seed, policy in zip(range(4), itertools.cycle(Policy)):
         instance, space = _random_quadratic_max_instance(seed, geometry)
         counts = _counted_argmax(instance.objective)
-        config = RunConfig(0.05, regime=regime, policy=list(Policy)[seed],
+        config = RunConfig(0.05, regime=regime, policy=policy,
                            max_iterations=2000, record_history=bool(seed % 2))
         fast, stepped, _ = run_both(instance, space, config)
         assert_bitwise_equal(fast, stepped)
@@ -1673,7 +1679,7 @@ def _counted_productive_batches(monkeypatch):
 @pytest.mark.parametrize("near_tie", [False, True], ids=["random", "near-tie"])
 @pytest.mark.parametrize("cap", [777, 10**6])
 @pytest.mark.parametrize("record_history", [False, True])
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
 def test_productive_batches_equal_stepwise_runs_on_random_instances(
         monkeypatch, policy, record_history, cap, near_tie):
     counts = _counted_productive_batches(monkeypatch)
@@ -1781,7 +1787,7 @@ def _productive_runs(pieces, constraints, policy=Policy.FIRST_VIOLATED):
                               objective, piece_row)
 
 
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
 def test_productive_batch_certifies_the_constraints(policy):
     # steps of 1/16 from 0 raise x_1 - 10 to eps at x_1 = 161/16, still a
     # productive point but without margin: the batch takes the 161 steps
@@ -1799,7 +1805,7 @@ def test_productive_batch_certifies_the_constraints(policy):
     assert weighted.tolist() == [sum(k / 256 for k in range(161)), 0.0]
 
 
-@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+@pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
 def test_productive_tables_of_zero_and_overflowing_pieces_raise_no_warning(policy):
     # a zero piece and one whose norm overflows end a prediction before
     # their turn; next to the overflowing piece the margins, and then the
@@ -2073,7 +2079,7 @@ def _decisions(report):
 @pytest.mark.parametrize("cap", [777, 10**6])
 @pytest.mark.parametrize("record_history", [False, True])
 @pytest.mark.parametrize("regime", list(Regime))
-@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
 def test_tracked_ball_runs_equal_stepwise_runs_on_random_instances(
         monkeypatch, policy, regime, record_history, cap):
     scans = _counted_scans(monkeypatch)
@@ -2100,7 +2106,7 @@ def test_tracked_ball_runs_equal_stepwise_runs_on_random_instances(
 
 
 @pytest.mark.parametrize("regime", list(Regime))
-@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
 def test_tracked_ball_runs_on_a_small_ball_project_every_step(monkeypatch, policy,
                                                              regime):
     # radius 0.01 against steps of about 0.1: every step is projected, from
@@ -2131,7 +2137,7 @@ def test_tracked_ball_runs_on_a_small_ball_project_every_step(monkeypatch, polic
 
 @pytest.mark.parametrize("value", [0.1, np.nextafter(0.1, 0.0)], ids=["at", "one-ulp-below"])
 @pytest.mark.parametrize("regime", list(Regime))
-@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
 def test_a_row_held_at_epsilon_takes_the_real_scan_at_every_step(monkeypatch, policy,
                                                                  regime, value):
     # 0 . x + b is b exactly, at eps or one ulp below it: no margin certifies
@@ -2151,7 +2157,7 @@ def test_a_row_held_at_epsilon_takes_the_real_scan_at_every_step(monkeypatch, po
 
 @pytest.mark.parametrize("offset", [0.0, 1.0], ids=["duplicate", "one-ulp"])
 @pytest.mark.parametrize("regime", list(Regime))
-@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
 def test_tracked_ball_runs_with_near_tied_constraints(monkeypatch, policy, regime,
                                                       offset):
     # each constraint has a twin, equal or one ulp higher in b: while a twin
@@ -2170,7 +2176,7 @@ def test_tracked_ball_runs_with_near_tied_constraints(monkeypatch, policy, regim
         assert scans[tied.constraint_bank()] >= fast.nonproductive_count
 
 
-@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
 def test_tracked_ball_run_takes_few_real_scans(monkeypatch, policy):
     scans = _counted_scans(monkeypatch)
     instance, ball = _ball_cell(3)
@@ -2200,7 +2206,7 @@ def test_tracked_values_stay_within_their_bound(monkeypatch, regime):
         return inner(self, x)
 
     monkeypatch.setattr(solver._BallTracker, "scan", checked_scan)
-    config = RunConfig(0.05, regime=regime, policy=Policy.MAX_VIOLATION)
+    config = RunConfig(0.05, regime=regime, policy=Policy.AGGREGATE_MAX)
     report = run(instance, ball, config)
     assert checked[0] == _decisions(report) - 1
     # the bound stays far inside the margins the choices need
@@ -2258,7 +2264,7 @@ def _support_runs(instance, simplex, config, products):
 
 @pytest.mark.parametrize("record_history", [False, True])
 @pytest.mark.parametrize("regime", list(Regime))
-@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
 def test_support_scans_equal_stepwise_runs_on_sparse_simplex_instances(
         monkeypatch, policy, regime, record_history):
     # the size rule is tested apart: here the 50 x 200 banks take the scan
@@ -2278,7 +2284,7 @@ def test_support_scans_equal_stepwise_runs_on_sparse_simplex_instances(
         assert taken < 0.7 * full
 
 
-@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
 def test_support_scan_takes_banks_of_its_size_only(monkeypatch, policy):
     products = _counted_products(monkeypatch)
     for m, n in ((200, 500), (50, 200)):
@@ -2292,10 +2298,10 @@ def test_support_scan_takes_banks_of_its_size_only(monkeypatch, policy):
         assert taken < 0.7 * full if reduced else taken == full
 
 
-@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
 def test_support_scan_decides_as_the_stacked_product(monkeypatch, policy):
     # wherever the selector reads the reduced product, the stacked one has
-    # the same violated set and, under the argmax policies, the same
+    # the same violated set and, under aggregate-max, the same
     # argmax; the two differ by at most the tail a fresh support leaves,
     # n floors times the largest entry, 1.2
     monkeypatch.setattr(solver, "_SUPPORT_MIN_SIZE", 0)
@@ -2309,7 +2315,7 @@ def test_support_scan_decides_as_the_stacked_product(monkeypatch, policy):
         if vals is self.values:
             full = np.dot(bank._matrix, x) + bank._offsets
             assert np.array_equal(full > 0.05, vals > 0.05)
-            if policy in (Policy.AGGREGATE_MAX, Policy.MAX_VIOLATION):
+            if Policy(policy) is Policy.AGGREGATE_MAX:
                 assert full.argmax() == i
             assert np.abs(full - vals).max() <= 1.2 * self.stale
             read[0] += 1
@@ -2321,11 +2327,11 @@ def test_support_scan_decides_as_the_stacked_product(monkeypatch, policy):
 
 
 @pytest.mark.parametrize("offset", [0.0, 1.0], ids=["duplicate", "one-ulp"])
-@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
 def test_support_scans_with_near_tied_constraints(monkeypatch, policy, offset):
     # each row has a twin, equal or one ulp higher in b: while a twin pair
     # tops the violated rows no margin separates the two, so under the
-    # argmax policies the stacked product decides between them
+    # aggregate-max the stacked product decides between them
     monkeypatch.setattr(solver, "_SUPPORT_MIN_SIZE", 0)
     products = _counted_products(monkeypatch)
     cell, simplex = _simplex_cell(7)
@@ -2346,7 +2352,7 @@ def test_support_scans_with_near_tied_constraints(monkeypatch, policy, offset):
     fast, stepped, taken, full = _support_runs(tied, simplex, config, products)
     assert_bitwise_equal(fast, stepped)
     assert taken < 0.7 * full
-    if policy in (Policy.AGGREGATE_MAX, Policy.MAX_VIOLATION):
+    if Policy(policy) is Policy.AGGREGATE_MAX:
         assert violated[0] == 0
     else:
         assert violated[0] > 100
@@ -2434,7 +2440,7 @@ def _simplex_outcomes(monkeypatch, instance, config):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("row", ["2^600", "overflow"])
-@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
 def test_support_scan_meets_huge_rows_as_the_stacked_product_does(monkeypatch, policy,
                                                                   row):
     # A row on x*'s heaviest coordinate k that is never violated: 2^600
@@ -2464,7 +2470,7 @@ def test_support_scan_meets_huge_rows_as_the_stacked_product_does(monkeypatch, p
 
 
 @pytest.mark.parametrize("regime", list(Regime))
-@pytest.mark.parametrize("policy", list(Policy))
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
 def test_a_nan_objective_raises_at_the_same_step_under_the_support_scan(
         monkeypatch, policy, regime):
     # NaN from the first productive step on fewer than 80 coordinates:
@@ -2569,10 +2575,21 @@ def test_min_dual_norm_table_order_equals_the_row_loop():
 # ------------------------------------------------------------------- config
 
 
-def test_run_config_coerces_strings():
-    config = RunConfig(0.1, regime="nonstandard", policy="aggregate-max")
+@pytest.mark.parametrize("name", ["aggregate-max", "max-violation"])
+def test_run_config_coerces_strings(name):
+    # max-violation is a name of aggregate-max: the aggregate constraint's
+    # subgradient at a violated point is its largest member's
+    config = RunConfig(0.1, regime="nonstandard", policy=name)
     assert config.regime is Regime.NONSTANDARD
     assert config.policy is Policy.AGGREGATE_MAX
+
+
+def test_max_violation_is_not_a_policy_of_its_own():
+    assert len(Policy) == 3
+    assert Policy.MAX_VIOLATION is Policy.AGGREGATE_MAX
+    assert Policy("max-violation") is Policy.AGGREGATE_MAX
+    with pytest.raises(ValueError):
+        RunConfig(0.1, policy="max")
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, math.inf, math.nan, 1e-170])
