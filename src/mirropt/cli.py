@@ -54,7 +54,9 @@ from .solver import (Policy, Regime, RunConfig, SolverReport, StepHistory, StopR
 __all__ = ["main", "build_parser"]
 
 BENCH_COLUMNS = ("example", "regime", "policy", "iterations", "productive",
-                 "time_s", "objective_gap", "max_violation", "stop_reason")
+                 "time_s", "objective_gap", "max_violation", "stop_reason",
+                 "crit_sum", "stop_target", "progress")
+_STOP_COLUMN = BENCH_COLUMNS.index("stop_reason")
 
 # Table layout of the reference experiments: Lipschitz pair, then nonstandard.
 _BENCH_CELLS = (
@@ -216,6 +218,9 @@ def _run_row(label: int | str, report: SolverReport,
         None if optimum is None else report.output_objective - optimum[1],
         report.output_max_violation,
         report.stop_reason.value,
+        report.crit_sum,
+        report.stop_target,
+        report.progress,
     ]
 
 
@@ -226,7 +231,7 @@ _CELL_FORMATS = {"time_s": "{:.3f}", "objective_gap": "{:.6e}",
 def _cells(row: Sequence[Any]) -> list[str]:
     """Text and CSV cells of a row: empty for None, ``>N`` for the step
     count of a run that hit its cap N."""
-    capped = row[-1] == StopReason.ITERATION_CAP.value
+    capped = row[_STOP_COLUMN] == StopReason.ITERATION_CAP.value
     cells = []
     for column, value in zip(BENCH_COLUMNS, row):
         if value is None:
@@ -259,6 +264,7 @@ def _run_text(label: str, report: SolverReport,
     bound = report.a_priori_bound
     lines.append(f"a priori bound       "
                  f"{bound if bound is not None else 'unknown'}")
+    lines.append(_progress_line(report))
     lines.append(f"wall time            {cell['time_s']} s")
     lines.append("constraint residuals")
     values = instance.constraint_bank().values(report.output_point)
@@ -267,10 +273,22 @@ def _run_text(label: str, report: SolverReport,
     return "\n".join(lines) + "\n"
 
 
+def _progress_line(report: SolverReport) -> str:
+    return (f"progress             {report.progress:.6g} "
+            f"(criterion sum {report.crit_sum:.6e} of {report.stop_target:.6e})")
+
+
+def _progress(report: SolverReport) -> dict[str, Any]:
+    """The stopping rule's sum, its target and their ratio, JSON-ready."""
+    return {name: _jsonable(getattr(report, name))
+            for name in ("crit_sum", "stop_target", "progress")}
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     label, example, report = _solve(args, record_history=args.history)
     if args.format == "json":
-        text = json.dumps(_jsonable(report), indent=2, allow_nan=False) + "\n"
+        payload = {**_jsonable(report), "progress": _jsonable(report.progress)}
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     elif args.format == "csv":
         text = _csv_text(BENCH_COLUMNS,
                          [_cells(_run_row(label, report, example.instance))])
@@ -307,7 +325,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 print(f"mirropt: example {example_id} {regime.value} "
                       f"{policy.value}: {exc}", file=sys.stderr)
                 rows.append([example_id, regime.value, policy.value,
-                             None, None, None, None, None, "error"])
+                             None, None, None, None, None, "error", None, None, None])
                 verifications.append("error")
                 continue
             rows.append(_run_row(example_id, report, example.instance))
@@ -329,7 +347,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     label, example, report = _solve(args)
     result = verify_example(report, example)
     if args.format == "json":
-        payload = {**_jsonable(result), "all_passed": result.all_passed}
+        payload = {**_jsonable(result), "all_passed": result.all_passed,
+                   **_progress(report)}
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     elif args.format == "csv":
         text = _csv_text(("check", "passed", "detail"),
@@ -338,7 +357,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         lines = [f"source               {label}",
                  f"regime               {report.config.regime.value}",
-                 f"policy               {report.config.policy.value}"]
+                 f"policy               {report.config.policy.value}",
+                 _progress_line(report)]
         for c in result.checks:
             lines.append(f"{c.name:20s} {'pass' if c.passed else 'FAIL'}  {c.detail}")
         lines.append(f"{'result':20s} {'pass' if result.all_passed else 'FAIL'}")

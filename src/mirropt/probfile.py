@@ -23,7 +23,8 @@ Oracle nodes name a ``kind`` from ``_ORACLES``, the one list of oracle
 kinds, with ``parameters`` named after the class's constructor arguments;
 the first parameter is required, the others take the constructor default.
 ``lipschitz_value`` / ``lipschitz_gradient`` may be supplied (finite and
-nonnegative) and are otherwise derived where a closed form exists.  ``geometry``
+nonnegative) and are otherwise derived where a closed form exists.  Oracle
+nodes nest at most ``MAX_NESTING`` deep.  ``geometry``
 defaults to the unconstrained Euclidean space anchored at ``x0``; the
 ``simplex`` kind starts from its uniform anchor, which a written file gives as
 ``x0``.
@@ -58,6 +59,7 @@ from .problems import (
 )
 
 __all__ = [
+    "MAX_NESTING",
     "ProblemFileError",
     "ProblemDocument",
     "parse_problem",
@@ -86,6 +88,11 @@ _ORACLES: dict[str, tuple[type[Oracle], tuple[str, ...]]] = {
     "max_of": (MaxOracle, ("children",)),
 }
 _METADATA = ("lipschitz_value", "lipschitz_gradient")
+# The deepest oracle node a file may hold: the objective and each
+# constraint are at depth 1, the children of a node at depth d at d + 1.
+# Parsing, evaluating and writing a node recurse once per level, so this
+# keeps every such recursion far below Python's limit of 1000 frames.
+MAX_NESTING = 64
 _GEOMETRY_KINDS = ("euclidean", "ball", "simplex")
 
 
@@ -121,7 +128,9 @@ def _number(value: Any, where: str) -> float:
     return float(value)
 
 
-def _oracle_from_node(node: Any, where: str) -> Oracle:
+def _oracle_from_node(node: Any, where: str, depth: int = 1) -> Oracle:
+    if depth > MAX_NESTING:
+        _fail(f"{where}: oracle nodes nest deeper than {MAX_NESTING} levels")
     if not isinstance(node, Mapping):
         _fail(f"{where}: expected an object with 'kind' and 'parameters'")
     _check_keys(node, ("kind", "parameters") + _METADATA, where)
@@ -140,7 +149,7 @@ def _oracle_from_node(node: Any, where: str) -> Oracle:
         children = params["children"]
         if not isinstance(children, list) or not children:
             _fail(f"{where}: 'children' must be a non-empty list")
-        params["children"] = [_oracle_from_node(c, f"{where}.children[{i}]")
+        params["children"] = [_oracle_from_node(c, f"{where}.children[{i}]", depth + 1)
                               for i, c in enumerate(children)]
     meta = {}
     for key in _METADATA:
@@ -190,7 +199,8 @@ def parse_problem(data: Mapping[str, Any]) -> ProblemDocument:
     ------
     ProblemFileError
         On any missing, unknown or invalid field, including dimension
-        mismatches and an infeasible declared optimum.
+        mismatches, an infeasible declared optimum and oracle nodes nested
+        deeper than ``MAX_NESTING``.
     """
     if not isinstance(data, Mapping):
         _fail("problem file must contain a JSON object")
@@ -256,7 +266,8 @@ def load_problem(path: str | Path) -> ProblemDocument:
     Raises
     ------
     ProblemFileError
-        If the file is not valid JSON or fails :func:`parse_problem`.
+        If the file is not valid JSON, nests too deeply for the decoder,
+        or fails :func:`parse_problem`.
     OSError
         If the file cannot be read.
     """
@@ -265,6 +276,8 @@ def load_problem(path: str | Path) -> ProblemDocument:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ProblemFileError(f"{path}: nested too deeply to decode") from exc
     return parse_problem(data)
 
 

@@ -303,6 +303,18 @@ def _stacked_argmax(oracles: Sequence[Oracle]
     return argmax
 
 
+def _top(vals: Array) -> tuple[int, float]:
+    """The lowest index of the values' maximum, and that maximum; a
+    non-finite value raises :class:`EvaluationError`."""
+    i = int(vals.argmax())
+    high = vals.item(i)
+    # argmin and argmax both return the first NaN; with the argmin
+    # entry finite, only the argmax entry can be +inf.
+    if not (math.isfinite(high) and math.isfinite(vals.item(vals.argmin()))):
+        raise EvaluationError("oracle produced a non-finite value")
+    return i, high
+
+
 class OracleBank:
     """Ordered family of oracles evaluated together at one point.
 
@@ -345,13 +357,7 @@ class OracleBank:
             vals += self._offsets
         else:
             vals = np.array([o.value(x) for o in self.oracles], dtype=np.float64)
-        i = int(vals.argmax())
-        high = vals.item(i)
-        # argmin and argmax both return the first NaN; with the argmin
-        # entry finite, only the argmax entry can be +inf.
-        if not (math.isfinite(high) and math.isfinite(vals.item(vals.argmin()))):
-            raise EvaluationError("oracle produced a non-finite value")
-        return vals, i, high
+        return (vals, *_top(vals))
 
     def values(self, x: Array) -> Array:
         """Member values at x, a fresh array; see :meth:`scan`."""
@@ -365,6 +371,19 @@ class OracleBank:
         _, i, high = self.scan(x)
         return high, i
 
+    def max_pair(self, x: Array) -> tuple[float, Array]:
+        """Largest value and the subgradient of its lowest attaining
+        member.  A stacked bank takes its one product, then the winner's
+        subgradient; the member loop calls each member's
+        ``value_and_subgradient`` once, so a nested max evaluates each of
+        its members once, not its winner twice per level."""
+        if self._matrix is not None:
+            high, i = self.max_entry(x)
+            return high, self.subgradient(i, x)
+        pairs = [o.value_and_subgradient(x) for o in self.oracles]
+        i, high = _top(np.array([value for value, _ in pairs], dtype=np.float64))
+        return high, pairs[i][1]
+
 
 class MaxOracle(Oracle):
     """Pointwise maximum of child oracles.
@@ -375,8 +394,9 @@ class MaxOracle(Oracle):
     one stacked product (``_stacked_argmax``) and called alone, so value,
     subgradient and tie-break are the member loop's bit for bit.  Elsewhere,
     and wherever the argmax is not certified (a near-tie, a non-finite
-    point or one large enough to overflow), every child's value is taken
-    through :meth:`OracleBank.max_entry`, with its errors and warnings.
+    point or one large enough to overflow), the children are evaluated
+    through :meth:`OracleBank.max_pair`, with the errors of ``scan``: one
+    stacked product where all are affine, else one call per child.
     """
 
     def __init__(self, children: Sequence[Oracle], *,
@@ -396,8 +416,7 @@ class MaxOracle(Oracle):
         idx = None if self._argmax is None else self._argmax(x)
         if idx is not None:
             return self.children[idx].value_and_subgradient(x)
-        val, idx = self._bank.max_entry(x)
-        return val, self._bank.subgradient(idx, x)
+        return self._bank.max_pair(x)
 
     def values(self, points: Array) -> Array:
         return np.stack([c.values(points) for c in self.children]).max(axis=0)

@@ -264,6 +264,11 @@ class SolverReport:
     iterates and an exact solution the run stops at (gap 0), inf if none,
     against the known optimum point x*; None in the Lipschitz regime or
     without a known optimum.
+
+    ``crit_sum`` is the stopping rule's running sum at the end of the run
+    and ``stop_target`` the value it must reach, 2 theta0^2 / eps^2, so
+    ``progress`` rises from 0 and is at least 1 exactly where the stop is
+    ``criterion-met``.
     """
 
     total_steps: int
@@ -278,6 +283,8 @@ class SolverReport:
     config: RunConfig
     history: StepHistory | None = None
     certificate: float | None = None
+    crit_sum: float = 0.0
+    stop_target: float = math.inf
 
     @property
     def converged(self) -> bool:
@@ -285,6 +292,15 @@ class SolverReport:
             StopReason.CRITERION_MET,
             StopReason.ZERO_OBJECTIVE_GRADIENT,
         )
+
+    @property
+    def progress(self) -> float:
+        """How far the run got towards the stopping rule: ``crit_sum /
+        stop_target``; where the target underflowed to 0, which the sum
+        reaches at the first step, inf once a step was taken."""
+        if not self.stop_target:
+            return math.inf if self.total_steps else 0.0
+        return self.crit_sum / self.stop_target
 
 
 def _sources(bank: OracleBank, dual: Callable[[Array], float]):
@@ -599,8 +615,10 @@ class _AffineRuns:
     criterion sums after each step.  Along each run of a chain the values
     are linear in the step up to the cumulative sum's drift, so the values
     of the run's first and last rows, all runs' in one matrix product,
-    certify every row between (see ``_certify``); rows are reduced one
-    by one only where these fail.  A chain's runs are predicted by
+    certify every row between (see ``_certify``); a chain of one run
+    reads its first row's from its prediction and takes one product for
+    its last.  Rows are reduced one by one only where these fail.  A
+    chain's runs are predicted by
     ``_run_predictor``'s straight-line code, generated once per
     constraint count and policy.  A productive batch's pieces are predicted
     by ``_piece_predictor``'s code, generated for this instance's pieces on
@@ -661,6 +679,8 @@ class _AffineRuns:
         self.steps = self.table[:, :n]
         # Per constraint, filled on its first chain: see ``_table``.
         self.drops, self.piece_drops, self.tables = *drops, {}
+        # The values at a chain's first row, from ``chain`` to ``_certify``.
+        self.first_values = None
         self.predict_runs = _run_predictor(m, self.first_violated)
         # A productive batch asks for twice the rows the last took, plus two;
         # after batches of under two rows, 0, 1, 3, ... steps pass idle.
@@ -692,13 +712,17 @@ class _AffineRuns:
         self.tables[i] = table
         return table
 
-    def predict(self, x: Array, i: int, rows: int) -> list[list[int]]:
+    def predict(self, x: Array, i: int, rows: int,
+                values: list[float] | None = None) -> list[list[int]]:
         """The runs of non-productive steps from x on, as [constraint, count]
         pairs, from constraint i's (which may have ended at x) on: predicted
         in floats up to ``rows`` steps, a predicted productive step, or a
-        constraint that ends a prediction (see ``_run_predictor``)."""
-        return self.predict_runs((self.a @ x + self.b).tolist(), i, rows, self.epsilon,
-                                 self.tables, self._table)
+        constraint that ends a prediction (see ``_run_predictor``).
+        ``values`` are the constraint values ``A @ x + b`` as a list, taken
+        here where not given."""
+        if values is None:
+            values = (self.a @ x + self.b).tolist()
+        return self.predict_runs(values, i, rows, self.epsilon, self.tables, self._table)
 
     def chain(self, x: Array, i: int, rows: int, crit_sum: float,
               target: float) -> tuple:
@@ -712,7 +736,9 @@ class _AffineRuns:
         run too.  The block's column after the iterates sums the
         criterion weights in the order the stepwise engine adds them;
         where it reaches ``target``, the chain is cut before."""
-        chain = self.predict(x, i, min(rows, self.max_rows))
+        # The values at x, read by the prediction and by a one-run certificate.
+        values = (self.a @ x + self.b).tolist()
+        chain = self.predict(x, i, min(rows, self.max_rows), values)
         predicted = sum(count for _, count in chain)
         if not predicted or predicted < min(rows, 2):
             return x, crit_sum, None, [], False
@@ -731,6 +757,7 @@ class _AffineRuns:
         if block[rows, n] >= target:
             rows = int(np.searchsorted(block[1:, n], target))
         iterates = block[:, :n]
+        self.first_values = values
         count = self._certify(iterates, chain, rows)
         taken, first = [], 0
         for j, length in chain:
@@ -745,7 +772,10 @@ class _AffineRuns:
         """How many of a summed block's leading ``rows`` rows provably take
         their step: ``labels`` a list of (constraint, count) runs, which
         may run past ``rows``, or an array of pieces' stacked rows, one
-        productive step per block row.
+        productive step per block row.  ``first_values``, where ``chain``
+        set them, are the constraint values of the block's first row as its
+        prediction took them; this call consumes them, and a block of one
+        run reads them as its first row's.
 
         Each run, on constraint i, is first offered to ``_ends``, which
         certifies all its rows from the constraint values of its own first
@@ -774,8 +804,9 @@ class _AffineRuns:
         its last row and the rest.  The rows of a run that still fails are
         checked one by one (``_rows``), so the ends never shorten a block.
         The ``_HUGE`` guards come first, so every value and margin is
-        finite.
+        finite.  A block of one run on constraint i reaches |x| + count |q_i|.
         """
+        values, self.first_values = self.first_values, None
         if not rows:
             return 0
         reach = np.abs(block[0])
@@ -791,7 +822,10 @@ class _AffineRuns:
                 first += count
                 if first >= rows:
                     break
-            reach += np.bincount(js, counts, self.steps.shape[0]) @ self.abs_q
+            if len(js) == 1:
+                reach += counts[0] * self.abs_q[js[0]]
+            else:
+                reach += np.bincount(js, counts, self.steps.shape[0]) @ self.abs_q
         else:
             reach += np.bincount(labels, minlength=self.steps.shape[0]) @ self.abs_q
         bound = self.abs_a @ reach + self.abs_b
@@ -799,7 +833,7 @@ class _AffineRuns:
             return 0  # NaN included: the stepwise engine decides
         if not runs:
             return self._rows(block[:rows], labels, self.gamma * bound)
-        certified = self._ends(block, js, firsts, counts, bound)
+        certified = self._ends(block, js, firsts, counts, bound, values)
         if all(certified):
             return rows
         split = [r for r, ok in enumerate(certified) if not ok and counts[r] > 1]
@@ -865,27 +899,37 @@ class _AffineRuns:
         return count if ok.all() else int(ok.argmin())
 
     def _ends(self, block: Array, labels: list, firsts: list, counts: list,
-              bound: Array) -> list[bool]:
+              bound: Array, values: list[float] | None = None) -> list[bool]:
         """Per run of ``counts[r]`` rows on constraint ``labels[r]`` from
         block row ``firsts[r]``, whether its first and last rows certify
-        every row of it (see ``_certify``): all the ends' values from one
-        matrix product, the first rows' above the last rows'."""
+        every row of it (see ``_certify``).  Several runs take all their
+        ends' values from one matrix product, the first rows' above the
+        last rows'.  One run compares the floats of its first row's
+        ``values``, taken here where not given, and of one product for its
+        last row."""
         eps, m, runs = self.epsilon, self.m, len(labels)
         if runs == 1:
-            # Most chains are one run: its ends are a strided slice, and its
-            # 2 S_j one row.  The general path's gather, outer product and
-            # flat positions made ex 1 L aggregate-max's one-run chains 18%
-            # slower per call (``BENCH_26.json``, ``one_run_forks``).
+            # Most chains are one run, whose prediction already took its
+            # first row's values: one more product and the comparisons on
+            # floats cost less than the ten numpy calls of the general path.
             (i,), (first,), (count,) = labels, firsts, counts
-            values = block[first:first + count:count - 1 or 1] @ self.a.T
-            values += self.b
-            wide = (2.0 * (self.gamma + count * self.u)) * bound[:m]
-            low = values[:, i] - wide[i]
-            values += wide
-            if self.first_violated:
-                return [bool((low > eps).all() and (values[:, :i] <= eps).all())]
-            values[:, i] = eps
-            return [bool((values < low[:, None]).all())]
+            if values is None:
+                values = (self.a @ block[first] + self.b).tolist()
+            last = (self.a @ block[first + count - 1] + self.b).tolist()
+            factor = 2.0 * (self.gamma + count * self.u)
+            wide = [factor * w for w in bound[:m].tolist()]  # 2 S_j
+            own = wide[i]
+            for ends in (values, last):
+                low = ends[i] - own
+                if self.first_violated:
+                    if not (low > eps and all(v + w <= eps for v, w in zip(ends[:i], wide))):
+                        return [False]
+                else:
+                    tops = [v + w for v, w in zip(ends, wide)]
+                    tops[i] = eps
+                    if not max(tops) < low:
+                        return [False]
+            return [True]
         # 2 S_j per run, from its own drift, and the flat positions of each
         # run's own value in wide and in the ends' values.
         wide = np.multiply.outer([2.0 * (self.gamma + c * self.u) for c in counts],
@@ -1479,6 +1523,8 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
         config=config,
         history=history,
         certificate=None if reference is None else certificate,
+        crit_sum=crit_sum,
+        stop_target=stop_target,
     )
 
 

@@ -68,15 +68,30 @@ def quadratic_pieces(rng, n, count, diagonal=True, spread=0):
     return pieces
 
 
+def _fresh(oracle, stepped=False):
+    """A copy of the oracle that shares no wrapper ``count_calls`` set on
+    it or on its members: a max is rebuilt from fresh members, as a
+    :class:`SteppedMax` where ``stepped`` and it has a stacked argmax;
+    another oracle is copied without the instance attributes that shadow
+    its class's methods."""
+    if isinstance(oracle, MaxOracle):
+        kind = SteppedMax if stepped and oracle._argmax is not None else type(oracle)
+        return kind([_fresh(c) for c in oracle.children],
+                    lipschitz_value=oracle.lipschitz_value,
+                    lipschitz_gradient=oracle.lipschitz_gradient)
+    twin = copy.copy(oracle)
+    for name in [name for name in vars(twin) if callable(getattr(type(twin), name, None))]:
+        delattr(twin, name)
+    return twin
+
+
 def stepwise_instance(instance):
-    """The instance with its objective evaluated by the member loop where
-    it is a max with a stacked argmax, else the instance itself."""
-    objective = instance.objective
-    if type(objective) is not MaxOracle or objective._argmax is None:
-        return instance
-    stepped = SteppedMax(objective.children, lipschitz_value=objective.lipschitz_value,
-                         lipschitz_gradient=objective.lipschitz_gradient)
-    return ProblemInstance(instance.dimension, stepped, instance.constraints,
+    """A separate instance over copies of the oracles (see ``_fresh``),
+    its objective evaluated by the member loop where it is a max with a
+    stacked argmax; a counter wrapped on the given instance's oracles
+    counts none of its calls."""
+    return ProblemInstance(instance.dimension, _fresh(instance.objective, stepped=True),
+                           [_fresh(c) for c in instance.constraints],
                            instance.known_optimum)
 
 
@@ -111,7 +126,9 @@ def run_both(instance, space, config, name="mirror_step"):
     default run called the geometry's ``name``: ``mirror_step`` once per
     ordinary (unbatched) step off the ball, ``dual_norm`` once per affine
     member it tables and once per step that is not table-driven.  The
-    stepwise run takes the member loop on a max of quadratics."""
+    stepwise run takes the member loop on a max of quadratics, on an
+    instance of its own, so a counter wrapped on the given instance's
+    oracles counts the default run alone."""
     reference = stepwise(space)
     calls = count_calls(space, name)
     return (run(instance, space, config),
@@ -123,7 +140,8 @@ def assert_bitwise_equal(first, second):
     for field in ("total_steps", "productive_count", "nonproductive_count",
                   "stop_reason", "a_priori_bound"):
         assert getattr(first, field) == getattr(second, field), field
-    for field in ("output_objective", "output_max_violation", "certificate"):
+    for field in ("output_objective", "output_max_violation", "certificate", "crit_sum",
+                  "stop_target"):
         a, b = getattr(first, field), getattr(second, field)
         assert (a is None and b is None) or np.float64(a).tobytes() == np.float64(b).tobytes()
     if first.history is None:

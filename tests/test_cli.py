@@ -18,6 +18,7 @@ REPORT_FIELDS = {
     "total_steps", "productive_count", "nonproductive_count", "output_point",
     "output_objective", "output_max_violation", "stop_reason",
     "a_priori_bound", "wall_time", "config", "history", "certificate",
+    "crit_sum", "stop_target", "progress",
 }
 
 
@@ -398,8 +399,10 @@ def test_verify_capped_run_fails(disk_file, capsys):
     assert main(["verify", "--problem-file", disk_file,
                  "--max-iter", "10", "--format", "json"]) == 1
     payload = _strict_json(capsys.readouterr().out)
+    progress = {name: payload.pop(name) for name in ("crit_sum", "stop_target", "progress")}
     assert payload == {
         "checks": [{"name": "converged", "passed": False,
                     "detail": "iteration-cap"}],
         "all_passed": False,
     }
+    assert progress["progress"] == progress["crit_sum"] / progress["stop_target"] < 1.0

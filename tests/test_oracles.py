@@ -19,7 +19,7 @@ from mirropt import (
 )
 from mirropt.benchmarks import build_example
 
-from differential import quadratic_pieces
+from differential import count_calls, quadratic_pieces
 
 
 def _constant(value: float, dimension: int = 2) -> AffineOracle:
@@ -269,6 +269,83 @@ def test_oracle_bank_max_entry_first_occurrence():
     bank = OracleBank([_constant(2.0), _constant(5.0), _constant(5.0)])
     val, idx = bank.max_entry(np.zeros(2))
     assert (val, idx) == (5.0, 1)
+
+
+def _leaves(oracle):
+    """A tree of maxima's leaves, depth first: the order in which their
+    lowest-index maximum is the tree's."""
+    if isinstance(oracle, MaxOracle):
+        return [leaf for child in oracle.children for leaf in _leaves(child)]
+    return [oracle]
+
+
+def _nested_maxima(rng, depth, n=3):
+    """A max nested ``depth`` levels: each level a max of a fresh leaf and
+    the level below, on alternating sides, the innermost a max of one
+    affine leaf; the leaves are affine, |affine| and dense quadratics, and
+    every third level repeats the leaf below it, so some maxima tie."""
+    node = MaxOracle([AffineOracle(rng.standard_normal(n), rng.standard_normal())])
+    leaf = node.children[0]
+    for level in range(1, depth):
+        if level % 3 == 0:
+            pass  # a twin of the last leaf
+        elif level % 3 == 1:
+            leaf = AbsAffinePlusOracle(rng.standard_normal(n), rng.standard_normal())
+        else:
+            leaf = quadratic_pieces(rng, n, 1, diagonal=False)[0]
+        node = MaxOracle([leaf, node] if level % 2 else [node, leaf])
+    return node
+
+
+@pytest.mark.parametrize("depth", range(1, 13))
+def test_nested_maxima_equal_a_flat_loop(depth):
+    # the lowest-index maximum of the leaves in depth-first order, value and
+    # subgradient bit for bit, at random points and at points where the
+    # leaves take equal values
+    rng = np.random.default_rng(depth)
+    oracle = _nested_maxima(rng, depth)
+    leaves = _leaves(oracle)
+    assert len(leaves) == depth
+    points = [rng.standard_normal(3) * 10.0 ** rng.integers(-2, 3) for _ in range(40)]
+    points.append(np.zeros(3))
+    for x in points:
+        pairs = [leaf.value_and_subgradient(x) for leaf in leaves]
+        values = [value for value, _ in pairs]
+        best = values.index(max(values))
+        value, grad = oracle.value_and_subgradient(x)
+        assert np.float64(value).tobytes() == np.float64(values[best]).tobytes()
+        assert grad.tobytes() == np.asarray(pairs[best][1]).tobytes()
+
+
+def _nodes(oracle):
+    """Every node of a tree of maxima, the root first."""
+    children = oracle.children if isinstance(oracle, MaxOracle) else []
+    return [oracle] + [node for child in children for node in _nodes(child)]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 8, 16, 40])
+def test_nested_maxima_call_each_node_once(depth):
+    # one evaluation of a max nested depth levels calls each node's
+    # value_and_subgradient once where it occurs (a twin leaf occurs
+    # twice): 2 depth calls, where a winner evaluated again at each level
+    # took about 2^depth
+    oracle = _nested_maxima(np.random.default_rng(depth), depth)
+    nodes = _nodes(oracle)
+    assert len(nodes) == 2 * depth
+    calls = [count_calls(node, "value_and_subgradient")
+             for node in {id(node): node for node in nodes}.values()]
+    oracle.value_and_subgradient(np.ones(3))
+    assert sum(c[0] for c in calls) == 2 * depth
+
+
+def test_a_nested_member_loop_raises_on_a_nonfinite_value():
+    # the member loop checks its values as OracleBank.scan does
+    inner = MaxOracle([AbsAffinePlusOracle([1.0, 0.0]), QuadraticOracle(np.eye(2))])
+    oracle = MaxOracle([AbsAffinePlusOracle([0.0, 1.0]), inner])
+    for bad in ([math.nan, 0.0], [math.inf, 0.0], [2.0**600, 0.0]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EvaluationError, match="non-finite"):
+                oracle.value_and_subgradient(np.array(bad))
 
 
 def _loop_outcome(oracle, x):

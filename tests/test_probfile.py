@@ -22,6 +22,7 @@ from mirropt import (
     problem_to_mapping,
     run,
 )
+from mirropt.probfile import MAX_NESTING
 
 
 def disk_mapping():
@@ -334,3 +335,50 @@ def test_load_problem_missing_file(tmp_path):
 def test_parse_problem_rejects_non_mapping():
     with pytest.raises(ProblemFileError):
         parse_problem([1, 2, 3])
+
+
+def _nested_max(depth, where="objective"):
+    """The disk problem with its objective (or first constraint) ``depth``
+    nodes deep: max_of nodes down to one affine leaf."""
+    mapping = disk_mapping()
+    node = mapping[where] if where == "objective" else mapping["constraints"][0]
+    for _ in range(depth - 1):
+        node = {"kind": "max_of", "parameters": {"children": [node]}}
+    if where == "objective":
+        mapping["objective"] = node
+    else:
+        mapping["constraints"][0] = node
+    return mapping
+
+
+@pytest.mark.parametrize("where", ["objective", "constraint"])
+def test_oracle_nodes_nest_at_most_the_limit(tmp_path, where):
+    # a file MAX_NESTING deep loads and runs; one level more is a typed
+    # error naming the limit, found before any deeper node is read
+    path = tmp_path / "deep.prob"
+    path.write_text(json.dumps(_nested_max(MAX_NESTING, where)), encoding="utf-8")
+    document = load_problem(path)
+    report = run(document.instance, document.geometry,
+                 RunConfig(document.epsilon, max_iterations=10))
+    assert report.total_steps == 10
+    with pytest.raises(ProblemFileError, match=f"deeper than {MAX_NESTING} levels"):
+        parse_problem(_nested_max(MAX_NESTING + 1, where))
+    with pytest.raises(ProblemFileError, match=f"deeper than {MAX_NESTING} levels"):
+        parse_problem(_nested_max(300, where))
+
+
+def test_a_file_too_deep_to_decode_is_a_problem_file_error(tmp_path):
+    # 900 nested max_of nodes are 2700 nested JSON containers, past the
+    # decoder's recursion limit: a ProblemFileError, not a RecursionError
+    path = tmp_path / "deeper.prob"
+    mapping = disk_mapping()
+    leaf = json.dumps(mapping.pop("objective"))
+    head = '{"kind": "max_of", "parameters": {"children": ['
+    objective = head * 899 + leaf + "]}}" * 899
+    text = json.dumps(mapping)[:-1] + ', "objective": ' + objective + "}"
+    with pytest.raises(RecursionError):
+        json.loads(text)
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ProblemFileError, match="nested too deeply to decode") as caught:
+        load_problem(path)
+    assert isinstance(caught.value.__cause__, RecursionError)

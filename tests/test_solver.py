@@ -226,6 +226,25 @@ def _random_affine_instance(seed):
     return instance, anchor, float(np.linalg.norm(anchor)) + 0.5
 
 
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_progress_reaches_one_exactly_where_the_criterion_stops_the_run(policy, regime):
+    # crit_sum / stop_target, read after batches, chains and ordinary
+    # steps alike, is at least 1 on the runs the criterion stops and below
+    # it on the runs a cap or another stop ends, some of them on the seeds
+    # and caps below
+    stops = set()
+    for seed in range(8):
+        instance, anchor, theta0 = _random_affine_instance(seed)
+        for cap in (50, 10**6):
+            report = run(instance, EuclideanSpace(anchor, theta0),
+                         RunConfig(0.5, regime=regime, policy=policy, max_iterations=cap))
+            assert report.progress == report.crit_sum / report.stop_target
+            assert (report.progress >= 1.0) == (report.stop_reason is StopReason.CRITERION_MET)
+            stops.add(report.stop_reason)
+    assert {StopReason.CRITERION_MET, StopReason.ITERATION_CAP} <= stops
+
+
 @pytest.mark.parametrize("record_history", [False, True])
 @pytest.mark.parametrize("regime", list(Regime))
 @pytest.mark.parametrize("policy", _BATCHED_POLICY_NAMES)
@@ -893,6 +912,118 @@ def test_end_values_meet_the_huge_guard(monkeypatch):
     assert outcomes == [True]
 
 
+def _descent_under_a_cap(x1, epsilon, policy, record_history, max_iterations):
+    """Steps of epsilon down x_1 <= 0 from (x1, 0) under x_2 <= 1, then
+    productive steps up x_2, to ``max_iterations`` steps: the default and
+    stepwise reports, and the mirror steps the default run took."""
+    instance = ProblemInstance(2, AffineOracle([0.0, -1.0]),
+                               [AffineOracle([0.0, 1.0], -1.0), AffineOracle([1.0, 0.0], 0.0)])
+    config = RunConfig(epsilon, policy=policy, max_iterations=max_iterations,
+                       record_history=record_history)
+    return run_both(instance, EuclideanSpace([x1, 0.0], 2.0), config)
+
+
+@pytest.mark.parametrize("record_history", [False, True])
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_one_run_chains_within_ulps_of_the_ends_margin_equal_stepwise_runs(
+        monkeypatch, policy, record_history):
+    # two ordinary steps on x_1 <= 0, then a chain of one run of 1000 rows
+    # whose last row sits k ulps of x_1 from the least that the ends take,
+    # c - 2 S > eps with S = (gamma + 1000 u) bound, k from -3 to 3: below
+    # it the ends refuse the run and take its last row and the rest apart,
+    # from it they take it whole, each read from the prediction's values
+    # at the first row and one product at the last.  Every run is the
+    # stepwise run's bit for bit
+    outcomes = _counted_ends(monkeypatch)
+    epsilon, rows, ulp = 2.0**-4, 1000, 2.0**-47  # x_1's ulp in [32, 64)
+    runs, _ = _one_run_kernel([AffineOracle([1.0, 0.0], 0.0)], epsilon, policy)
+    factor = 2.0 * (runs.gamma + rows * runs.u)
+
+    def taken_whole(x1):
+        start = x1 - 2.0 * epsilon  # the chain's first row; bound is its reach
+        return start - (rows - 1) * epsilon - factor * (start + rows * epsilon) > epsilon
+
+    least = round(((rows + 2) * epsilon + factor * 2.0 * rows * epsilon) / ulp) * ulp
+    while taken_whole(least - ulp):
+        least -= ulp
+    while not taken_whole(least):
+        least += ulp
+    for k in range(-3, 4):
+        outcomes.clear()
+        batched, stepped, calls = _descent_under_a_cap(least + k * ulp, epsilon, policy,
+                                                       record_history, rows + 10)
+        assert_bitwise_equal(batched, stepped)
+        assert batched.nonproductive_count == rows + 2 and calls == 10
+        assert outcomes == ([True] if k >= 0 else [False, True, True])
+
+
+@pytest.mark.parametrize("record_history", [False, True])
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_one_run_chains_at_the_huge_guard_equal_stepwise_runs(monkeypatch, policy,
+                                                              record_history):
+    # steps of 1/16 leave x_1 = 2^1019 as it is: the ends take the chain of
+    # the 48 steps after the first two with no overflow.  From x_1 = 2^1020
+    # the guard refuses it before the ends, and every step is ordinary.
+    # Both are the stepwise run's bit for bit
+    outcomes = _counted_ends(monkeypatch)
+    batches = _counted_batches(monkeypatch)
+    for x1, ends, taken, mirror_steps in ((2.0**1019, [True], 48, 2), (2.0**1020, [], 0, 50)):
+        outcomes.clear()
+        batches.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batched, stepped, calls = _descent_under_a_cap(x1, 2.0**-4, policy,
+                                                           record_history, 50)
+        assert_bitwise_equal(batched, stepped)
+        assert batched.nonproductive_count == 50 and calls == mirror_steps
+        assert outcomes == ends and batches == [(48, taken)]
+
+
+class _CountedProducts:
+    """A matrix whose products with an array, on either side, are counted
+    in ``products``, which its transpose shares."""
+
+    __array_ufunc__ = None  # an array on the left defers to __rmatmul__
+
+    def __init__(self, matrix, products=None):
+        self.matrix, self.products = matrix, [0] if products is None else products
+
+    def __matmul__(self, other):
+        self.products[0] += 1
+        return self.matrix @ other
+
+    def __rmatmul__(self, other):
+        self.products[0] += 1
+        return other @ self.matrix
+
+    @property
+    def T(self):
+        return _CountedProducts(self.matrix.T, self.products)
+
+
+@pytest.mark.parametrize("multiple, ends, products", [(1.5, [False, True, True], 3),
+                                                      (2.5, [True], 2)])
+@pytest.mark.parametrize("policy", _BATCHED_POLICIES)
+def test_a_one_run_chain_takes_one_product_besides_its_prediction(monkeypatch, policy,
+                                                                  multiple, ends, products):
+    # a chain of 1000 steps of 1/16 down x_1 <= 0 under x_2 <= 1, from x_1
+    # 1000/16 + multiple * S: its ends take it with the prediction's values
+    # at its first row and one product for its last, two products in all.
+    # At 1.5 S they refuse it, and its last row and the rest take the one
+    # product of two runs' ends
+    outcomes = _counted_ends(monkeypatch)
+    epsilon, rows = 2.0**-4, 1000
+    runs, _ = _one_run_kernel([AffineOracle([0.0, 1.0], -1.0), AffineOracle([1.0, 0.0], 0.0)],
+                              epsilon, policy)
+    runs.a = _CountedProducts(runs.a)
+    margin = (runs.gamma + rows * runs.u) * (rows * epsilon * 2.0 + np.finfo(float).tiny)
+    x = np.array([rows * epsilon + round(multiple * margin * 2.0**45) * 2.0**-45, 0.0])
+    after, crit_sum, _, taken, complete = runs.chain(x, 1, 10**6, 0.0, math.inf)
+    assert taken == [(1, 0, rows)] and complete and crit_sum == rows
+    assert after.tolist() == [x[0] - rows * epsilon, 0.0]
+    assert outcomes == ends and runs.a.products == [products]
+
+
 @pytest.mark.parametrize("budget, fewest", [pytest.param(1 << 14, 101, id="2^14"),
                                             pytest.param(1 << 16, 27, id="2^16")])
 @pytest.mark.parametrize("example_id", [1, 4])
@@ -1541,21 +1672,18 @@ def test_examples_4_and_5_replay_their_two_step_cycles(example_id, policy):
     # ex 4 N and ex 5 N end bouncing between two iterates bit for bit; from
     # the first repeat on, the run replays the two steps without evaluating,
     # with history and without, and is the stepwise run's bit for bit.  The
-    # reference runs on a build of its own, so the wrapper counts the
-    # replaying run's evaluations alone: one per step up to the repeat and
-    # one at the output
-    instance, space, config = _nonstandard_example(example_id, policy, record_history=True)
-    stepped = run(stepwise_instance(instance), stepwise(space), config)
-    first = _first_repeat(stepped.history)
-    assert first is not None and stepped.total_steps - first > 7000
-    replayed = stepped.total_steps - first - 1
+    # wrapper counts the replaying run's evaluations alone: one per step up
+    # to the repeat and one at the output
     for record_history in (True, False):
         instance, space, config = _nonstandard_example(example_id, policy,
                                                        record_history=record_history)
         calls = count_calls(instance.objective, "value_and_subgradient")
-        fast = run(instance, space, config)
-        assert_bitwise_equal(fast, stepped if record_history
-                             else dataclasses.replace(stepped, history=None))
+        fast, stepped, _ = run_both(instance, space, config)
+        assert_bitwise_equal(fast, stepped)
+        if record_history:
+            first = _first_repeat(stepped.history)
+            assert first is not None and stepped.total_steps - first > 7000
+            replayed = stepped.total_steps - first - 1
         assert calls[0] == fast.productive_count + 1 - replayed
 
 
@@ -1563,8 +1691,8 @@ def test_examples_4_and_5_replay_their_two_step_cycles(example_id, policy):
 def test_a_cap_inside_a_replayed_cycle(extra):
     # the cap ends ex 5 N first-violated one or two steps after its first
     # repeat, at either parity of the cycle: the same output point, history
-    # and stop as the stepwise run (whose objective is a member loop of its
-    # own, so the wrapper counts the replaying run alone)
+    # and stop as the stepwise run, whose instance is its own, so the
+    # wrapper counts the replaying run alone
     instance, space, config = _nonstandard_example(5, Policy.FIRST_VIOLATED,
                                                    record_history=True)
     first = _first_repeat(run(instance, space, config).history)
@@ -1576,12 +1704,6 @@ def test_a_cap_inside_a_replayed_cycle(extra):
     assert calls[0] == fast.productive_count + 1 - (extra - 1)
 
 
-def _signed_zero_instance():
-    """|x_1| on R^2 under a constraint that always holds, optimum 0."""
-    return ProblemInstance(2, AbsAffinePlusOracle([1.0, 0.0]), [_constant(-1.0)],
-                           known_optimum=(np.zeros(2), 0.0))
-
-
 def test_an_iterate_that_differs_in_a_signed_zero_is_not_replayed():
     # steps of 0.5 from (0.25, -0.0): the gradient's second coordinate is
     # -0.0 where x_1 < 0, and -0.0 - h (-0.0) is +0.0, so x_2 = (0.25, +0.0)
@@ -1589,10 +1711,11 @@ def test_an_iterate_that_differs_in_a_signed_zero_is_not_replayed():
     # first repeat bit for bit
     config = RunConfig(0.5, regime=Regime.NONSTANDARD, record_history=True)
     space = EuclideanSpace([0.25, -0.0], 1.5)
-    instance = _signed_zero_instance()
+    # |x_1| on R^2 under a constraint that always holds, optimum 0
+    instance = ProblemInstance(2, AbsAffinePlusOracle([1.0, 0.0]), [_constant(-1.0)],
+                               known_optimum=(np.zeros(2), 0.0))
     calls = count_calls(instance.objective, "value_and_subgradient")
-    fast = run(instance, space, config)
-    stepped = run(_signed_zero_instance(), stepwise(space), config)
+    fast, stepped, _ = run_both(instance, space, config)
     assert_bitwise_equal(fast, stepped)
     assert np.signbit([r.point[1] for r in fast.history][:4]).tolist() == [
         True, True, False, False]
