@@ -159,8 +159,14 @@ class EuclideanBall(EuclideanSpace):
         """The mirror step x' and its radial scale t: x' = center + t (x -
         h p - center), t = 1.0 where x - h p lies in the ball (no
         projection), radius / ||x - h p - center|| where it does not."""
-        z = x - h * p
-        d = z - self.center
+        return self.project(x - h * p)
+
+    def project(self, z: Array, centered: bool = False) -> tuple[Array, float]:
+        """z projected radially onto the ball, and the scale t, as
+        :meth:`scaled_step` takes them for z = x - h p.  ``centered`` tells
+        that the center is +0.0 in every entry, so z - center, which is z
+        bit for bit (-0.0 included), is not taken."""
+        d = z if centered else z - self.center
         nrm = math.sqrt(float(d @ d))
         if nrm > self.radius:
             t = self.radius / nrm
@@ -212,20 +218,27 @@ class EntropySimplex(ProxGeometry):
         return float(ym @ (np.log(ym) - np.log(x[mask])))
 
     def mirror_step(self, x: Array, p: Array, h: float) -> Array:
-        # Multiplicative update u_i proportional to x_i * exp(-h p_i),
-        # computed in log space for stability, in one float64 buffer (p (-h)
-        # is -(h p) exactly); zero coordinates stay zero.  Only an x with a
-        # zero or NaN coordinate enters errstate, to silence log(0).
-        logits = np.multiply(p, -h, dtype=np.float64)
+        # The logit shift p (-h) is -(h p) exactly, in float64 for any p.
+        return self.log_step(x, np.multiply(p, -h, dtype=np.float64))[0]
+
+    def log_step(self, x: Array, shift: Array) -> tuple[Array, float]:
+        """The multiplicative update from x by the logit shift p (-h), and
+        its top logit: u_i proportional to x_i exp(shift_i), computed in log
+        space for stability, in one float64 buffer, so zero coordinates stay
+        zero.  Only an x with a zero or NaN coordinate enters errstate, to
+        silence log(0).  ``shift`` is only read."""
+        logits = np.empty(x.shape[0])
         if np.minimum.reduce(x) > 0.0:
-            logits += np.log(x)
+            np.log(x, out=logits)
         else:
             with np.errstate(divide="ignore"):
-                logits += np.log(x)
-        logits -= np.maximum.reduce(logits)
+                np.log(x, out=logits)
+        logits += shift
+        top = np.maximum.reduce(logits)
+        logits -= top
         np.exp(logits, out=logits)
         logits /= np.add.reduce(logits)
-        return logits
+        return logits, top
 
 
 def dual_norm(p, structure: ProxGeometry) -> float:

@@ -1023,22 +1023,29 @@ def _decided(v: Array, bound: float, epsilon: float, ranked: bool,
 
 
 class _BallTracker:
-    """Constraint values tracked in O(M) per step on an exact Euclidean ball.
+    """The mirror step on an exact Euclidean ball, with the constraint values
+    tracked in O(M) per step.
 
     A ball step is x' = c + t (x - h p - c), so A x' + b = (1 - t)(A c + b)
     + t (A x + b - h A p).  Where p is a tabled row (a constraint row or a
-    max-affine piece), ``step`` updates the values v that way, the column
-    ``A p`` computed once per row, and ``scan`` hands v to the selector in
-    place of the stacked product when the decision is certified: ``e``
-    bounds |v - (A x + b)| in exact arithmetic at the iterate x, and the
-    product's rounding is at most a quarter of ``e0`` = gamma (rn R +
-    max|b|), R a bound on ||x|| over the ball and rn on the rows' norms.
-    With E = e + e0, every value more than E away from epsilon and, where
-    one is above it, the largest more than 2E above the others, every
-    policy sees the violated set and the argmax the product would give;
-    the unused part of e0 covers the rounding of these comparisons.
-    Anything else, or an iterate the tracker did not step to, takes the
-    product and restarts v from it.
+    max-affine piece), ``step`` updates the values v that way, and ``scan``
+    hands v to the selector in place of the stacked product when the
+    decision is certified: ``e`` bounds |v - (A x + b)| in exact arithmetic
+    at the iterate x, and the product's rounding is at most a quarter of
+    ``e0`` = gamma (rn R + max|b|), R a bound on ||x|| over the ball and rn
+    on the rows' norms.  With E = e + e0, every value more than E away from
+    epsilon and, where one is above it, the largest more than 2E above the
+    others, every policy sees the violated set and the argmax the product
+    would give; the unused part of e0 covers the rounding of these
+    comparisons.  Anything else, or an iterate the tracker did not step to,
+    takes the product and restarts v from it.
+
+    A tabled row's step is cached on its first step at a step size h, once
+    per (row, h): h p, h (A p) and h ||p||, each the float the stepwise
+    step or update computes, so a step is x - (h p), projected by
+    :meth:`EuclideanBall.project`, and the update v - h (A p).  Where the
+    center is +0.0 in every entry, z - center is z bit for bit, -0.0
+    included, and is not taken.  Any other step is the ball's plain step.
 
     Rounding per step, with u = eps_mach / 2 and L = h ||p|| the step
     length: the column is off by at most gamma rn ||p|| / 4, the step and
@@ -1069,18 +1076,21 @@ class _BallTracker:
             self.shift = matrix @ center + offsets  # A c + b
         # Below _HUGE no summation order of the product overflows.
         self.finite = top < _HUGE
-        self.real, self.step_ball, self.epsilon = scan, ball.scaled_step, epsilon
+        self.real, self.project, self.epsilon = scan, ball.project, epsilon
+        self.centered = not (center.any() or np.signbit(center).any())
         self.matrix = matrix
         self.e0 = gamma * (top + np.finfo(float).tiny)
         self.base = 16.0 * u * top
         self.grow = 1.0 + 8.0 * u
         self.slope = (gamma + 16.0 * u) * rn
-        # [norm, column] per tabled row, by identity: the rows are constant
-        # arrays the oracles hold for the run.  The column is computed on
-        # the row's first step.  Rows whose column may overflow are left out.
+        # (row, norm) per tabled row, by identity: the rows are constant
+        # arrays the oracles hold for the run, and kept here, so no other
+        # array takes their id.  Rows whose column may overflow are left out.
         self.limit = _HUGE / max(rn, 1.0)
-        self.columns = {id(p): [norm, None] for (_, p, _), norm in zip(rows, norms)
-                        if norm < self.limit}
+        self.rows = {id(p): (p, norm) for (_, p, _), norm in zip(rows, norms)
+                     if norm < self.limit}
+        # (h p, h (A p), h ||p||) per (tabled row id, h), on its first step.
+        self.steps: dict[tuple[int, float], tuple] = {}
         self.values, self.work, self.gap = np.empty(m), np.empty(m), np.empty(m)
         self.x: Array | None = None
         self.e = math.inf
@@ -1099,18 +1109,21 @@ class _BallTracker:
 
     def step(self, x: Array, p: Array, h: float) -> Array:
         """The ball's mirror step, with the values moved along."""
-        x_new, t = self.step_ball(x, p, h)
-        entry = self.columns.get(id(p)) if x is self.x else None
-        if entry is None or not h * entry[0] < self.limit:
+        cached = self.steps.get((id(p), h))
+        if cached is None:
+            entry = self.rows.get(id(p))
+            if entry is None or not h * entry[1] < self.limit:
+                self.x = None
+                return self.project(x - h * p, self.centered)[0]
+            cached = self.steps[id(p), h] = (h * p, self.matrix @ p * h, h * entry[1])
+        hp, hg, length = cached
+        x_new, t = self.project(x - hp, self.centered)
+        if x is not self.x:
             self.x = None
             return x_new
-        norm, g = entry
-        if g is None:
-            g = entry[1] = self.matrix @ p
         v, work = self.values, self.work
-        np.multiply(g, h, out=work)
-        np.subtract(v, work, out=v)
-        e = self.e * self.grow + h * norm * self.slope
+        np.subtract(v, hg, out=v)
+        e = self.e * self.grow + length * self.slope
         if t != 1.0:
             np.multiply(v, t, out=v)
             np.multiply(self.shift, 1.0 - t, out=work)
@@ -1121,17 +1134,18 @@ class _BallTracker:
 
 
 class _SupportScan:
-    """Constraint values on an exact entropy simplex from the columns of
-    the iterate's support.
+    """The mirror step on an exact entropy simplex, and the constraint
+    values from the columns of the iterate's support.
 
     Entropic steps put the iterate's mass on few coordinates.  The support
     S holds the coordinates at or above ``_SUPPORT_FLOOR``, with a
     contiguous copy of ``A[:, S]``, and a scan takes w = A[:, S] x[S] + b
-    and the tail t = sum x[~S], read off as ``x.sum() - x[S].sum()`` plus
-    its rounding bound.  Where x >= 0, both products are within gamma
-    (|a_j| sum x + |b_j|) of exact, |a_j| the row's largest entry, and the
+    and the tail t = sum x[~S], read off as ``mass - x[S].sum()`` plus
+    its rounding bound, the mass ``x.sum()`` or, at a clean iterate (see
+    below), its bound 1 + gamma.  Where x >= 0, both products are within gamma
+    (|a_j| mass + |b_j|) of exact, |a_j| the row's largest entry, and the
     dropped columns move row j by at most |a_j| t; so w is within E =
-    gamma (rmax sum x + bmax) + rmax t of the stacked product, the
+    gamma (rmax mass + bmax) + rmax t of the stacked product, the
     constant gamma four times the products' rounding bound, which also
     covers the rounding of E and of the comparisons.  Where ``_decided``
     certifies w against E, the selector reads it.  Anywhere else, for an
@@ -1142,10 +1156,25 @@ class _SupportScan:
     ``_SUPPORT_SHRINK`` of its coordinates are still at the floor; while
     more than ``_SUPPORT_SHARE`` of all coordinates are, every scan is the
     stacked product.
+
+    ``step`` is the simplex's :meth:`EntropySimplex.log_step`, its shift
+    p (-h) cached once per (tabled row, h), the float the stepwise step
+    computes, so log x + p (-h) is p (-h) + log x bit for bit.  An iterate
+    it returns with a finite top logit is clean: NaN-free, in [0, 1] and
+    of mass at most 1 + gamma, so its scan takes 1 + gamma as the mass and
+    neither the sum nor the minimum of x.  For each logit l, fl(l - top) <=
+    0, since rounding is monotone and top is the largest, so exp gives a
+    value in [0, 1], and 1 at the top; the divisor, a float sum of
+    non-negatives, is at least its largest term, 1, and at most n, so each
+    quotient is in [0, 1], and the quotients' exact sum is at most (1 +
+    u) / (1 - (n - 1) u), about 1 + n u with u = eps_mach / 2, far under 1
+    + gamma; a NaN logit makes the top NaN, so a NaN never reaches a clean
+    iterate.  Any other scan reads ``x.sum()`` as the mass and checks x >=
+    0.
     """
 
-    def __init__(self, bank: OracleBank, scan: Callable, epsilon: float,
-                 ranked: bool) -> None:
+    def __init__(self, bank: OracleBank, simplex: EntropySimplex, scan: Callable,
+                 rows: list[tuple], epsilon: float, ranked: bool) -> None:
         self.matrix, self.offsets = bank._matrix, bank._offsets
         m, n = self.matrix.shape
         self.real, self.epsilon, self.ranked = scan, epsilon, ranked
@@ -1158,6 +1187,14 @@ class _SupportScan:
         self.stale = n * _SUPPORT_FLOOR
         self.support = self.columns = None
         self.wait = 0  # scans until the support is next checked
+        self.log_step = simplex.log_step
+        # The tabled rows by identity, kept as in ``_BallTracker``; the
+        # shift p (-h) per (tabled row id, h), on its first step; the last
+        # clean iterate and a clean iterate's mass bound.
+        self.rows = {id(p): p for _, p, _ in rows}
+        self.shifts: dict[tuple[int, float], Array] = {}
+        self.clean: Array | None = None
+        self.mass = 1.0 + self.gamma
 
     def _rebuild(self, x: Array) -> None:
         support = np.flatnonzero(x >= _SUPPORT_FLOOR)
@@ -1179,12 +1216,13 @@ class _SupportScan:
             head = x[self.support]
             w = np.dot(self.columns, head, out=self.values)
             w += self.offsets
-            total = float(np.add.reduce(x))
+            clean = x is self.clean
+            total = self.mass if clean else float(np.add.reduce(x))
             # The tail's mass t, up to the rounding of the two sums.
             tail = total - float(np.add.reduce(head)) + self.gamma * total
             top = self.rmax * total + self.bmax
             # Below _HUGE (so not NaN) no summation order overflows.
-            if top < _HUGE and np.minimum.reduce(x) >= 0.0:
+            if top < _HUGE and (clean or np.minimum.reduce(x) >= 0.0):
                 bound = self.gamma * top + self.rmax * tail
                 decided = _decided(w, bound, self.epsilon, self.ranked, self.gap)
                 if decided is not None:
@@ -1192,6 +1230,17 @@ class _SupportScan:
             if tail > self.stale:
                 self._rebuild(x)
         return self.real(x)
+
+    def step(self, x: Array, p: Array, h: float) -> Array:
+        """The simplex's mirror step, noting a clean iterate."""
+        shift = self.shifts.get((id(p), h))
+        if shift is None:
+            shift = np.multiply(p, -h, dtype=np.float64)
+            if id(p) in self.rows:
+                self.shifts[id(p), h] = shift
+        x_new, top = self.log_step(x, shift)
+        self.clean = x_new if math.isfinite(top) else None
+        return x_new
 
 
 def _metadata_bound(problem: ProblemInstance, theta0: float, epsilon: float,
@@ -1318,6 +1367,9 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     matrix-vector product wherever a rounding bound certifies that the
     product would give the same violated set and argmax; anywhere else, and
     after a productive step on any other objective, the product is taken.
+    The tracker takes every step: a tabled row's h p, h (A p) and h ||p||
+    are cached once per (row, step size), and where the center is +0.0 in
+    every entry, z - center, which is z bit for bit, is not taken.
     On an exact :class:`EntropySimplex`, under every policy, all-affine
     constraints with at least ``_SUPPORT_MIN_SIZE`` matrix entries are
     scanned by ``_SupportScan`` over the iterate's support, the
@@ -1327,7 +1379,11 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     set and, under aggregate-max, its argmax.  Anywhere else, while
     the support holds more than half the coordinates, for an iterate with
     a negative or non-finite coordinate and where a value could overflow,
-    the product is taken, so a non-finite value raises where it did.  In
+    the product is taken, so a non-finite value raises where it did.  It
+    takes every step too, a tabled row's shift p (-h) cached once per
+    (row, step size); an iterate its step returns with a finite top logit
+    is clean, NaN-free, in [0, 1] and of mass at most 1 + gamma, so its
+    scan takes that bound as the mass, with no sum or minimum of x.  In
     the nonstandard regime every productive step has length epsilon, so a
     run can end bouncing between two iterates bit for bit.  Where the
     geometry is exactly one of these three and every oracle exactly a
@@ -1370,16 +1426,19 @@ def run(problem: ProblemInstance, prox: ProxGeometry, config: RunConfig) -> Solv
     evaluate = _make_evaluator(objective, dual, piece_sources)
     norms = None
     if bank._matrix is not None:
+        # The tabled rows: the constraints', then a max-affine objective's.
         rows = [row(i, None) for i in range(len(bank.oracles))]
         norms = np.array([norm for _, _, norm in rows])
+        if pieces is not None:
+            rows += [piece_sources[1](l, None) for l in range(len(pieces.oracles))]
         if type(prox) is EuclideanBall:
-            if pieces is not None:
-                rows += [piece_sources[1](l, None) for l in range(len(pieces.oracles))]
             tracker = _BallTracker(bank, prox, scan, rows, eps)
             if tracker.finite:
                 scan, mirror = tracker.scan, tracker.step
         elif type(prox) is EntropySimplex and bank._matrix.size >= _SUPPORT_MIN_SIZE:
-            scan = _SupportScan(bank, scan, eps, config.policy is Policy.AGGREGATE_MAX).scan
+            support = _SupportScan(bank, prox, scan, rows, eps,
+                                   config.policy is Policy.AGGREGATE_MAX)
+            scan, mirror = support.scan, support.step
     select = _make_selector(scan, row, eps, config.policy, norms)
     # Productive runs are batched where a gemm row need not give the
     # stepwise objective value: in the Lipschitz regime, without history.

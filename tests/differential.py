@@ -6,13 +6,14 @@ and productive steps on a max of affine pieces, on an exact
 :class:`EuclideanSpace`, tracks all-affine constraint values in place of
 the stacked scan on an exact :class:`EuclideanBall`, and scans large
 all-affine banks over the iterate's support on an exact
-:class:`EntropySimplex`.  A batch is recorded as one history segment per
-constraint run.  The stepwise reference is the same geometry as a
+:class:`EntropySimplex`; on both, the tracker takes every step, from
+steps cached per tabled row.  A batch is recorded as one history segment
+per constraint run.  The stepwise reference is the same geometry as a
 subclass, :class:`SteppedSpace`, :class:`SteppedBall` or
-:class:`SteppedSimplex`, which turns the batches, the tracked values and
-the support scan off without changing the arithmetic.  The tables, which
-a subclass keeps, are checked against the oracle and dual-norm calls
-they replace by ``test_solver``'s component tests.
+:class:`SteppedSimplex`, which turns the batches, the tracked values, the
+support scan and the cached steps off without changing the arithmetic.
+The tables, which a subclass keeps, are checked against the oracle and
+dual-norm calls they replace by ``test_solver``'s component tests.
 
 A max of diagonal quadratics finds its winning piece by the certified
 stacked argmax of :class:`MaxOracle`; the reference objective is a
@@ -124,11 +125,12 @@ def count_calls(space, name):
 def run_both(instance, space, config, name="mirror_step"):
     """Default and stepwise reports of one run, and how many times the
     default run called the geometry's ``name``: ``mirror_step`` once per
-    ordinary (unbatched) step off the ball, ``dual_norm`` once per affine
-    member it tables and once per step that is not table-driven.  The
-    stepwise run takes the member loop on a max of quadratics, on an
-    instance of its own, so a counter wrapped on the given instance's
-    oracles counts the default run alone."""
+    ordinary (unbatched) step where no tracker steps (the ball's steps
+    call ``project``, a large simplex bank's ``log_step``), ``dual_norm``
+    once per affine member it tables and once per step that is not
+    table-driven.  The stepwise run takes the member loop on a max of
+    quadratics, on an instance of its own, so a counter wrapped on the
+    given instance's oracles counts the default run alone."""
     reference = stepwise(space)
     calls = count_calls(space, name)
     return (run(instance, space, config),

@@ -155,6 +155,26 @@ def test_simplex_mirror_step_equals_the_log_space_expression(pairs, h):
         np.testing.assert_array_equal(new, old)
 
 
+@settings(max_examples=400)
+@given(st.lists(st.tuples(_COORDINATES, _GRADIENTS), min_size=1, max_size=8), _STEP_SIZES)
+# a coordinate whose exp underflows to an exact zero beside the top one
+@example([(1e-300, 1.0), (1.0, -1.0)], 1e3)
+def test_simplex_log_step_is_clean_where_its_top_logit_is_finite(pairs, h):
+    # where the top logit is finite, the step is NaN-free, in [0, 1] and of
+    # mass at most 1 + gamma, the support scan's gamma = 4 (n + 2) eps_mach,
+    # which that scan takes as a clean iterate's mass
+    x = np.array([c for c, _ in pairs])
+    p = np.array([g for _, g in pairs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        shift = np.multiply(p, -h, dtype=np.float64)
+        out, top = EntropySimplex(x.shape[0], 1.0).log_step(x, shift)
+    if math.isfinite(top):
+        gamma = 4.0 * (x.shape[0] + 2) * np.finfo(float).eps
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        assert math.fsum(out) <= 1.0 + gamma
+
+
 def test_simplex_mirror_step_is_float64_for_any_gradient_dtype():
     # integer p and h step as the log-space expression does; float32 p
     # gives a float64 step, as it did

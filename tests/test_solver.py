@@ -2236,14 +2236,14 @@ def test_tracked_ball_runs_on_a_small_ball_project_every_step(monkeypatch, polic
     # an anchor and around a center off the origin
     scans = _counted_scans(monkeypatch)
     scales = []
-    inner = EuclideanBall.scaled_step
+    inner = EuclideanBall.project
 
-    def recorded(self, x, p, h):
-        out = inner(self, x, p, h)
+    def recorded(self, z, centered=False):
+        out = inner(self, z, centered)
         scales.append(out[1])
         return out
 
-    monkeypatch.setattr(EuclideanBall, "scaled_step", recorded)
+    monkeypatch.setattr(EuclideanBall, "project", recorded)
     mixed = 0
     for seed in range(6):
         instance, ball = _random_ball_instance(seed, radius=0.01, lift=0.1)
@@ -2334,6 +2334,115 @@ def test_tracked_values_stay_within_their_bound(monkeypatch, regime):
     assert checked[0] == _decisions(report) - 1
     # the bound stays far inside the margins the choices need
     assert worst[0] < 1e-9
+
+
+def _made(monkeypatch, kind):
+    """The ``kind`` instances (``_BallTracker`` or ``_SupportScan``) that
+    runs build, in order."""
+    made = []
+    inner = kind.__init__
+
+    def recorded(self, *args):
+        inner(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(kind, "__init__", recorded)
+    return made
+
+
+def _assert_one_step_per_row(tracker):
+    """A tracker's cached steps: at most one per tabled row, so at most
+    one per (row, step size), and none for any other array."""
+    cache = tracker.steps if isinstance(tracker, solver._BallTracker) else tracker.shifts
+    ids = [key for key, _ in cache]
+    assert len(ids) == len(set(ids))
+    assert set(ids) <= set(tracker.rows)
+
+
+def _signed_zero_ball(seed, center, radius, lift):
+    """Random affine constraints and a max of affine pieces, all with a
+    zero first column, violated at the anchor or raised by 0.9 to 1 times
+    ``lift``, on a ball of ``radius`` around a center that is +0.0
+    everywhere (``origin``), the same with a -0.0 first entry
+    (``negative-zero``) or random with a +0.0 first entry
+    (``off-origin``).  The anchor is the center with a -0.0 first entry,
+    which no step moves but a projection."""
+    rng = np.random.default_rng(seed)
+    n, m = 6, 5
+    center_point = rng.standard_normal(n) if center == "off-origin" else np.zeros(n)
+    center_point[0] = -0.0 if center == "negative-zero" else 0.0
+    anchor = center_point.copy()
+    anchor[0] = -0.0
+    direction = rng.standard_normal(n)
+    direction[0] = 0.0
+    direction /= np.linalg.norm(direction)
+    feasible = center_point + 0.5 * min(radius, 1.0) * direction
+    a = (-rng.uniform(0.2, 1.0, (m, 1)) * direction
+         + rng.standard_normal((m, n)) / math.sqrt(n))
+    a[:, 0] = 0.0
+    b = (-(a @ feasible) - rng.uniform(0.0, 0.1, m) * min(radius, 1.0)
+         + lift * rng.uniform(0.9, 1.0, m))
+    c = rng.standard_normal((3, n))
+    c[:, 0] = 0.0
+    objective = MaxOracle([AffineOracle(row, offset)
+                           for row, offset in zip(c, rng.standard_normal(3))])
+    instance = ProblemInstance(n, objective, [AffineOracle(row, offset)
+                                              for row, offset in zip(a, b)])
+    return instance, EuclideanBall(center_point, radius, 1.0, anchor)
+
+
+@pytest.mark.parametrize("radius, lift", [(100.0, 0.0), (0.01, 0.1)],
+                         ids=["inside", "projected"])
+@pytest.mark.parametrize("center", ["origin", "negative-zero", "off-origin"])
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
+def test_tracked_ball_steps_equal_stepwise_steps_around_any_center(
+        monkeypatch, policy, regime, center, radius, lift):
+    # Only a center of +0.0 in every entry skips z - center: -0.0 - (-0.0)
+    # is +0.0, so a -0.0 entry of the center must keep the subtraction, and
+    # a projection then lands on +0.0 where a skipped one would keep -0.0.
+    trackers = _made(monkeypatch, solver._BallTracker)
+    scales = []
+    inner = EuclideanBall.project
+
+    def recorded(self, z, centered=False):
+        out = inner(self, z, centered)
+        scales.append(out[1])
+        return out
+
+    monkeypatch.setattr(EuclideanBall, "project", recorded)
+    signed = 0
+    for seed in range(2):
+        instance, ball = _signed_zero_ball(seed, center, radius, lift)
+        config = RunConfig(0.1, regime=regime, policy=policy, record_history=True)
+        fast, stepped, _ = run_both(instance, ball, config)
+        assert_bitwise_equal(fast, stepped)
+        tracker = trackers.pop()
+        assert tracker.centered == (center == "origin")
+        _assert_one_step_per_row(tracker)
+        signed += sum(math.copysign(1.0, record.point[0]) < 0.0 for record in fast.history)
+    assert fast.productive_count > 0 and fast.nonproductive_count > 0
+    # the anchors hold -0.0, and inside the ball every later iterate too
+    assert signed >= (2 if radius < 1.0 else 40)
+    assert (max(scales) < 1.0) if radius < 1.0 else (min(scales) == 1.0)
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
+def test_tracked_ball_caches_no_step_of_a_fresh_gradient(monkeypatch, policy, regime):
+    # A quadratic's gradient is a fresh array at every step, whose id a
+    # later gradient may take again: no such step enters the cache.
+    trackers = _made(monkeypatch, solver._BallTracker)
+    for seed in (2, 5):
+        instance, ball = _random_ball_instance(seed)
+        assert type(instance.objective) is QuadraticOracle
+        config = RunConfig(0.05, regime=regime, policy=policy)
+        fast, stepped, _ = run_both(instance, ball, config)
+        assert_bitwise_equal(fast, stepped)
+        assert fast.productive_count > 100
+        tracker = trackers.pop()
+        _assert_one_step_per_row(tracker)
+        assert tracker.steps
 
 
 # ------------------------------------------------ support scan on the simplex
@@ -2496,8 +2605,8 @@ def test_support_scan_takes_the_stacked_product_where_unsure(case, ranked):
     else:
         rows = [AffineOracle(np.ones(n), -1.0), AffineOracle(np.eye(n)[j], eps - 2e-8)]
     bank = OracleBank(rows)
-    support = solver._SupportScan(bank, partial(bank.scan, out=np.empty(len(rows))),
-                                  eps, ranked)
+    support = solver._SupportScan(bank, EntropySimplex(n, 1.0),
+                                  partial(bank.scan, out=np.empty(len(rows))), [], eps, ranked)
     x = np.zeros(n)
     x[:40] = 0.025
     x[j] = {"left-out": 5e-8, "negative": -0.01, "nan": math.nan, "huge": 0.0}[case]
@@ -2521,7 +2630,8 @@ def test_support_scan_follows_mass_that_leaves_its_support():
     # takes the stacked product and rebuilds the support, the next reads it
     n, eps = 200, 0.05
     bank = OracleBank([AffineOracle(np.ones(n), -1.0), AffineOracle(np.eye(n)[120], 0.0)])
-    support = solver._SupportScan(bank, partial(bank.scan, out=np.empty(2)), eps, True)
+    support = solver._SupportScan(bank, EntropySimplex(n, 1.0),
+                                  partial(bank.scan, out=np.empty(2)), [], eps, True)
     x = np.zeros(n)
     x[:40] = 0.025
     assert support.scan(x)[0] is support.values
@@ -2545,16 +2655,18 @@ class _NaNWhereSparse(Oracle):
         return (math.nan if np.count_nonzero(x > 1e-9) < self.count else value), grad
 
 
-def _simplex_outcomes(monkeypatch, instance, config):
+def _simplex_outcomes(monkeypatch, instance, config, theta0=2.0):
     """Per side, on the 200-coordinate simplex: the run's report or
-    EvaluationError, its mirror steps and its stacked constraint products."""
+    EvaluationError, its mirror steps (the ``log_step`` calls that both the
+    tracked step and ``mirror_step`` make) and its stacked constraint
+    products."""
     monkeypatch.setattr(solver, "_SUPPORT_MIN_SIZE", 0)
     products = _counted_products(monkeypatch)
     bank = instance.constraint_bank()
-    simplex = EntropySimplex(200, 2.0)
+    simplex = EntropySimplex(200, theta0)
     sides = []
     for geometry in (simplex, stepwise(simplex)):
-        steps = count_calls(geometry, "mirror_step")
+        steps = count_calls(geometry, "log_step")
         products.pop(bank, None)
         outcome = _outcome(run, instance, geometry, config)
         sides.append((outcome, steps[0], products.get(bank, 0)))
@@ -2607,6 +2719,109 @@ def test_a_nan_objective_raises_at_the_same_step_under_the_support_scan(
     assert steps == stepped_steps > 1000
     # the selector read the reduced product at a share of the steps
     assert taken < 0.9 * steps
+
+
+def _clean_reads(monkeypatch):
+    """Per support scan: whether the support was built, x was the last
+    clean iterate, x holds an exact zero, and the scan read the support's
+    values."""
+    reads = []
+    inner = solver._SupportScan.scan
+
+    def recorded(self, x):
+        built, clean, zero = self.columns is not None, x is self.clean, bool((x == 0.0).any())
+        reads.append((built, clean, zero))
+        vals = inner(self, x)
+        reads[-1] += (vals[0] is self.values,)
+        return vals
+
+    monkeypatch.setattr(solver._SupportScan, "scan", recorded)
+    return reads
+
+
+def _underflow_instance(n=50, m=10):
+    """Rows on the upper half of the coordinates, violated at the uniform
+    point, and a max of three affine pieces of dual norm under 2e-3, whose
+    Lipschitz-regime steps h = eps / ||p||^2 shift logits by up to 25 each:
+    some coordinates underflow to exact zeros within the run."""
+    rng = np.random.default_rng(0)
+    a = np.zeros((m, n))
+    a[:, n // 2:] = rng.uniform(0.5, 1.0, (m, n - n // 2))
+    b = -rng.uniform(0.3, 0.4, m)
+    c = rng.uniform(-1.0, 1.0, (3, n)) * 2e-3
+    objective = MaxOracle([AffineOracle(row, offset)
+                           for row, offset in zip(c, rng.uniform(-1e-3, 1e-3, 3))])
+    instance = ProblemInstance(n, objective, [AffineOracle(row, offset)
+                                              for row, offset in zip(a, b)])
+    return instance, EntropySimplex(n, 100.0)
+
+
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
+def test_tracked_simplex_steps_equal_stepwise_steps_where_mass_underflows(monkeypatch,
+                                                                          policy):
+    # exact zeros in a clean iterate: its scan still reads 1 + gamma as the
+    # mass, and the next step takes log(0) = -inf as the stepwise step does
+    monkeypatch.setattr(solver, "_SUPPORT_MIN_SIZE", 0)
+    supports = _made(monkeypatch, solver._SupportScan)
+    reads = _clean_reads(monkeypatch)
+    instance, simplex = _underflow_instance()
+    config = RunConfig(0.05, policy=policy, record_history=True)
+    fast, stepped, _ = run_both(instance, simplex, config)
+    assert_bitwise_equal(fast, stepped)
+    assert fast.stop_reason is StopReason.CRITERION_MET
+    assert fast.nonproductive_count > 100 and fast.productive_count > 10
+    assert max(int((record.point == 0.0).sum()) for record in fast.history) > 5
+    assert (True, True, True, True) in reads
+    _assert_one_step_per_row(supports.pop())
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
+def test_a_non_finite_top_logit_raises_at_the_same_step_under_the_tracked_step(
+        monkeypatch, policy):
+    # A piece of dual norm 1e-154 on top of the others once their max drops
+    # under 0.3: its step size eps / ||p||^2 = 10 / 1e-308 overflows to
+    # inf, while its criterion weight 1e308 does not end the run (theta0 =
+    # 1e160 makes the stop target inf), so the step's logits are all -inf
+    # and its iterate NaN.  That iterate is not clean, so the next scan
+    # takes the reductions, then the stacked product, which raises.  The
+    # constraints are the cell's scaled by 200 for eps = 10; every support
+    # is built, so the reductions are reached.
+    monkeypatch.setattr(solver, "_SUPPORT_SHARE", 1.0)
+    reads = _clean_reads(monkeypatch)
+    cell, _ = _simplex_cell(5)
+    tiny = AffineOracle(np.full(200, 1e-154), 0.3)
+    instance = ProblemInstance(200, MaxOracle([*cell.objective.children, tiny]),
+                               [AffineOracle(200.0 * c.a, 200.0 * c.b)
+                                for c in cell.constraints])
+    (fast, steps, _), (stepped, stepped_steps, _) = _simplex_outcomes(
+        monkeypatch, instance, RunConfig(10.0, policy=policy), theta0=1e160)
+    assert fast is stepped is EvaluationError
+    assert steps == stepped_steps > 100
+    # the last scan, at the NaN iterate, had its support built and no clean
+    # iterate, and raised before it read anything
+    assert reads[-1] == (True, False, False)
+    assert sum(read[1] and read[3] for read in reads) > 0.5 * steps
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("policy", _POLICY_NAMES)
+def test_tracked_simplex_caches_no_step_of_a_fresh_gradient(monkeypatch, policy, regime):
+    # A quadratic's gradient is a fresh array at every step, whose id a
+    # later gradient may take again: no such step enters the cache.
+    monkeypatch.setattr(solver, "_SUPPORT_MIN_SIZE", 0)
+    supports = _made(monkeypatch, solver._SupportScan)
+    cell, simplex = _simplex_cell(6)
+    rng = np.random.default_rng(6)
+    objective = QuadraticOracle(np.diag(rng.uniform(0.5, 2.0, 200)), rng.standard_normal(200))
+    instance = ProblemInstance(200, objective, cell.constraints)
+    config = RunConfig(0.05, regime=regime, policy=policy, max_iterations=2000)
+    fast, stepped, _ = run_both(instance, simplex, config)
+    assert_bitwise_equal(fast, stepped)
+    assert fast.productive_count > 100 and fast.nonproductive_count > 100
+    support = supports.pop()
+    _assert_one_step_per_row(support)
+    assert support.shifts
 
 
 def _full_decided(v, bound, epsilon, ranked, gap):
